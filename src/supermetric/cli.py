@@ -168,7 +168,13 @@ def _cmd_lie_basis(args):
     if not isinstance(payload, dict) or "gamma" not in payload:
         raise ValidationError("payload needs 'gamma'")
     gamma = gamma_from_json(payload["gamma"], cfg)
-    L = payload.get("L")
+    # lie_basis enumerates all 2^L index sets, so L is bounded here
+    L = payload.get("L", cfg.generator_count)
+    if isinstance(L, bool) or not isinstance(L, int) \
+            or not 0 <= L <= cfg.generator_count:
+        raise ValidationError(
+            f"'L' must be an integer in 0..{cfg.generator_count}, "
+            f"got {json.dumps(L)}")
     basis = lie_basis(gamma, L)
     hJ = []
     for bits, pos in basis.hJ:

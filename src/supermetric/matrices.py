@@ -640,32 +640,37 @@ def _ad_structure_constants(X, basis, decomps, basis_tag):
 def _ad_flat(X, basis, decomps, basis_tag):
     cfg = X.config
     r = len(basis)
-    basis = tuple(basis)
     levels = tuple(next(iter(d)) for d in decomps)
-    # group basis slots by index bitmask; solve each slice against its group
+    # group basis slots by index bitmask; levels whose grids are equal share
+    # one solver, so each distinct grid family is rank-checked once
     groups = {}
     for slot, lv in enumerate(levels):
         groups.setdefault(lv, []).append(slot)
+    families = {}
     solvers = {}
     for lv, slots in groups.items():
         grids = [decomps[s][lv] for s in slots]
-        pinned = tuple(basis[s] for s in slots)
-        solvers[lv] = _solver_for(
-            cfg, ("flat", lv, tuple(id(b) for b in pinned)), pinned, grids)
+        key = tuple(tuple(_vec(g)) for g in grids)
+        solver = families.get(key)
+        if solver is None:
+            solver = families[key] = _SliceSolver(cfg, grids)
+        solvers[lv] = solver
 
-    cols = []
-    for b in basis:
+    # the operator is sparse: entries start as one shared (immutable) zero
+    # and only nonzero coordinates are lifted; each slot sits at a single
+    # level, so a bracket writes each entry of its column at most once
+    zero = cfg.zero()
+    rows = [[zero] * r for _ in range(r)]
+    for j, b in enumerate(basis):
         z = X @ b - b @ X
-        col = [cfg.coerce(0)] * r
         for bits, grid in _flatten_slices(z).items():
             if bits not in groups:
                 raise BasisDegenerate(
                     "bracket leaves the span of the given slices")
             coords = solvers[bits].solve(_vec(grid))
             for s, c in zip(groups[bits], coords):
-                col[s] = col[s] + c
-        cols.append(col)
-    rows = [[cfg.scalar(cols[j][i]) for j in range(r)] for i in range(r)]
+                if c != 0:
+                    rows[s][j] = cfg.scalar(c)
     mat = SuperMatrix(cfg, BlockShape(r, 0), rows, "general")
     return AdOperator(X, mat, basis_tag, "real", levels)
 

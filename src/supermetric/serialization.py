@@ -18,6 +18,7 @@ separators, no environment-dependent content.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .algebra import AlgebraConfig, Supernumber
@@ -40,18 +41,29 @@ def scalar_to_json(value, config: AlgebraConfig):
 
 
 def scalar_from_json(value, config: AlgebraConfig):
+    """Parse one coefficient; NaN, infinities and values beyond the float64
+    range are rejected rather than carried into the arithmetic."""
     if isinstance(value, str):
         try:
             f = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"unparseable coefficient {value!r}")
-        return f if config.rational else float(f)
+        return f if config.rational else _finite_float(f)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"coefficient must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"coefficient must be finite, got {value!r}")
     if config.rational:
         # route through the decimal text so "0.1" means 1/10
         return Fraction(str(value))
-    return float(value)
+    return _finite_float(value)
+
+
+def _finite_float(value):
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError("coefficient exceeds the float64 range")
 
 
 # -- supernumbers -----------------------------------------------------------------

@@ -111,6 +111,25 @@ def test_invalid_metric_exit_2(tmp_path, capsys):
     assert json.loads(err)["exit_code"] == 2
 
 
+def test_non_finite_coefficients_exit_2(tmp_path, capsys):
+    # json writes these as the bare literals Infinity and NaN
+    cases = [({"generator_count": 4, "coefficient_mode": "rational"},
+              float("inf")),
+             ({"generator_count": 4, "coefficient_mode": "float64"},
+              float("nan"))]
+    for alg, coeff in cases:
+        metric = {"shape": {"m": 1, "n": 0}, "parity": "even",
+                  "entries": [[{"index": [], "coeff": 2},
+                               {"index": [1, 2], "coeff": coeff}]]}
+        path = _write(tmp_path, "metric.json",
+                      {"algebra": alg, "metric": metric})
+        code, out, err = _run(capsys, ["canonicalize", path])
+        assert code == 2 and out == ""
+        blob = json.loads(err)
+        assert blob["kind"] == "ValidationError"
+        assert "finite" in blob["error"]
+
+
 def test_isometry_check_accepts_identity(tmp_path, capsys):
     gamma = standard_gamma(RAT, 1, 1, 2)
     N = SuperMatrix.identity(RAT, gamma.shape)
@@ -159,6 +178,26 @@ def test_lie_basis_dimensions(tmp_path, capsys):
     for item in report["hJ"][:20]:
         assert set(item) == {"index", "position"}
         assert item["index"] == sorted(item["index"])
+
+
+def test_lie_basis_rejects_bad_L(tmp_path, capsys):
+    # "L" sizes a 2^L enumeration, so only 0..generator_count is accepted
+    gamma = standard_gamma(RAT, 1, 0, 2)
+    for L in (30, True, ALG["generator_count"] + 1, -1, 2.0, None):
+        path = _write(tmp_path, "basis.json",
+                      {"algebra": ALG, "gamma": gamma_to_json(gamma),
+                       "L": L})
+        code, out, err = _run(capsys, ["lie-basis", path])
+        assert code == 2 and out == ""
+        blob = json.loads(err)
+        assert blob["kind"] == "ValidationError"
+        assert "'L'" in blob["error"]
+    path = _write(tmp_path, "basis.json",
+                  {"algebra": ALG, "gamma": gamma_to_json(gamma), "L": 2})
+    code, out, _ = _run(capsys, ["lie-basis", path])
+    assert code == 0
+    assert all(max(item["index"], default=0) <= 2
+               for item in json.loads(out)["hJ"])
 
 
 def test_group_op_rational_exact(tmp_path, capsys):

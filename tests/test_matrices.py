@@ -1,5 +1,6 @@
 """Block matrices: graded transpose, inversion, exp/log, adjoint operators."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,10 @@ from supermetric.errors import (
     ShapeMismatch,
 )
 from supermetric.matrices import (
+    _SOLVER_CACHE,
     BlockShape,
     SuperMatrix,
+    _SliceSolver,
     ad_operator,
     exp_zero_body,
     graded_bracket,
@@ -220,6 +223,88 @@ def test_ad_flat_route_levels_and_nilpotence():
         for _ in range(cfg.generator_count):
             power = power @ ad.matrix
         assert power.is_zero() or float(power.entry_norm_max()) < 1e-30
+
+
+def _index_sets(M):
+    return {bits for row in M.rows for e in row for bits in e.terms}
+
+
+def _flat_reference(X, family):
+    """The flat operator entry by entry: one solver per index level, each
+    bracket solved slice by slice, and every one of the r*r scalars lifted."""
+    cfg = X.config
+    r = len(family)
+    levels = [_index_sets(b).pop() for b in family]
+    slots = {}
+    for s, lv in enumerate(levels):
+        slots.setdefault(lv, []).append(s)
+
+    def grid(M, lv):
+        return [[e.terms.get(lv, cfg.coerce(0)) for e in row]
+                for row in M.rows]
+
+    solvers = {lv: _SliceSolver(cfg, [grid(family[s], lv) for s in ss])
+               for lv, ss in slots.items()}
+    cols = []
+    for b in family:
+        z = X @ b - b @ X
+        col = [cfg.coerce(0)] * r
+        for lv in _index_sets(z):
+            vec = [v for row in grid(z, lv) for v in row]
+            for s, c in zip(slots[lv], solvers[lv].solve(vec)):
+                col[s] = col[s] + c
+        cols.append(col)
+    rows = [[cfg.scalar(cols[j][i]) for j in range(r)] for i in range(r)]
+    return SuperMatrix(cfg, BlockShape(r, 0), rows, "general")
+
+
+def test_ad_flat_matches_entrywise_reference():
+    for cfg in (RAT, FLT):
+        for p, q in ((1, 0), (1, 1)):      # shapes (1|2) and (2|2)
+            basis = basis_for(cfg, p, q, 2)
+            X = random_nil(make_rng(29), basis, terms=2)
+            family = basis.hJ_matrices()
+            cached = set(_SOLVER_CACHE)
+            ad = ad_operator(X.X, family, basis_tag="hJ")
+            assert set(_SOLVER_CACHE) == cached   # no id()-keyed entries
+            assert not ad.matrix.is_zero()
+            assert ad.matrix == _flat_reference(X.X, family)
+            assert ad.levels == tuple(bits for bits, _ in basis.hJ)
+
+
+def test_ad_flat_rejects_brackets_outside_the_slices():
+    for cfg in (RAT, FLT):
+        basis = basis_for(cfg, 1, 0, 2)
+        X = random_nil(make_rng(31), basis, terms=2)
+        family = basis.hJ_matrices()
+        # only index sets {} and {1}: the soul of X raises brackets to
+        # levels the family does not have
+        low = [M for (bits, _), M in zip(basis.hJ, family) if bits <= 1]
+        with pytest.raises(BasisDegenerate):
+            ad_operator(X.X, low, basis_tag="hJ")
+        # every level, but one slice fewer at each: the brackets leave the
+        # span of what is left at their level
+        thin = [M for (bits, pos), M in zip(basis.hJ, family)
+                if pos not in (0, len(basis.g0))]
+        with pytest.raises(BasisDegenerate):
+            ad_operator(X.X, thin, basis_tag="hJ")
+
+
+def test_ad_flat_allocation_follows_nonzeros():
+    # (1|2) at L=8: r = 640, so 409,600 entries of which a few hundred are
+    # nonzero; lifting every entry separately peaked at about 54 MiB
+    cfg = AlgebraConfig(generator_count=8, coefficient_mode="float64")
+    basis = basis_for(cfg, 1, 0, 2)
+    X = random_nil(make_rng(3), basis, terms=2)
+    family = basis.hJ_matrices()
+    tracemalloc.start()
+    try:
+        ad = ad_operator(X.X, family, basis_tag="hJ")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ad.matrix.rows) == len(family) == 640
+    assert peak <= 16 * 2 ** 20
 
 
 def test_ad_rejects_bad_bases():

@@ -52,6 +52,19 @@ def test_scalar_wire_forms():
         scalar_from_json(None, FLT)
 
 
+def test_scalar_rejects_non_finite():
+    for cfg in (RAT, FLT):
+        for value in (float("inf"), float("-inf"), float("nan"), "inf",
+                      "nan"):
+            with pytest.raises(ValidationError):
+                scalar_from_json(value, cfg)
+    # finite in rational mode, beyond the float64 range in float mode
+    assert scalar_from_json("1e400", RAT) == Fraction(10) ** 400
+    for value in ("1e400", 10 ** 400):
+        with pytest.raises(ValidationError):
+            scalar_from_json(value, FLT)
+
+
 def test_supernumber_round_trip_exact():
     z = RAT.scalar(Fraction(-7, 3)) + RAT.term([1, 3], Fraction(2, 9)) \
         + RAT.term([1, 2, 3, 4], 5)
