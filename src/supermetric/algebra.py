@@ -17,11 +17,27 @@ Two coefficient modes are supported:
 
 Values are immutable; all operations are pure functions that iterate terms
 in ascending bitmask order, so float64 results are bit-reproducible.
+
+Every Grassmann product, alone or summed, goes through one kernel,
+``sum_of_products``, which computes sum_t x_t * y_t over a sequence of pairs
+into a single dict.  The sign of z(I) z(J) for disjoint I, J is the parity
+of popcount(I & mask(J)), where mask(J) marks the generator positions with
+an odd number of J's indices below them (the idea of a per-blade sign table,
+as in the precomputed multiplication tables of pygae/clifford,
+https://github.com/pygae/clifford); masks are memoized within one call only.
+Exactness rule: in rational mode every term product is added straight into
+the accumulator, which is exact in any order, and zeros are dropped once at
+the end.  In float64 mode the kernel keeps the summation order and pruning
+of the left fold ``x_1*y_1 + x_2*y_2 + ...`` bit for bit: each product is
+summed on its own and pruned against its largest term product, then merged
+into the accumulator, which is pruned against the larger of its own largest
+term and the merged terms.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,17 +72,24 @@ class AlgebraConfig:
             raise ConfigMismatch(
                 f"unknown coefficient mode {self.coefficient_mode!r}")
         object.__setattr__(self, "coefficient_mode", mode)
-        if not (1 <= self.generator_count <= GENERATOR_CAP):
+        count = self.generator_count
+        if isinstance(count, bool) or not isinstance(count, int) \
+                or not 1 <= count <= GENERATOR_CAP:
             raise ConfigMismatch(
-                f"generator count must lie in [1, {GENERATOR_CAP}], "
-                f"got {self.generator_count}")
-        if self.zero_tolerance is None:
+                f"generator count must be an integer in "
+                f"[1, {GENERATOR_CAP}], got {count!r}")
+        tol = self.zero_tolerance
+        if tol is None:
             tol = 0.0 if mode == RATIONAL else _DEFAULT_FLOAT_TOLERANCE
             object.__setattr__(self, "zero_tolerance", tol)
-        elif mode == RATIONAL and self.zero_tolerance != 0:
+        elif isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+                or not _finite(tol) or tol < 0:
+            # the prune cut zero_tolerance * (largest term) needs this
+            raise ConfigMismatch(
+                f"zero_tolerance must be a finite non-negative number, "
+                f"got {tol!r}")
+        elif mode == RATIONAL and tol != 0:
             raise ConfigMismatch("rational mode requires zero_tolerance = 0")
-        elif self.zero_tolerance < 0:
-            raise ConfigMismatch("zero_tolerance must be non-negative")
 
     @property
     def rational(self) -> bool:
@@ -122,6 +145,13 @@ class AlgebraConfig:
         return Supernumber(self, {b: c for b, c in acc.items() if c != 0})
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:          # an int or Fraction beyond float range
+        return False
+
+
 def _indices_to_bits(cfg, indices):
     bits = 0
     prev = 0
@@ -144,16 +174,17 @@ def _bits_to_indices(bits):
     return tuple(out)
 
 
-def _merge_inversions(a: int, b: int) -> int:
-    """Number of generator transpositions needed to sort the concatenation
-    of the increasing strings a and b (as bitmasks), i.e. pairs (i in a,
-    j in b) with i > j."""
-    count = 0
-    while b:
-        low = b & -b
-        count += (a >> low.bit_length()).bit_count()
-        b ^= low
-    return count
+def _sign_mask(bits: int) -> int:
+    """Mask of the positions with an odd number of set bits of ``bits``
+    below them, so that z(I) z(J) = (-1)^popcount(I & mask(J)) z(I | J) for
+    disjoint I, J.  Negative when the popcount of ``bits`` is odd, which
+    leaves ``I & mask`` a non-negative finite int."""
+    mask = 0
+    while bits:
+        low = bits & -bits
+        mask ^= -(low << 1)
+        bits ^= low
+    return mask
 
 
 class Supernumber:
@@ -222,12 +253,8 @@ class Supernumber:
         if not isinstance(other, Supernumber):
             other = self.config.scalar(other)
         self._check_mate(other)
-        acc = dict(self.terms)
-        running = _running_max(self.terms.values())
-        for b, c in other.terms.items():
-            acc[b] = acc.get(b, self.config.coerce(0)) + c
-            running = max(running, abs(c))
-        return Supernumber(self.config, _prune(self.config, acc, running))
+        return Supernumber(self.config,
+                           _merge(self.config, dict(self.terms), other.terms))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -246,24 +273,7 @@ class Supernumber:
     def __mul__(self, other):
         if not isinstance(other, Supernumber):
             return self.scale(other)
-        self._check_mate(other)
-        cfg = self.config
-        acc = {}
-        running = 0
-        zero = cfg.coerce(0)
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
-                if b1 & b2:
-                    continue
-                c = c1 * c2
-                if _merge_inversions(b1, b2) & 1:
-                    c = -c
-                key = b1 | b2
-                acc[key] = acc.get(key, zero) + c
-                a = abs(c)
-                if a > running:
-                    running = a
-        return Supernumber(cfg, _prune(cfg, acc, running))
+        return sum_of_products(self.config, ((self, other),))
 
     def __rmul__(self, other):
         # scalars commute with everything, so left scaling is right scaling
@@ -322,6 +332,94 @@ def _prune(cfg: AlgebraConfig, acc: dict, running_max) -> dict:
         return {b: c for b, c in acc.items() if c != 0}
     cut = cfg.zero_tolerance * float(running_max)
     return {b: c for b, c in acc.items() if abs(c) > cut}
+
+
+def _merge(cfg: AlgebraConfig, acc: dict, terms: dict) -> dict:
+    """acc + terms, adding into ``acc``.  In float64 mode the sum is pruned
+    against the larger of both operands' largest terms; otherwise only
+    zeros are dropped."""
+    if cfg.rational or cfg.zero_tolerance == 0:
+        for b, c in terms.items():
+            acc[b] = acc[b] + c if b in acc else c
+        return {b: c for b, c in acc.items() if c != 0}
+    running = _running_max(acc.values())
+    for b, c in terms.items():
+        acc[b] = acc[b] + c if b in acc else c
+        a = abs(c)
+        if a > running:
+            running = a
+    return _prune(cfg, acc, running)
+
+
+def sum_of_products(config: AlgebraConfig, pairs,
+                    from_zero: bool = False) -> Supernumber:
+    """sum_t x_t * y_t over an iterable of (x, y) supernumber pairs.
+
+    Pairs with an empty factor are skipped.  In float64 mode the result is
+    bit for bit the left fold ``x_1*y_1 + x_2*y_2 + ...`` of the operators,
+    or with ``from_zero`` the fold ``zero + x_1*y_1 + ...``, which prunes the
+    first product once more against its own largest term.  Raises
+    ConfigMismatch for any operand outside ``config``.
+    """
+    rational = config.rational
+    masks = {}
+    acc = {} if rational or from_zero else None
+    for x, y in pairs:
+        if (x.config is not config and x.config != config) or \
+                (y.config is not config and y.config != config):
+            raise ConfigMismatch("operands use different algebra configs")
+        if not (x.terms and y.terms):
+            continue
+        ys = []
+        for b2, c2 in y.terms.items():
+            mask = masks.get(b2)
+            if mask is None:
+                mask = masks[b2] = _sign_mask(b2)
+            ys.append((b2, c2.numerator, c2.denominator, mask) if rational
+                      else (b2, c2, -c2, mask))
+        if rational:
+            # exact: every term product goes straight into the accumulator
+            # as an unreduced (numerator, denominator) pair
+            for b1, c1 in x.terms.items():
+                n1, d1 = c1.numerator, c1.denominator
+                for b2, n2, d2, mask in ys:
+                    if b1 & b2:
+                        continue
+                    n = n1 * n2
+                    if (b1 & mask).bit_count() & 1:
+                        n = -n
+                    d = d1 * d2
+                    key = b1 | b2
+                    prev = acc.get(key)
+                    if prev is None:
+                        acc[key] = (n, d)
+                    elif prev[1] == d:
+                        acc[key] = (prev[0] + n, d)
+                    else:
+                        pn, pd = prev
+                        g = math.gcd(pd, d)
+                        acc[key] = (pn * (d // g) + n * (pd // g),
+                                    pd // g * d)
+            continue
+        # float64: the product on its own, pruned against its largest term
+        # product, then merged as by `+`
+        prod = {}
+        running = 0
+        for b1, c1 in x.terms.items():
+            for b2, c2, neg2, mask in ys:
+                if b1 & b2:
+                    continue
+                c = c1 * (neg2 if (b1 & mask).bit_count() & 1 else c2)
+                key = b1 | b2
+                prod[key] = prod[key] + c if key in prod else c
+                a = abs(c)
+                if a > running:
+                    running = a
+        prod = _prune(config, prod, running)
+        acc = prod if acc is None else _merge(config, acc, prod)
+    if rational:
+        acc = {b: Fraction(n, d) for b, (n, d) in acc.items() if n}
+    return Supernumber(config, acc or {})
 
 
 # -- module-level operation surface -------------------------------------------

@@ -30,6 +30,7 @@ from .algebra import (
     Supernumber,
     binomial_inverse_sqrt,
     invert,
+    sum_of_products,
     _rational_sqrt,
 )
 from .errors import (
@@ -91,20 +92,11 @@ def _raw_transpose(rows):
 
 def _raw_mul(a, b):
     # a: p x q, b: q x r lists of supernumbers
-    p, q = len(a), len(b)
-    r = len(b[0]) if b else 0
-    out = []
-    for i in range(p):
-        row = []
-        for j in range(r):
-            acc = None
-            for t in range(q):
-                e, f = a[i][t], b[t][j]
-                if e.terms and f.terms:
-                    acc = e * f if acc is None else acc + e * f
-            row.append(acc if acc is not None else a[0][0].config.zero())
-        out.append(row)
-    return out
+    if not a or not b:
+        return [[] for _ in a]
+    cfg = a[0][0].config
+    cols = list(zip(*b))
+    return [[sum_of_products(cfg, zip(ai, col)) for col in cols] for ai in a]
 
 
 def _body_invertible(block_rows, cfg) -> bool:

@@ -81,7 +81,15 @@ def _build_parser():
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except (ValueError, RecursionError) as exc:
+            # an integer literal past Python's int-string digit limit, bytes
+            # that are not UTF-8, or nesting deeper than the recursion limit
+            raise ValidationError(f"cannot read JSON from {path}: {exc}") \
+                from None
 
 
 def _build_config(args, payload, default_L=None):
@@ -223,6 +231,12 @@ def _cmd_verify(args):
     cfg, settings = _build_config(args, None, default_L=_VERIFY_DEFAULT_L)
     m = settings.get("m", 2)
     n = settings.get("n", 2)
+    for name, value in (("m", m), ("n", n)):
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < 0:
+            raise ValidationError(
+                f"'{name}' must be a non-negative integer, "
+                f"got {json.dumps(value)}")
     return run_verify(cfg, seed=args.seed, m=m, n=n, strict=args.strict)
 
 

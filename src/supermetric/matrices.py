@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraConfig, Supernumber
+from .algebra import AlgebraConfig, Supernumber, sum_of_products
 from .errors import (
     BasisDegenerate,
     BodyNotInvertible,
@@ -142,20 +142,10 @@ class SuperMatrix:
 
     def __matmul__(self, other):
         self._check_mate(other)
-        k = self.shape.total
-        rows = []
-        for i in range(k):
-            ri = self.rows[i]
-            out = []
-            for j in range(k):
-                acc = self.config.zero()
-                for t in range(k):
-                    e = ri[t]
-                    f = other.rows[t][j]
-                    if e.terms and f.terms:
-                        acc = acc + e * f
-                out.append(acc)
-            rows.append(out)
+        cfg = self.config
+        cols = list(zip(*other.rows))
+        rows = [[sum_of_products(cfg, zip(ri, col), from_zero=True)
+                 for col in cols] for ri in self.rows]
         return SuperMatrix(self.config, self.shape, rows,
                            _compose_parity(self.parity_class,
                                            other.parity_class))

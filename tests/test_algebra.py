@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supermetric.algebra import (
+    GENERATOR_CAP,
     AlgebraConfig,
     Supernumber,
+    _sign_mask,
     binomial_inverse_sqrt,
     body_soul,
     ell1_norm,
@@ -15,6 +17,7 @@ from supermetric.algebra import (
     linear_combine,
     multiply,
     parity,
+    sum_of_products,
 )
 from supermetric.errors import (
     BodyNotInvertible,
@@ -23,6 +26,7 @@ from supermetric.errors import (
     LengthMismatch,
     ParityMismatch,
 )
+from supermetric.sampling import make_rng
 
 RAT = AlgebraConfig(generator_count=4, coefficient_mode="rational")
 FLT = AlgebraConfig(generator_count=4, coefficient_mode="float64")
@@ -41,6 +45,17 @@ def test_config_validation():
     cfg = AlgebraConfig(coefficient_mode="exact-rational")
     assert cfg.rational
     assert cfg.zero_tolerance == 0
+    # the prune cut zero_tolerance * (largest term) needs a finite real
+    for tol in (float("nan"), float("inf"), 1e400, 10 ** 400, "x", True,
+                [1e-14]):
+        with pytest.raises(ConfigMismatch):
+            AlgebraConfig(zero_tolerance=tol)
+    for count in (7.5, "8", True, None):
+        with pytest.raises(ConfigMismatch):
+            AlgebraConfig(generator_count=count)
+    assert AlgebraConfig(zero_tolerance=0).zero_tolerance == 0
+    assert AlgebraConfig(zero_tolerance=Fraction(1, 10)).zero_tolerance \
+        == Fraction(1, 10)
 
 
 def test_constructors_and_term_ordering():
@@ -274,3 +289,171 @@ def test_invert_property(data):
     sign = data.draw(st.sampled_from([1, -1]))
     z = cfg.scalar(body * sign) + soul.soul()
     assert z * invert(z) == cfg.one()
+
+
+# -- the sum-of-products kernel against a term-by-term reference -----------
+
+def _merge_inversions(a, b):
+    """Reference sign: the number of pairs (i in a, j in b) with i > j,
+    counted bit by bit."""
+    count = 0
+    while b:
+        low = b & -b
+        count += (a >> low.bit_length()).bit_count()
+        b ^= low
+    return count
+
+
+def _reference_prune(cfg, acc, running):
+    if cfg.rational or cfg.zero_tolerance == 0:
+        return {b: c for b, c in acc.items() if c != 0}
+    cut = cfg.zero_tolerance * float(running)
+    return {b: c for b, c in acc.items() if abs(c) > cut}
+
+
+def _reference_mul(x, y):
+    cfg = x.config
+    acc, running, zero = {}, 0, cfg.coerce(0)
+    for b1, c1 in x.terms.items():
+        for b2, c2 in y.terms.items():
+            if b1 & b2:
+                continue
+            c = c1 * c2
+            if _merge_inversions(b1, b2) & 1:
+                c = -c
+            acc[b1 | b2] = acc.get(b1 | b2, zero) + c
+            running = max(running, abs(c))
+    return Supernumber(cfg, _reference_prune(cfg, acc, running))
+
+
+def _reference_add(x, y):
+    cfg = x.config
+    acc = dict(x.terms)
+    running = max((abs(c) for c in x.terms.values()), default=0)
+    for b, c in y.terms.items():
+        acc[b] = acc.get(b, cfg.coerce(0)) + c
+        running = max(running, abs(c))
+    return Supernumber(cfg, _reference_prune(cfg, acc, running))
+
+
+def _reference_fold(cfg, pairs, from_zero=False):
+    """x1*y1 + x2*y2 + ... as the operators computed it, skipping pairs with
+    an empty factor; from_zero starts the fold at cfg.zero()."""
+    acc = cfg.zero() if from_zero else None
+    for x, y in pairs:
+        if x.terms and y.terms:
+            p = _reference_mul(x, y)
+            acc = p if acc is None else _reference_add(acc, p)
+    return cfg.zero() if acc is None else acc
+
+
+def _bitwise_equal(a, b):
+    return list(a.terms.items()) == list(b.terms.items()) and \
+        all(type(c) is type(d) for c, d in zip(a.terms.values(),
+                                                b.terms.values()))
+
+
+def test_sign_mask_matches_merge_inversions():
+    full = (1 << 8) - 1
+    for a in range(1 << 8):
+        for b in range(1 << 8):
+            if a & b == 0:
+                assert (a & _sign_mask(b)).bit_count() & 1 \
+                    == _merge_inversions(a, b) & 1
+    assert (full & _sign_mask(full)) >= 0
+    rng = make_rng(77)
+    top = 1 << GENERATOR_CAP
+    for _ in range(3000):
+        a = int(rng.integers(0, top))
+        b = int(rng.integers(0, top)) & ~a
+        assert (a & _sign_mask(b)).bit_count() & 1 \
+            == _merge_inversions(a, b) & 1
+
+
+def _random_element(rng, cfg, tiny):
+    """Up to six terms; each coefficient is near 1 or near tiny, either
+    sign, so that products of the two kinds straddle the prune cut."""
+    terms = {}
+    for _ in range(int(rng.integers(0, 7))):
+        c = float(rng.uniform(0.5, 2.5)) * tiny if rng.integers(0, 3) == 0 \
+            else float(rng.uniform(0.8, 1.25))
+        c = c if rng.integers(0, 2) else -c
+        terms[int(rng.integers(0, 1 << cfg.generator_count))] = \
+            Fraction(c) if cfg.rational else c
+    return Supernumber(cfg, terms)
+
+
+def _random_pairs(rng, cfg, tiny):
+    pairs = [(_random_element(rng, cfg, tiny), _random_element(rng, cfg, tiny))
+             for _ in range(int(rng.integers(1, 4)))]
+    if rng.integers(0, 2):
+        # near-cancellation: the same product again, perturbed at O(tiny)
+        x, y = pairs[0]
+        pairs.append((x, y.scale(-(1 + float(rng.uniform(-3, 3)) * tiny))))
+    return pairs
+
+
+@pytest.mark.parametrize("mode,tol", [("float64", None), ("float64", 1e-3),
+                                      ("float64", 0.0), ("rational", None)])
+def test_kernel_equals_reference_fold_bit_for_bit(mode, tol):
+    # few generators, so that term products often share a key
+    cfg = AlgebraConfig(generator_count=4, coefficient_mode=mode,
+                        zero_tolerance=tol)
+    # terms of O(tiny) land near the prune cut tolerance * (largest term)
+    tiny = cfg.zero_tolerance or 1e-3
+    rng = make_rng(4242)
+    folds_differ = 0
+    for _ in range(1500):
+        pairs = _random_pairs(rng, cfg, tiny)
+        for from_zero in (False, True):
+            got = sum_of_products(cfg, iter(pairs), from_zero=from_zero)
+            assert _bitwise_equal(got, _reference_fold(cfg, pairs, from_zero))
+        folds_differ += not _bitwise_equal(_reference_fold(cfg, pairs),
+                                           _reference_fold(cfg, pairs, True))
+        x, y = pairs[0]
+        assert _bitwise_equal(x * y, _reference_mul(x, y))
+        assert _bitwise_equal(x + y, _reference_add(x, y))
+    if cfg.zero_tolerance:
+        # the second prune of a lone first product decided some cases
+        assert folds_differ > 0
+
+
+def test_kernel_float_dust_at_the_cut():
+    cfg = AlgebraConfig(generator_count=4, coefficient_mode="float64",
+                        zero_tolerance=1e-3)
+    one, z1, z2 = cfg.one(), cfg.generator(1), cfg.generator(2)
+    # a lone product keeps 8e-4 z2 against its largest term product 0.5 ...
+    x = one + z1
+    y = one.scale(0.5) + z1.scale(0.5) + z2.scale(8e-4)
+    alone = sum_of_products(cfg, [(x, y)])
+    assert alone.terms == {0: 0.5, 1: 1.0, 2: 8e-4, 3: 8e-4}
+    assert _bitwise_equal(alone, x * y)
+    # ... and drops it once pruned again against its own largest term 1.0
+    again = sum_of_products(cfg, [(x, y)], from_zero=True)
+    assert again.terms == {0: 0.5, 1: 1.0}
+    assert _bitwise_equal(again, cfg.zero() + x * y)
+
+
+def test_kernel_empty_and_overlapping_pairs():
+    for cfg in (RAT, FLT):
+        z = cfg.zero()
+        g1, g12 = cfg.generator(1), cfg.term([1, 2])
+        for pairs in ([], [(z, g1)], [(g1, z), (z, z)], [(g1, g12)],
+                      [(g1, g1), (g12, g12)]):
+            for from_zero in (False, True):
+                out = sum_of_products(cfg, pairs, from_zero=from_zero)
+                assert out.is_zero() and out.config == cfg
+        assert sum_of_products(cfg, [(g1, g12), (z, g1), (g1, g1)]) == z
+        assert sum_of_products(cfg, [(cfg.generator(2), g1), (g1, z)]) \
+            == -g12
+
+
+def test_kernel_checks_every_pair_config():
+    other = AlgebraConfig(generator_count=5, coefficient_mode="rational")
+    for pairs in ([(RAT.one(), other.one())],
+                  [(RAT.one(), RAT.one()), (other.zero(), RAT.one())],
+                  [(RAT.one(), RAT.one()), (other.one(), other.one())]):
+        with pytest.raises(ConfigMismatch):
+            sum_of_products(RAT, pairs)
+    with pytest.raises(ConfigMismatch):
+        RAT.one() * FLT.one()

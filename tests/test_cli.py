@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end, in process."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from supermetric.serialization import (
     group_element_to_json,
     matrix_to_json,
 )
+from supermetric.verify import _normalized_criterion_agrees
 
 RAT = AlgebraConfig(generator_count=4, coefficient_mode="rational")
 ALG = {"generator_count": 4, "coefficient_mode": "rational"}
@@ -257,3 +259,79 @@ def test_verify_config_file_sets_shape(tmp_path, capsys):
     report = json.loads(out)
     assert report["shape"] == {"m": 3, "n": 2}
     assert report["status"] == "pass"
+
+
+def test_huge_integer_literal_exit_2(tmp_path, capsys):
+    # past Python's int-string digit limit json raises a plain ValueError
+    path = tmp_path / "metric.json"
+    path.write_text(
+        '{"metric": {"shape": {"m": 1, "n": 0}, "parity": "even", '
+        '"entries": [[{"index": [], "coeff": 1' + "0" * 5000 + '}]]}}')
+    code, out, err = _run(capsys, ["canonicalize", str(path)])
+    assert code == 2 and out == ""
+    blob = json.loads(err)
+    assert blob["kind"] == "ValidationError" and blob["exit_code"] == 2
+    assert "digits" in blob["error"]
+    # json.load raises other plain errors for these two
+    for name, data in (("deep.json", b"[" * 100000 + b"]" * 100000),
+                       ("latin1.json", b'{"metric": "\xff"}')):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = _run(capsys, ["canonicalize", str(path)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "ValidationError"
+
+
+def test_bad_algebra_fields_exit_2(tmp_path, capsys):
+    G = random_metric(make_rng(5), RAT, 1, 0)
+    bad = [("zero_tolerance", float("nan")), ("zero_tolerance", 1e400),
+           ("zero_tolerance", "x"), ("zero_tolerance", True),
+           ("zero_tolerance", -1e-3), ("generator_count", 7.5),
+           ("generator_count", "8"), ("generator_count", True)]
+    for key, value in bad:
+        alg = {"generator_count": 4, "coefficient_mode": "float64",
+               key: value}
+        # json writes nan and 1e400 (inf) as the bare literals NaN, Infinity
+        path = _write(tmp_path, "metric.json",
+                      {"algebra": alg, "metric": matrix_to_json(G)})
+        code, out, err = _run(capsys, ["canonicalize", path])
+        assert code == 2 and out == "", (key, value)
+        blob = json.loads(err)
+        assert blob["kind"] == "ConfigMismatch" and blob["exit_code"] == 2
+        assert key.replace("_", " ") in blob["error"].replace("_", " ")
+
+
+def test_verify_rejects_bad_shape_before_any_section(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a verify section ran")
+    monkeypatch.setattr("supermetric.cli.run_verify", no_run)
+    for key, value in (("m", "x"), ("m", -1), ("n", -2), ("n", 2.5),
+                       ("m", True), ("n", None)):
+        cfg_path = _write(tmp_path, "cfg.json",
+                          {"generator_count": 4, "m": 1, "n": 2,
+                           key: value})
+        code, out, err = _run(capsys, ["verify", "--config", cfg_path])
+        assert code == 2 and out == "", (key, value)
+        blob = json.loads(err)
+        assert blob["kind"] == "ValidationError"
+        assert f"'{key}'" in blob["error"]
+
+
+def test_verify_float_tie_in_normalized_criterion(tmp_path, capsys):
+    # soul norm 7/3 + 2/3 equals the body 3; normalized in float64 the soul
+    # norm rounds to 0.4999999999999999 while the ratio rounds to 1.0
+    flt = AlgebraConfig(generator_count=8, coefficient_mode="float64")
+    d = flt.scalar(3.0) + flt.term([1, 6], -7 / 3) \
+        + flt.term([1, 2, 6, 7], 2 / 3)
+    assert _normalized_criterion_agrees(d, 0.5)
+    rat = AlgebraConfig(generator_count=8, coefficient_mode="rational")
+    for soul in (Fraction(3), Fraction(5, 2), Fraction(7, 2)):
+        d = rat.scalar(3) + rat.term([1, 6], -soul)
+        assert _normalized_criterion_agrees(d, Fraction(1, 2))
+    # the verify seed that drew this tie reported a failure
+    cfg_path = _write(tmp_path, "cfg.json",
+                      {"generator_count": 8, "m": 1, "n": 2})
+    code, out, _ = _run(capsys, ["verify", "--config", cfg_path, "--mode",
+                                 "float64", "--seed", "535195233"])
+    assert code == 0 and json.loads(out)["status"] == "pass"

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from supermetric.algebra import AlgebraConfig
+from supermetric.algebra import AlgebraConfig, Supernumber
+from supermetric.canonical import _raw_mul
 from supermetric.errors import (
     BasisDegenerate,
     BodyNotInvertible,
@@ -57,6 +58,74 @@ def test_shape_and_parity_checks():
         M @ N
     with pytest.raises(ConfigMismatch):
         M @ _sample_even(FLT)
+
+
+def _dusty_matrix(rng, cfg, k):
+    """k x k entries of up to four terms, each coefficient near 1 or near the
+    prune tolerance, so that products straddle the prune cut."""
+    tiny = cfg.zero_tolerance or 1e-3
+    rows = []
+    for _ in range(k):
+        row = []
+        for _ in range(k):
+            terms = {}
+            for _ in range(int(rng.integers(0, 5))):
+                c = float(rng.uniform(0.8, 1.25))
+                if rng.integers(0, 3) == 0:
+                    c = float(rng.uniform(0.5, 2.5)) * tiny
+                c = c if rng.integers(0, 2) else -c
+                terms[int(rng.integers(0, 16))] = \
+                    Fraction(c) if cfg.rational else c
+            row.append(Supernumber(cfg, terms))
+        rows.append(row)
+    return rows
+
+
+def _same_bits(x, y):
+    return list(x.terms.items()) == list(y.terms.items()) and \
+        all(type(a) is type(b) for a, b in zip(x.terms.values(),
+                                              y.terms.values()))
+
+
+def test_matmul_is_the_operator_fold_bit_for_bit():
+    # each entry of A @ B is zero + A[i][0]*B[0][j] + ... folded with the
+    # operators, and each entry of _raw_mul the same fold from its first
+    # product; float dust near the cut and empty entries included
+    for mode, tol in (("rational", None), ("float64", None),
+                      ("float64", 1e-3), ("float64", 0.0)):
+        cfg = AlgebraConfig(generator_count=4, coefficient_mode=mode,
+                            zero_tolerance=tol)
+        rng = make_rng(31)
+        for _ in range(25):
+            k = int(rng.integers(1, 5))
+            a, b = _dusty_matrix(rng, cfg, k), _dusty_matrix(rng, cfg, k)
+            prod = SuperMatrix(cfg, (k, 0), a) @ SuperMatrix(cfg, (k, 0), b)
+            raw = _raw_mul(a, b)
+            for i in range(k):
+                for j in range(k):
+                    acc, first = cfg.zero(), None
+                    for t in range(k):
+                        e, f = a[i][t], b[t][j]
+                        if e.terms and f.terms:
+                            acc = acc + e * f
+                            first = e * f if first is None \
+                                else first + e * f
+                    assert _same_bits(prod.rows[i][j], acc)
+                    assert _same_bits(raw[i][j],
+                                      cfg.zero() if first is None else first)
+
+
+def test_matmul_rejects_an_entry_from_another_config():
+    other = AlgebraConfig(generator_count=5, coefficient_mode="rational")
+    M = _sample_even(RAT)
+    for foreign in (other.generator(5), other.zero()):
+        rows = [list(r) for r in M.rows]
+        rows[1][2] = foreign
+        N = SuperMatrix(RAT, M.shape, rows, "general")
+        with pytest.raises(ConfigMismatch):
+            M @ N
+        with pytest.raises(ConfigMismatch):
+            N @ M
 
 
 def test_wrongly_placed_entries_fail_parity_check():
