@@ -284,8 +284,8 @@ class Supernumber:
         if c0 == 0:
             return self.config.zero()
         return Supernumber(self.config,
-                           {b: c * c0 for b, c in self.terms.items()
-                            if c * c0 != 0})
+                           {b: p for b, c in self.terms.items()
+                            if (p := c * c0) != 0})
 
     def __truediv__(self, scalar):
         c0 = self.config.coerce(scalar)

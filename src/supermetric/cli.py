@@ -39,7 +39,7 @@ from .serialization import (
     scalar_to_json,
     supernumber_to_json,
 )
-from .verify import run_verify
+from .verify import check_size_budget, run_verify
 
 _VERIFY_DEFAULT_L = 4
 
@@ -237,6 +237,7 @@ def _cmd_verify(args):
             raise ValidationError(
                 f"'{name}' must be a non-negative integer, "
                 f"got {json.dumps(value)}")
+    check_size_budget(m, n, cfg.generator_count)
     return run_verify(cfg, seed=args.seed, m=m, n=n, strict=args.strict)
 
 

@@ -42,7 +42,7 @@ from .errors import (
     NotLieElement,
     ShapeMismatch,
 )
-from .isometry import GammaForm, lie_membership
+from .isometry import GammaForm, violated_conditions
 from .matrices import (
     SuperMatrix,
     exact_inverse,
@@ -161,10 +161,10 @@ class NilElement:
             raise ShapeMismatch(f"{self.X.shape} vs {self.gamma.shape}")
         if not self.X.has_zero_body():
             raise NonZeroBody("group-algebra elements must have zero body")
-        report = lie_membership(self.X, self.gamma)
-        if not report["member"]:
+        violated = violated_conditions(self.X, self.gamma)
+        if violated:
             raise NotLieElement(
-                f"membership conditions violated: {report['violated']}")
+                f"membership conditions violated: {violated}")
 
     def __neg__(self):
         return NilElement(-self.X, self.gamma)

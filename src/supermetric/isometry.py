@@ -11,7 +11,8 @@ linear membership conditions on an even matrix l with blocks [[a, c], [d, b]]:
 
 which together are equivalent to l^ST Gamma = -Gamma l (the fourth block of
 the matrix identity is the transpose of (3)).  Both forms are computed and
-compared on every membership call.
+compared on every `lie_membership` call; `violated_conditions` evaluates the
+three conditions alone.
 
 For body-reduced Gamma the real solutions split into a block-diagonal part
 (skew part eta*S plus symplectic part J*T) and an off-diagonal part where d
@@ -106,19 +107,20 @@ def is_isometry(N: SuperMatrix, gamma: GammaForm) -> bool:
     return _residual_ok(residual, scale)
 
 
-def lie_membership(ell: SuperMatrix, gamma: GammaForm) -> dict:
-    """Check the three linear conditions and the single matrix identity.
+def _membership_scale(ell: SuperMatrix, gamma: GammaForm):
+    return ell.induced_norm() * (1 + sum(e.norm() for e in gamma.eta))
 
-    Returns {"member": bool, "violated": [names], "agree": bool}; "agree"
-    records that the two formulations reached the same verdict.
-    """
+
+def violated_conditions(ell: SuperMatrix, gamma: GammaForm) -> list:
+    """Names of the linear conditions (1)-(3) that ell fails, in order
+    ("even-even", "odd-odd", "mixed"); empty for a member."""
     if ell.parity_class != "even":
         raise ParityMismatch("membership is defined for even-class matrices")
     if ell.shape != gamma.shape:
         raise ShapeMismatch(f"{ell.shape} vs {gamma.shape}")
     cfg = ell.config
     m, n = gamma.m, gamma.n
-    scale = ell.induced_norm() * (1 + sum(e.norm() for e in gamma.eta))
+    scale = _membership_scale(ell, gamma)
 
     a, b = ell.block_a(), ell.block_b()
     c, d = ell.block_c(), ell.block_d()
@@ -153,11 +155,21 @@ def lie_membership(ell: SuperMatrix, gamma: GammaForm) -> dict:
         violated.append("odd-odd")
     if n and m and not block_ok(r3):
         violated.append("mixed")
+    return violated
+
+
+def lie_membership(ell: SuperMatrix, gamma: GammaForm) -> dict:
+    """Check the three linear conditions and the single matrix identity.
+
+    Returns {"member": bool, "violated": [names], "agree": bool}; "agree"
+    records that the two formulations reached the same verdict.
+    """
+    violated = violated_conditions(ell, gamma)
     triple_ok = not violated
 
     G = gamma.matrix()
     single = ell.supertranspose() @ G + G @ ell
-    single_ok = _residual_ok(single, scale)
+    single_ok = _residual_ok(single, _membership_scale(ell, gamma))
     return {
         "member": triple_ok,
         "violated": violated,

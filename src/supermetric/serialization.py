@@ -13,23 +13,101 @@ Rational coefficients are written as exact fraction strings ("3/5"); parsing
 accepts numbers, fraction strings, and (in rational mode) decimal literals
 read back digit-for-digit.  Dumps are deterministic: sorted keys, fixed
 separators, no environment-dependent content.
+
+`dumps(obj)` returns exactly the text of
+`json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2) + "\\n"`,
+errors included, but makes it in two steps.  Python's encoder is written in
+C only for compact output; with `indent` set it falls back to a generator
+in pure Python.  So one C-encoder call writes the compact text with the
+same settings, and one vectorized numpy pass re-indents it: every bracket
+and comma outside a string gets a newline and two spaces per nesting level
+after it (openers, commas) or before it (closers), and an empty `[]` or
+`{}` stays as it is.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
+
+import numpy as np
 
 from .algebra import AlgebraConfig, Supernumber
 from .errors import LengthMismatch, ShapeMismatch, ValidationError
 from .isometry import GammaForm
 from .matrices import BlockShape, SuperMatrix
 
+# byte classes of the compact text, for bytes.translate
+_OPEN, _CLOSE, _COMMA, _QUOTE = 1, 2, 3, 4
+_CLASS = bytes(dict(zip(b'[{]},"', (_OPEN, _OPEN, _CLOSE, _CLOSE, _COMMA,
+                                    _QUOTE))).get(b, 0) for b in range(256))
+_ESCAPE = re.compile(rb"\\.")
+
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "),
-                      indent=2) + "\n"
+    """The report text: sorted keys, two-space indent, a final newline."""
+    # ensure_ascii (the default) leaves only ASCII bytes
+    raw = json.dumps(obj, sort_keys=True,
+                     separators=(",", ": ")).encode("ascii")
+    out = _indent(raw, *_line_breaks(raw))
+    return str(memoryview(out), "ascii")
+
+
+def _line_breaks(raw: bytes):
+    """Where the indented text breaks its lines, and how wide each break is.
+
+    Returns (at, width): a newline and width - 1 spaces go in before raw
+    byte at[k].  Every bracket or comma outside a string breaks the line to
+    the nesting depth after it: after an opener or a comma, before a
+    closer.  An empty [] or {} stays on its line.
+    """
+    # escape pairs are blanked so that an escaped quote is not a quote;
+    # they are two bytes each, since \uXXXX keeps its hex digits
+    plain = _ESCAPE.sub(b"__", raw) if b"\\" in raw else raw
+    cls = np.frombuffer(plain.translate(_CLASS), np.uint8)
+    pos = np.flatnonzero(cls != 0)
+    kind = cls[pos]
+    # a bracket or comma inside a string follows an odd number of quotes
+    # (a uint8 count wraps at 256, which keeps its parity)
+    quote = kind == _QUOTE
+    outside = (np.cumsum(quote, dtype=np.uint8) & 1) == 0
+    outside &= ~quote
+    pos, kind = pos[outside], kind[outside]
+    # an opener right before a closer is an empty [] or {}
+    empty = np.flatnonzero((kind[:-1] == _OPEN) & (kind[1:] == _CLOSE)
+                           & (pos[1:] == pos[:-1] + 1))
+    if empty.size:
+        keep = np.ones(pos.size, bool)
+        keep[empty] = False
+        keep[empty + 1] = False
+        pos, kind = pos[keep], kind[keep]
+    step = (kind == _OPEN).view(np.int8) - (kind == _CLOSE).view(np.int8)
+    width = np.cumsum(step, dtype=np.int32)
+    width *= 2
+    width += 1
+    return pos + (kind != _CLOSE), width
+
+
+def _indent(raw: bytes, at, width):
+    """The raw bytes with the line breaks put in, and a final newline."""
+    total = len(raw) + int(width.sum(dtype=np.int64)) + 1
+    # slot[i]: output position of raw byte i, from one in-place cumsum
+    slot = np.ones(len(raw), _slot_dtype(total))
+    slot[0] = 0
+    slot[at] += width
+    np.cumsum(slot, out=slot)
+    out = np.full(total, ord(" "), np.uint8)
+    out[slot] = np.frombuffer(raw, np.uint8)
+    out[slot[at] - width] = ord("\n")
+    out[-1] = ord("\n")
+    return out
+
+
+def _slot_dtype(length: int):
+    """Narrowest integer type that indexes a text of `length` bytes."""
+    return np.int32 if length <= np.iinfo(np.int32).max else np.int64
 
 
 # -- scalars ---------------------------------------------------------------------

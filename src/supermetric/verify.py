@@ -20,6 +20,7 @@ from .algebra import (
     multiply,
 )
 from .canonical import SuperMetric, body_reduce, canonical_form, congruence
+from .errors import ValidationError
 from .group import (
     BCHOrderConfig,
     GroupElement,
@@ -369,6 +370,30 @@ def _section_semidirect(rng, cfg, m, n, cases):
         if not is_isometry(image, gamma):
             failures.append(f"case {t}: image not an isometry")
     return failures
+
+
+def flat_family_slots(m: int, n: int, L: int) -> int:
+    """Entry slots that the ad section's flat run allocates at (m|n), L.
+
+    The real basis has r0 = dim g0 + dim g1 elements and the index-tagged
+    family z(J) X has r = 2^(L-1) r0 matrices of (m+n)^2 entries each; its
+    adjoint operator is an r x r matrix.
+    """
+    r = (m * (m - 1) // 2 + n * (n + 1) // 2 + m * n) << (L - 1)
+    return r * (r + (m + n) ** 2)
+
+
+# the figure of (4|4) at L=8: r = 4096, about 17 M slots
+SIZE_BUDGET = flat_family_slots(4, 4, 8)
+
+
+def check_size_budget(m: int, n: int, L: int) -> None:
+    """Refuse a run past SIZE_BUDGET before any section allocates it."""
+    slots = flat_family_slots(m, n, L)
+    if slots > SIZE_BUDGET:
+        raise ValidationError(
+            f"verify at ({m}|{n}) with {L} generators needs {slots} entry "
+            f"slots, over the budget of {SIZE_BUDGET} ((4|4) at L=8)")
 
 
 _PLAN = (

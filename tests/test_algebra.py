@@ -120,6 +120,34 @@ def test_scalar_comparison_and_arithmetic_coercion():
     assert z / 2 == z.scale(Fraction(1, 2))
 
 
+def test_scale_matches_the_two_product_expression():
+    def reference(z, scalar):
+        # reference form: each product computed twice, in the filter and
+        # for the value
+        c0 = z.config.coerce(scalar)
+        if c0 == 0:
+            return z.config.zero()
+        return Supernumber(z.config, {b: c * c0 for b, c in z.terms.items()
+                                      if c * c0 != 0})
+
+    rng = make_rng(17)
+    for cfg in (RAT, FLT):
+        for _ in range(40):
+            z = cfg.from_terms({int(rng.integers(0, 16)): cfg.coerce(
+                Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))))
+                for _ in range(6)})
+            for scalar in (0, 1, -3, Fraction(2, 7), 0.1):
+                got, want = z.scale(scalar), reference(z, scalar)
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert all(type(g) is type(w) for g, w in
+                           zip(got.terms.values(), want.terms.values()))
+    # a float product that underflows to zero is dropped, not kept as 0.0
+    z = Supernumber(FLT, {0: 1e-200, 3: 2.0})
+    got = z.scale(1e-200)
+    assert got.terms == reference(z, 1e-200).terms == {3: 2e-200}
+    assert got.terms[3].hex() == (2.0 * 1e-200).hex()
+
+
 def test_config_mismatch_between_modes():
     with pytest.raises(ConfigMismatch):
         RAT.one() + FLT.one()

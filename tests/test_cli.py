@@ -16,11 +16,16 @@ from supermetric.sampling import (
     standard_gamma,
 )
 from supermetric.serialization import (
+    dumps,
     gamma_to_json,
     group_element_to_json,
     matrix_to_json,
 )
-from supermetric.verify import _normalized_criterion_agrees
+from supermetric.verify import (
+    _normalized_criterion_agrees,
+    check_size_budget,
+    flat_family_slots,
+)
 
 RAT = AlgebraConfig(generator_count=4, coefficient_mode="rational")
 ALG = {"generator_count": 4, "coefficient_mode": "rational"}
@@ -316,6 +321,74 @@ def test_verify_rejects_bad_shape_before_any_section(tmp_path, capsys,
         blob = json.loads(err)
         assert blob["kind"] == "ValidationError"
         assert f"'{key}'" in blob["error"]
+
+
+def test_verify_size_budget_refuses_before_any_section(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a verify section ran")
+    monkeypatch.setattr("supermetric.cli.run_verify", no_run)
+    for config in ({"generator_count": 4, "m": 40, "n": 2},
+                   {"generator_count": 1, "m": 90, "n": 0},
+                   {"generator_count": 11, "m": 1, "n": 2},
+                   {"generator_count": 24, "m": 2, "n": 2}):
+        cfg_path = _write(tmp_path, "cfg.json", config)
+        code, out, err = _run(capsys, ["verify", "--config", cfg_path])
+        assert code == 2 and out == "", config
+        blob = json.loads(err)
+        assert blob["kind"] == "ValidationError"
+        assert "budget" in blob["error"]
+    # the documented shapes fit: (1|2), (2|2), (3|4) and (4|4) up to L=8
+    for m, n in ((1, 2), (2, 2), (3, 4), (4, 4)):
+        for L in range(1, 9):
+            check_size_budget(m, n, L)
+    # the flat family of r matrices with (m+n)^2 entries each, plus its
+    # r x r adjoint operator
+    for p, q, n in ((1, 0, 2), (1, 1, 2), (2, 1, 4)):
+        r = basis_for(RAT, p, q, n).dims["hJ"]
+        k = p + q + n
+        assert flat_family_slots(p + q, n, 4) == r * (r + k * k)
+
+
+def test_every_report_is_indented_json(tmp_path, capsys, monkeypatch):
+    written = []
+
+    def recording_dumps(obj):
+        text = dumps(obj)
+        written.append((obj, text))
+        return text
+    monkeypatch.setattr("supermetric.cli.dumps", recording_dumps)
+    for mode in ("rational", "float64"):
+        cfg = AlgebraConfig(generator_count=4, coefficient_mode=mode)
+        alg = {"generator_count": 4, "coefficient_mode": mode}
+        basis = basis_for(cfg, 1, 1, 2)
+        rng = make_rng(21)
+        head = {"algebra": alg, "gamma": gamma_to_json(basis.gamma)}
+        h1 = random_group_element(rng, basis)
+        h2 = random_group_element(rng, basis)
+        payloads = {
+            "canonicalize": {"algebra": alg, "metric": matrix_to_json(
+                random_metric(rng, cfg, 2, 2))},
+            "isometry-check": dict(head, N=matrix_to_json(
+                SuperMatrix.identity(cfg, basis.gamma.shape))),
+            "lie-basis": head,
+            "group-op": dict(head, h1=group_element_to_json(h1),
+                             h2=group_element_to_json(h2)),
+        }
+        for verb, payload in payloads.items():
+            path = _write(tmp_path, f"{verb}.json", payload)
+            assert _run(capsys, [verb, path])[0] == 0
+        cfg_path = _write(tmp_path, "cfg.json",
+                          {"generator_count": 3, "m": 1, "n": 2})
+        assert _run(capsys, ["verify", "--config", cfg_path, "--mode",
+                             mode])[0] == 0
+        # an error report goes through the same writer
+        assert _run(capsys, ["lie-basis", _write(tmp_path, "bad.json",
+                                                 {"algebra": alg})])[0] == 2
+    assert len(written) == 12
+    for obj, text in written:
+        assert text == json.dumps(obj, sort_keys=True, separators=(",", ": "),
+                                  indent=2) + "\n"
 
 
 def test_verify_float_tie_in_normalized_criterion(tmp_path, capsys):

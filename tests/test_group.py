@@ -153,10 +153,25 @@ def test_nil_element_validation():
     k = gamma.m + gamma.n
     rows = [[z] * k for _ in range(k)]
     rows[0][0] = RAT.term([1, 2], 1)   # symmetric diagonal soul: not skew
-    with pytest.raises(NotLieElement):
+    with pytest.raises(NotLieElement,
+                       match=r"membership conditions violated: "
+                             r"\['even-even'\]"):
         NilElement(SuperMatrix(RAT, gamma.shape, rows, "even"), gamma)
     with pytest.raises(ShapeMismatch):
         NilElement(SuperMatrix.zeros(RAT, (1, 2), "even"), gamma)
+
+
+def test_nil_element_checks_only_the_three_conditions(monkeypatch):
+    # l^ST G + G l, the single-identity formulation, is for lie_membership
+    # reports; validation needs only the block conditions
+    basis = basis_for(RAT, 1, 1, 2)
+    members = [random_nil(make_rng(s), basis, terms=2).X for s in range(3)]
+
+    def no_supertranspose(self):
+        raise AssertionError("the single identity was computed")
+    monkeypatch.setattr(SuperMatrix, "supertranspose", no_supertranspose)
+    for X in members:
+        assert NilElement(X, basis.gamma).X is X
 
 
 def test_diamond_group_axioms_exact():

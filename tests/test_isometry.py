@@ -19,6 +19,7 @@ from supermetric.isometry import (
     lie_basis,
     lie_membership,
     u_norm,
+    violated_conditions,
 )
 from supermetric.matrices import SuperMatrix, exp_zero_body
 from supermetric.sampling import (
@@ -170,8 +171,12 @@ def test_violation_labels_per_block():
     assert rep["violated"] == ["mixed"]
     for case in (with_entry(0, 0, RAT.one()),
                  with_entry(m, m, RAT.one()),
-                 with_entry(0, m, RAT.generator(1))):
-        assert lie_membership(case, gamma)["agree"]
+                 with_entry(0, m, RAT.generator(1)),
+                 with_entry(0, 0, z)):
+        rep = lie_membership(case, gamma)
+        assert rep["agree"]
+        # the three conditions alone reach the same list
+        assert violated_conditions(case, gamma) == rep["violated"]
 
 
 def test_exponentials_of_members_are_isometries():

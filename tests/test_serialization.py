@@ -1,9 +1,12 @@
 """Wire-format round trips and validation failures."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supermetric.algebra import AlgebraConfig
 from supermetric.errors import LengthMismatch, ShapeMismatch, ValidationError
@@ -16,6 +19,7 @@ from supermetric.sampling import (
     standard_gamma,
 )
 from supermetric.serialization import (
+    _slot_dtype,
     dumps,
     gamma_from_json,
     gamma_to_json,
@@ -197,3 +201,89 @@ def test_dumps_deterministic():
     assert json.loads(sa) == payload_a
     # key order in the text itself is sorted
     assert sa.index('"a"') < sa.index('"b"')
+
+
+def _indented(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "),
+                      indent=2) + "\n"
+
+
+# text that stresses the string masking: quotes, backslashes, the
+# structural characters, control characters and non-ASCII text
+_TEXT = st.text(st.one_of(st.sampled_from('"\\[]{},: \x00\x1f\t\n\ud800'),
+                          st.characters()), max_size=8)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _TEXT,
+    st.integers(), st.sampled_from([10 ** 40, -(2 ** 70)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e-05, 1e16, float("nan"), float("-inf")]))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_TREES)
+def test_dumps_equals_indented_json(obj):
+    assert dumps(obj) == _indented(obj)
+
+
+def test_dumps_edge_trees():
+    for obj in (0, "x", "[{,}]", "\\", '\\"', [], {}, [[]], [[], {}, [{}]],
+                {"a": {"b": []}, "c": [{}, 1]}, {"\"[": ["\\", "]\\\"", ","]},
+                {"\u00e9\u4e2d\U0001f600": "\x00\x1f\ud800"},
+                {1: 2, 2.5: 3, 7: None}):
+        assert dumps(obj) == _indented(obj), obj
+
+
+def test_dumps_raises_as_json_does():
+    circular = []
+    circular.append(circular)
+    looped = {}
+    looped["self"] = looped
+    for obj in ([object()], {"a": {1, 2}}, {(1,): 2}, {1: 2, "a": 3},
+                circular, looped, [float("nan"), Fraction(1, 2)]):
+        with pytest.raises((TypeError, ValueError)) as want:
+            _indented(obj)
+        with pytest.raises(want.type) as got:
+            dumps(obj)
+        assert str(got.value) == str(want.value), obj
+
+
+def test_dumps_allocates_less_than_indented_json():
+    # the largest lie-basis report of the benchmark mix: (4|4) at L=8
+    cfg = AlgebraConfig(generator_count=8, coefficient_mode="rational")
+    basis = basis_for(cfg, 2, 2, 4)
+    report = {
+        "gamma": gamma_to_json(basis.gamma),
+        "g0": [matrix_to_json(M) for M in basis.g0],
+        "g1": [matrix_to_json(M) for M in basis.g1],
+        "hJ": [{"index": [i + 1 for i in range(bits.bit_length())
+                          if bits >> i & 1], "position": pos}
+               for bits, pos in basis.hJ],
+    }
+    assert len(basis.hJ) == 4096
+    peaks = []
+    for encode in (dumps, _indented):
+        encode(report)
+        tracemalloc.start()
+        try:
+            text = encode(report)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 400_000
+    assert peaks[0] <= peaks[1], peaks
+
+
+def test_slot_dtype_follows_the_output_length():
+    int32_max = np.iinfo(np.int32).max
+    # slots run from 0 to length - 1
+    assert _slot_dtype(1) is np.int32
+    assert _slot_dtype(int32_max) is np.int32
+    assert _slot_dtype(int32_max + 1) is np.int64
+    assert _slot_dtype(3 << 31) is np.int64
