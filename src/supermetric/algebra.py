@@ -237,12 +237,6 @@ class Supernumber:
     def is_soul(self) -> bool:
         return 0 not in self.terms
 
-    def min_grade(self) -> int:
-        """Smallest word length among stored terms (0 for the zero element)."""
-        if not self.terms:
-            return 0
-        return min(b.bit_count() for b in self.terms)
-
     # -- arithmetic ------------------------------------------------------
 
     def _check_mate(self, other):

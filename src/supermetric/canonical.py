@@ -34,13 +34,14 @@ from .algebra import (
     _rational_sqrt,
 )
 from .errors import (
+    BodyNotInvertible,
     ConvergenceViolation,
     DegenerateBody,
     NotEven,
     NotGradedSymmetric,
     OddDimensionOdd,
 )
-from .matrices import SuperMatrix, exact_inverse
+from .matrices import SuperMatrix, _body_inverse
 
 _GATE = 1e-10
 
@@ -99,17 +100,6 @@ def _raw_mul(a, b):
     return [[sum_of_products(cfg, zip(ai, col)) for col in cols] for ai in a]
 
 
-def _body_invertible(block_rows, cfg) -> bool:
-    k = len(block_rows)
-    if k == 0:
-        return True
-    if cfg.rational:
-        return exact_inverse([[e.body() for e in r] for r in block_rows]) is not None
-    bf = np.array([[float(e.body()) for e in r] for r in block_rows])
-    svals = np.linalg.svd(bf, compute_uv=False)
-    return svals[-1] > _GATE * max(svals[0], 1e-300)
-
-
 def validate_metric(G: SuperMatrix) -> SuperMetric:
     """Check evenness, graded symmetry, even odd-dimension, and body
     invertibility of both diagonal blocks."""
@@ -134,10 +124,14 @@ def validate_metric(G: SuperMatrix) -> SuperMetric:
         for a in range(n):
             if not _entries_equal(C[i][a], D[a][i], scale):
                 raise NotGradedSymmetric("mixed blocks fail D = C^T")
-    if not _body_invertible(A, G.config):
-        raise DegenerateBody("body of the even-even block is singular")
-    if not _body_invertible(B, G.config):
-        raise DegenerateBody("body of the odd-odd block is singular")
+    for rows, name in ((A, "even-even"), (B, "odd-odd")):
+        if not rows:
+            continue
+        try:
+            _body_inverse(SuperMatrix(G.config, (len(rows), 0), rows))
+        except BodyNotInvertible:
+            raise DegenerateBody(
+                f"body of the {name} block is singular") from None
     return SuperMetric(G)
 
 
@@ -229,9 +223,7 @@ def odd_complement(metric: SuperMetric, P0, d):
     z = cfg.zero()
     # lift P0 to diag(P0, I) and transform
     I_n = [[cfg.one() if a == b else z for b in range(n)] for a in range(n)]
-    P_even = SuperMatrix.from_blocks(
-        cfg, P0, [[z] * n for _ in range(m)], [[z] * m for _ in range(n)],
-        I_n, "even")
+    P_even = SuperMatrix.from_blocks(cfg, P0, None, None, I_n, "even")
     G1 = P_even.supertranspose() @ G @ P_even
     Cp = G1.block_c()  # entries g(e_i, f_alpha) in the new even frame
     inv_d = [invert(di) for di in d]
@@ -240,7 +232,7 @@ def odd_complement(metric: SuperMetric, P0, d):
         cfg,
         [[cfg.one() if i == j else z for j in range(m)] for i in range(m)],
         [[-W[i][a] for a in range(n)] for i in range(m)],
-        [[z] * m for _ in range(n)],
+        None,
         I_n,
         "even")
     P1 = P_even @ shear
@@ -313,14 +305,11 @@ def canonical_form(metric: SuperMetric) -> CanonicalizationResult:
     P1, G2 = odd_complement(metric, P0, d)
     Q = symplectic_reduce(G2.block_b(), cfg)
     I_m = [[cfg.one() if i == j else z for j in range(m)] for i in range(m)]
-    lift_Q = SuperMatrix.from_blocks(
-        cfg, I_m, [[z] * n for _ in range(m)], [[z] * m for _ in range(n)],
-        Q, "even")
+    lift_Q = SuperMatrix.from_blocks(cfg, I_m, None, None, Q, "even")
     P = P1 @ lift_Q
     eta_rows = [[d[i] if i == j else z for j in range(m)] for i in range(m)]
     Gamma = SuperMatrix.from_blocks(
-        cfg, eta_rows, [[z] * n for _ in range(m)],
-        [[z] * m for _ in range(n)], standard_symplectic(cfg, n), "even")
+        cfg, eta_rows, None, None, standard_symplectic(cfg, n), "even")
     reducibility = []
     for di in d:
         ratio = _soul_body_ratio(di)
@@ -388,16 +377,13 @@ def body_reduce(result: CanonicalizationResult,
                  for i in range(m)]
     step = _raw_mul(resc_rows, perm_rows)
     I_n = [[cfg.one() if a == b else z for b in range(n)] for a in range(n)]
-    lift = SuperMatrix.from_blocks(
-        cfg, step, [[z] * n for _ in range(m)], [[z] * m for _ in range(n)],
-        I_n, "even")
+    lift = SuperMatrix.from_blocks(cfg, step, None, None, I_n, "even")
     new_P = result.P @ lift
     new_d = [cfg.scalar(signs[i]) for i in order]
     eta_rows = [[new_d[i] if i == j else z for j in range(m)]
                 for i in range(m)]
     Gamma = SuperMatrix.from_blocks(
-        cfg, eta_rows, [[z] * n for _ in range(m)],
-        [[z] * m for _ in range(n)], standard_symplectic(cfg, n), "even")
+        cfg, eta_rows, None, None, standard_symplectic(cfg, n), "even")
     reducibility = []
     for i in order:
         reducibility.append({

@@ -27,7 +27,8 @@ from .canonical import (
 )
 from .errors import NumericalGateError, ValidationError
 from .group import embed_isometry, semidirect_multiply
-from .isometry import is_isometry, lie_basis, lie_membership
+from .isometry import check_basis_budget, is_isometry, lie_basis, \
+    lie_membership
 from .serialization import (
     dumps,
     gamma_from_json,
@@ -61,7 +62,8 @@ def _build_parser():
         sp.add_argument("--seed", type=int, default=42,
                         help="seed for randomized suites")
         sp.add_argument("--strict", action="store_true",
-                        help="enable the convergence gates")
+                        help="canonicalize: refuse a body rescaling whose "
+                             "soul/body ratio reaches 1")
         sp.add_argument("--out", default=None,
                         help="write the report here instead of stdout")
 
@@ -183,6 +185,7 @@ def _cmd_lie_basis(args):
         raise ValidationError(
             f"'L' must be an integer in 0..{cfg.generator_count}, "
             f"got {json.dumps(L)}")
+    check_basis_budget(gamma.m, gamma.n, L)
     basis = lie_basis(gamma, L)
     hJ = []
     for bits, pos in basis.hJ:

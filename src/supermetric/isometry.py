@@ -33,6 +33,7 @@ from .errors import (
     NotBodyReduced,
     ParityMismatch,
     ShapeMismatch,
+    ValidationError,
 )
 from .matrices import BlockShape, SuperMatrix
 
@@ -83,8 +84,7 @@ class GammaForm:
         eta_rows = [[self.eta[i] if i == j else z for j in range(m)]
                     for i in range(m)]
         return SuperMatrix.from_blocks(
-            cfg, eta_rows, [[z] * n for _ in range(m)],
-            [[z] * m for _ in range(n)], standard_symplectic(cfg, n), "even")
+            cfg, eta_rows, None, None, standard_symplectic(cfg, n), "even")
 
     def body_float(self):
         return self.matrix().body_float()
@@ -233,9 +233,8 @@ def lie_basis(gamma: GammaForm, L: int = None) -> LieBasis:
     eta_sign = [1 if e.body() > 0 else -1 for e in gamma.eta]
 
     def block_diag_mat(a_rows, b_rows):
-        return SuperMatrix.from_blocks(
-            cfg, a_rows, [[z] * n for _ in range(m)],
-            [[z] * m for _ in range(n)], b_rows, "even")
+        return SuperMatrix.from_blocks(cfg, a_rows, None, None, b_rows,
+                                       "even")
 
     g0 = []
     # skew part of the even block: columns of eta * (E_ij - E_ji), i < j
@@ -281,6 +280,29 @@ def lie_basis(gamma: GammaForm, L: int = None) -> LieBasis:
             hJ.append((bits, pos))
     hJ.sort(key=lambda t: (t[0], t[1]))
     return LieBasis(gamma, g0, g1, hJ)
+
+
+def basis_report_slots(m: int, n: int, L: int) -> int:
+    """Records plus entry slots of a lie-basis report at (m|n) over L
+    generators: r0 = dim g0 + dim g1 real elements of (m+n)^2 entries each,
+    and the hJ tags, dim g0 of them at L = 0 and 2^(L-1) r0 above."""
+    dim0 = m * (m - 1) // 2 + n * (n + 1) // 2
+    r0 = dim0 + m * n
+    tags = r0 << (L - 1) if L else dim0
+    return r0 * (m + n) ** 2 + tags
+
+
+# the figure of (4|4) at L=8: 32 elements of 64 entries and 4096 tags
+BASIS_BUDGET = basis_report_slots(4, 4, 8)
+
+
+def check_basis_budget(m: int, n: int, L: int) -> None:
+    """Refuse a lie-basis report past BASIS_BUDGET before it is built."""
+    slots = basis_report_slots(m, n, L)
+    if slots > BASIS_BUDGET:
+        raise ValidationError(
+            f"lie-basis at ({m}|{n}) with L={L} needs {slots} records and "
+            f"entry slots, over the budget of {BASIS_BUDGET} ((4|4) at L=8)")
 
 
 def body_project(ell: SuperMatrix, gamma: GammaForm):

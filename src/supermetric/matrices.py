@@ -14,9 +14,13 @@ is invertible exactly when its body is.  exp/log are provided only for
 zero-body and unipotent matrices, where the series are finite.
 
 The adjoint operator of an even-class element with respect to a basis comes
-in two forms: supernumber coordinates over a real Lie-algebra basis (built
-through graded structure constants), or a flat real matrix over a basis of
-single-index slices z(J) * X_i.  Both expose the same spectrum gate: a zero
+in two forms: supernumber coordinates over a real Lie-algebra basis, or a
+flat real matrix over a basis of single-index slices z(J) * X_i.  Both rest
+on one bracket core.  The algebra is the Grassmann algebra tensored with a
+real one, so with X = sum_K z(K) X_K over real slices X_K every bracket
+with a basis element is a Grassmann sign times a real bracket X_K B -+ B X_K
+of two real grids, whose coordinates come from one solver per grid family,
+factored once per call.  Both forms expose the same spectrum gate: a zero
 body makes xi*I - ad invertible for every xi != 0.
 """
 
@@ -28,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraConfig, Supernumber, sum_of_products
+from .algebra import Supernumber, _sign_mask, sum_of_products
 from .errors import (
     BasisDegenerate,
     BodyNotInvertible,
@@ -103,7 +107,8 @@ class SuperMatrix:
 
     @classmethod
     def from_blocks(cls, config, A, C, D, B, parity_class="even"):
-        """Assemble from raw 2D lists of supernumbers: [[A, C], [D, B]]."""
+        """Assemble from raw 2D lists of supernumbers: [[A, C], [D, B]];
+        a C or D given as None (or empty) is a zero block."""
         m, n = len(A), len(B)
         z = config.zero()
         A = A or []
@@ -167,13 +172,6 @@ class SuperMatrix:
 
     def scale(self, scalar):
         rows = [[e.scale(scalar) for e in r] for r in self.rows]
-        return SuperMatrix(self.config, self.shape, rows, self.parity_class)
-
-    def transpose_plain(self):
-        """Entrywise transpose with no block signs; for use on one-block
-        carriers (shape (k|0) or (0|k)) where it is the honest transpose."""
-        k = self.shape.total
-        rows = [[self.rows[j][i] for j in range(k)] for i in range(k)]
         return SuperMatrix(self.config, self.shape, rows, self.parity_class)
 
     # -- graded structure --------------------------------------------------
@@ -294,53 +292,7 @@ def exact_inverse(rows):
     return inv
 
 
-def exact_solve(columns, rhs_list):
-    """Solve B x = y over Fractions for each y in rhs_list, where B has the
-    given columns (length-d lists).  Returns list of coordinate lists, or
-    None if the columns are dependent or some y leaves their span."""
-    d, r = len(columns[0]) if columns else 0, len(columns)
-    a = [[Fraction(columns[j][i]) for j in range(r)] for i in range(d)]
-    ys = [[Fraction(y[i]) for y in rhs_list] for i in range(d)]
-    pivots = []
-    row = 0
-    for col in range(r):
-        pivot = None
-        for rr in range(row, d):
-            if a[rr][col] != 0:
-                pivot = rr
-                break
-        if pivot is None:
-            return None  # dependent columns
-        a[row], a[pivot] = a[pivot], a[row]
-        ys[row], ys[pivot] = ys[pivot], ys[row]
-        p = a[row][col]
-        a[row] = [v / p for v in a[row]]
-        ys[row] = [v / p for v in ys[row]]
-        for rr in range(d):
-            if rr != row and a[rr][col] != 0:
-                f = a[rr][col]
-                a[rr] = [v - f * w for v, w in zip(a[rr], a[row])]
-                ys[rr] = [v - f * w for v, w in zip(ys[rr], ys[row])]
-        pivots.append(row)
-        row += 1
-    # consistency: rows past the pivots must have zero right-hand side
-    for rr in range(row, d):
-        if any(v != 0 for v in ys[rr]):
-            return None
-    out = []
-    for j in range(len(rhs_list)):
-        out.append([ys[i][j] for i in range(r)])
-    return out
-
-
 # -- inversion, exp, log --------------------------------------------------------
-
-def body_matrix(N: SuperMatrix):
-    """Entrywise body; odd blocks of an even-class matrix are zero by parity."""
-    if N.config.rational:
-        return [[e.body() for e in r] for r in N.rows]
-    return N.body_float()
-
 
 def _body_inverse(N: SuperMatrix):
     if N.config.rational:
@@ -466,31 +418,86 @@ def _vec(grid):
     return [v for row in grid for v in row]
 
 
+def _grid_mul(p, q):
+    """Product of two square real grids; each entry sums its nonzero
+    products in index order, as the Grassmann kernel folds them."""
+    out = [[0] * len(q) for _ in p]
+    for row, prow in zip(out, p):
+        for a, qrow in zip(prow, q):
+            if a:
+                for j, b in enumerate(qrow):
+                    if b:
+                        row[j] += a * b
+    return out
+
+
+def _slice_bracket(solver, left, grid, right):
+    """Coordinates over ``solver`` of the real bracket left.grid - grid.right,
+    or None when it vanishes; with no solver only a vanishing bracket is in
+    the span."""
+    vec = [a - b for a, b in zip(_vec(_grid_mul(left, grid)),
+                                 _vec(_grid_mul(grid, right)))]
+    if not any(vec):
+        return None
+    if solver is None:
+        raise BasisDegenerate("bracket leaves the span of the given slices")
+    return solver.solve(vec)
+
+
 class _SliceSolver:
-    """Solves real coordinates against a fixed list of real grids."""
+    """Real coordinates against a fixed list of real grids, factored once.
+
+    Construction refuses a dependent list.  Rational mode keeps the exact
+    left inverse (A^T A)^{-1} A^T of the column matrix A and checks A x == y
+    exactly; float64 keeps the pseudo-inverse and gates the residual.
+    """
 
     def __init__(self, cfg, grids):
         self.cfg = cfg
-        self.grids = grids
-        self.columns = [_vec(g) for g in grids]
-        if cfg.rational:
-            self._np = None
-        else:
-            a = np.array(self.columns, dtype=float).T
+        columns = [_vec(g) for g in grids]
+        if not cfg.rational:
+            a = np.array(columns, dtype=float).T
             if np.linalg.matrix_rank(a) < len(grids):
                 raise BasisDegenerate("basis elements are linearly dependent")
-            self._np = np.linalg.pinv(a)
+            self._pinv = np.linalg.pinv(a)
             self._a = a
+            return
+        # the nonzeros of A by column, and of A^T by position
+        self._cols = [[(t, v) for t, v in enumerate(c) if v] for c in columns]
+        at = [[] for _ in columns[0]]
+        for i, col in enumerate(self._cols):
+            for t, v in col:
+                at[t].append((i, v))
+        gram = [[0] * len(columns) for _ in columns]
+        for entries in at:
+            for i, u in entries:
+                for j, v in entries:
+                    gram[i][j] += u * v
+        inv = exact_inverse(gram)
+        if inv is None:
+            raise BasisDegenerate("basis elements are linearly dependent")
+        # the left inverse by position t: x = sum_t y_t * left[t]
+        self._left = [[(i, c) for i, row in enumerate(inv)
+                       if (c := sum(row[j] * v for j, v in entries))]
+                      for entries in at]
 
     def solve(self, vec):
         if self.cfg.rational:
-            sol = exact_solve(self.columns, [vec])
-            if sol is None:
-                raise BasisDegenerate(
-                    "coordinates not uniquely solvable over the basis")
-            return sol[0]
+            x = [0] * len(self._cols)
+            for y, left in zip(vec, self._left):
+                if y:
+                    for i, c in left:
+                        x[i] += c * y
+            back = [0] * len(vec)
+            for xi, col in zip(x, self._cols):
+                if xi:
+                    for t, v in col:
+                        back[t] += xi * v
+            if back != vec:
+                raise BasisDegenerate("vector leaves the basis span")
+            return x
         y = np.array(vec, dtype=float)
-        x = self._np @ y
+        x = self._pinv @ y
         resid = np.max(np.abs(self._a @ x - y)) if len(y) else 0.0
         scale = max(1.0, float(np.max(np.abs(y))))
         if resid > 1e-8 * scale:
@@ -517,47 +524,24 @@ def _element_block_kind(M: SuperMatrix) -> str:
     return "odd" if off else "even"
 
 
-def graded_bracket(P: SuperMatrix, Q: SuperMatrix) -> SuperMatrix:
-    """Bracket of two bare real basis elements: commutator, except the
-    anticommutator when both sit in the off-diagonal (odd) blocks."""
-    both_odd = (_element_block_kind(P) == "odd"
-                and _element_block_kind(Q) == "odd")
-    return (P @ Q + Q @ P) if both_odd else (P @ Q - Q @ P)
-
-
-# cache values keep a reference to the basis objects so the ids in the key
-# stay bound to them (an id can be recycled only after its object is freed)
-_SOLVER_CACHE = {}
-
-
-def _cache_get(key):
-    entry = _SOLVER_CACHE.get(key)
-    return entry[1] if entry is not None else None
-
-
-def _cache_put(key, pinned, value):
-    if len(_SOLVER_CACHE) > 64:
-        _SOLVER_CACHE.clear()
-    _SOLVER_CACHE[key] = (pinned, value)
-
-
-def _solver_for(cfg, key, pinned, grids):
-    solver = _cache_get(key)
-    if solver is None:
-        solver = _SliceSolver(cfg, grids)
-        _cache_put(key, pinned, solver)
-    return solver
-
-
 def ad_operator(X: SuperMatrix, basis, basis_tag="basis") -> AdOperator:
     """Adjoint operator of X over the given basis.
 
-    All-real basis: the operator carries supernumber entries M[k][j] =
-    sum_i f_ijk x^i built from graded structure constants, where x^i are
-    X's coordinates; composition then matches operator products for
-    even-class arguments.  Mixed single-index basis (slices z(J) X_i):
-    brackets are taken directly and the flat real coordinate matrix is
-    returned, with level tags recorded.
+    Both routes write X = sum_K z(K) X_K with real slices X_K and take only
+    real brackets X_K B - B X~ of those slices with real grids B, solved
+    over one factored solver per grid family.
+
+    All-real basis B_j: the operator carries supernumber entries M[k][j] =
+    sum_K z(K) c_k(K, j), with c(K, j) the coordinates of X_K B_j - B_j X~.
+    X~ = X_K, except that against an odd-kind B_j (off blocks only) the
+    odd-kind part of X_K changes sign, which makes the bracket of two
+    odd-kind elements their anticommutator; composition then matches
+    operator products for even-class arguments.
+
+    Single-index basis z(J) B: the bracket with X has one slice per K
+    disjoint from J, sigma(K, J) (X_K B - (-1)^(|J||K|) B X_K) at level
+    K | J, where sigma is the sign of z(K) z(J).  The flat real coordinate
+    matrix is returned, with level tags recorded.
     """
     if not basis:
         raise BasisDegenerate("empty basis")
@@ -582,47 +566,21 @@ def _ad_structure_constants(X, basis, decomps, basis_tag):
     cfg = X.config
     r = len(basis)
     grids = [d[0] for d in decomps]
-    basis = tuple(basis)
-    ids = tuple(id(b) for b in basis)
-    solver = _solver_for(cfg, ("sc", ids), basis, grids)
-
-    cache_key = ("fijk", ids)
-    fijk = _cache_get(cache_key)
-    if fijk is None:
-        fijk = []
-        for bi in basis:
-            row = []
-            for bj in basis:
-                bracket = graded_bracket(bi, bj)
-                slices = _flatten_slices(bracket)
-                if not slices:
-                    row.append([cfg.coerce(0)] * r)
-                    continue
-                if set(slices) != {0}:
-                    raise BasisDegenerate("bracket of basis elements is "
-                                          "not a real matrix")
-                row.append(solver.solve(_vec(slices[0])))
-            fijk.append(row)
-        _cache_put(cache_key, basis, fijk)
-
-    # X's coordinates over the basis, slice by slice
-    lam = [cfg.zero() for _ in range(r)]
-    for bits, grid in _flatten_slices(X).items():
-        coords = solver.solve(_vec(grid))
-        for i, c in enumerate(coords):
-            if c != 0:
-                lam[i] = lam[i] + Supernumber(cfg, {bits: cfg.coerce(c)})
-
-    rows = [[cfg.zero() for _ in range(r)] for _ in range(r)]
-    for i in range(r):
-        li = lam[i]
-        if li.is_zero():
-            continue
-        for j in range(r):
-            for k in range(r):
-                f = fijk[i][j][k]
-                if f != 0:
-                    rows[k][j] = rows[k][j] + li.scale(f)
+    solver = _SliceSolver(cfg, grids)
+    odd = [_element_block_kind(b) == "odd" for b in basis]
+    terms = [[{} for _ in range(r)] for _ in range(r)]
+    for K, XK in _flatten_slices(X).items():
+        x = solver.solve(_vec(XK))       # raises when X leaves the span
+        # X~ = X_K^ev - X_K^od = X_K - 2 X_K^od
+        od = [(xi, g) for xi, g, o in zip(x, grids, odd) if o and xi]
+        flipped = [[v - 2 * sum(xi * g[p][q] for xi, g in od)
+                    for q, v in enumerate(row)] for p, row in enumerate(XK)]
+        for j, B in enumerate(grids):
+            coords = _slice_bracket(solver, XK, B, flipped if odd[j] else XK)
+            for k, c in enumerate(coords or ()):
+                if c != 0:
+                    terms[k][j][K] = c
+    rows = [[Supernumber(cfg, t) for t in row] for row in terms]
     mat = SuperMatrix(cfg, BlockShape(r, 0), rows, "general")
     return AdOperator(X, mat, basis_tag, "grassmann")
 
@@ -632,35 +590,54 @@ def _ad_flat(X, basis, decomps, basis_tag):
     r = len(basis)
     levels = tuple(next(iter(d)) for d in decomps)
     # group basis slots by index bitmask; levels whose grids are equal share
-    # one solver, so each distinct grid family is rank-checked once
+    # one solver, so each distinct grid family is factored once
     groups = {}
     for slot, lv in enumerate(levels):
         groups.setdefault(lv, []).append(slot)
-    families = {}
-    solvers = {}
+    families = {}            # grid family -> its number, an index of solvers
+    solvers = []
+    family_of = {}
+    grid_of = [None] * r     # (family number, place in the family) per slot
     for lv, slots in groups.items():
-        grids = [decomps[s][lv] for s in slots]
-        key = tuple(tuple(_vec(g)) for g in grids)
-        solver = families.get(key)
-        if solver is None:
-            solver = families[key] = _SliceSolver(cfg, grids)
-        solvers[lv] = solver
+        key = tuple(tuple((t, v) for t, v in enumerate(_vec(decomps[s][lv]))
+                          if v) for s in slots)
+        if key not in families:
+            families[key] = len(solvers)
+            solvers.append(_SliceSolver(cfg, [decomps[s][lv]
+                                              for s in slots]))
+        family_of[lv] = families[key]
+        for place, s in enumerate(slots):
+            grid_of[s] = (families[key], place)
 
+    slices = _flatten_slices(X)
+    negated = {K: [[-v for v in row] for row in XK]
+               for K, XK in slices.items()}
     # the operator is sparse: entries start as one shared (immutable) zero
-    # and only nonzero coordinates are lifted; each slot sits at a single
-    # level, so a bracket writes each entry of its column at most once
+    # and only nonzero coordinates are lifted; K -> K | J is one to one, so
+    # a column gets each of its entries written at most once
     zero = cfg.zero()
     rows = [[zero] * r for _ in range(r)]
-    for j, b in enumerate(basis):
-        z = X @ b - b @ X
-        for bits, grid in _flatten_slices(z).items():
-            if bits not in groups:
-                raise BasisDegenerate(
-                    "bracket leaves the span of the given slices")
-            coords = solvers[bits].solve(_vec(grid))
-            for s, c in zip(groups[bits], coords):
+    memo = {}    # coordinates by (K, grid of B, sign, family of the level)
+    for j, J in enumerate(levels):
+        B = decomps[j][J]
+        mask = _sign_mask(J)
+        for K, XK in slices.items():
+            if K & J:
+                continue
+            level = K | J
+            swap = J.bit_count() & K.bit_count() & 1   # (-1)^(|J||K|) = -1
+            family = family_of.get(level)
+            key = (K, grid_of[j], swap, family)
+            if key not in memo:
+                memo[key] = _slice_bracket(
+                    None if family is None else solvers[family],
+                    XK, B, negated[K] if swap else XK)
+            if memo[key] is None:
+                continue
+            flip = (K & mask).bit_count() & 1       # sigma(K, J) = -1
+            for s, c in zip(groups[level], memo[key]):
                 if c != 0:
-                    rows[s][j] = cfg.scalar(c)
+                    rows[s][j] = cfg.scalar(-c if flip else c)
     mat = SuperMatrix(cfg, BlockShape(r, 0), rows, "general")
     return AdOperator(X, mat, basis_tag, "real", levels)
 

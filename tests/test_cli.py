@@ -7,6 +7,13 @@ import pytest
 
 from supermetric.algebra import AlgebraConfig
 from supermetric.cli import main
+from supermetric.errors import ValidationError
+from supermetric.isometry import (
+    BASIS_BUDGET,
+    basis_report_slots,
+    check_basis_budget,
+    lie_basis,
+)
 from supermetric.matrices import SuperMatrix
 from supermetric.sampling import (
     basis_for,
@@ -205,6 +212,43 @@ def test_lie_basis_rejects_bad_L(tmp_path, capsys):
     assert code == 0
     assert all(max(item["index"], default=0) <= 2
                for item in json.loads(out)["hJ"])
+
+
+def test_lie_basis_budget_refuses_before_the_basis(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("lie_basis ran")
+    monkeypatch.setattr("supermetric.cli.lie_basis", no_basis)
+    # 40 eta entries at L=0 (the report grows as (m+n)^4), and (1|2) at
+    # L=16 (it grows as 2^L)
+    for alg, gamma, L in (({"generator_count": 4}, {"eta": [1, -1] * 20,
+                                                    "n": 0}, 0),
+                          ({"generator_count": 16}, {"eta": [1], "n": 2},
+                           16)):
+        path = _write(tmp_path, "basis.json",
+                      {"algebra": alg, "gamma": gamma, "L": L})
+        code, out, err = _run(capsys, ["lie-basis", path])
+        assert code == 2 and out == ""
+        blob = json.loads(err)
+        assert blob["kind"] == "ValidationError"
+        assert "budget" in blob["error"]
+    # at the bound: (4|4) at L=8 fits, one generator or one dimension more
+    # does not
+    assert basis_report_slots(4, 4, 8) == BASIS_BUDGET
+    check_basis_budget(4, 4, 8)
+    for m, n, L in ((4, 4, 9), (5, 4, 8), (4, 6, 8)):
+        with pytest.raises(ValidationError, match="budget"):
+            check_basis_budget(m, n, L)
+    # every group-sparse shape fits, (2|2), (3|4), (4|4) up to L=8
+    for m, n in ((2, 2), (3, 4), (4, 4)):
+        for L in range(9):
+            check_basis_budget(m, n, L)
+    # the estimate counts what the report holds
+    for p, q, n, L in ((1, 0, 2, 0), (1, 1, 2, 3), (2, 1, 4, 4)):
+        basis = lie_basis(standard_gamma(RAT, p, q, n), L)
+        k = p + q + n
+        assert basis_report_slots(p + q, n, L) == \
+            len(basis.elements()) * k * k + len(basis.hJ)
 
 
 def test_group_op_rational_exact(tmp_path, capsys):

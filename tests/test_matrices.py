@@ -18,13 +18,13 @@ from supermetric.errors import (
     ShapeMismatch,
 )
 from supermetric.matrices import (
-    _SOLVER_CACHE,
     BlockShape,
     SuperMatrix,
+    _element_block_kind,
+    _flatten_slices,
     _SliceSolver,
     ad_operator,
     exp_zero_body,
-    graded_bracket,
     invert_matrix,
     log_unipotent,
     spectrum_gate,
@@ -223,6 +223,45 @@ def test_log_rejects_non_unipotent():
         log_unipotent(I.scale(2))
 
 
+def graded_bracket(P: SuperMatrix, Q: SuperMatrix) -> SuperMatrix:
+    """Bracket of two bare real basis elements: commutator, except the
+    anticommutator when both sit in the off-diagonal (odd) blocks."""
+    both_odd = (_element_block_kind(P) == "odd"
+                and _element_block_kind(Q) == "odd")
+    return (P @ Q + Q @ P) if both_odd else (P @ Q - Q @ P)
+
+
+def _structure_constants_reference(X, basis):
+    """The structure-constant operator through the table f_ijk of graded
+    brackets of basis elements: M[k][j] = sum_i f_ijk x^i, where x^i are
+    X's supernumber coordinates."""
+    cfg = X.config
+    r = len(basis)
+    solver = _SliceSolver(cfg, [_flatten_slices(b)[0] for b in basis])
+
+    def coords(M):
+        slices = _flatten_slices(M)
+        assert set(slices) <= {0}
+        if not slices:
+            return [cfg.coerce(0)] * r
+        return solver.solve([v for row in slices[0] for v in row])
+
+    fijk = [[coords(graded_bracket(bi, bj)) for bj in basis] for bi in basis]
+    lam = [cfg.zero() for _ in range(r)]
+    for bits, grid in _flatten_slices(X).items():
+        vec = [v for row in grid for v in row]
+        for i, c in enumerate(solver.solve(vec)):
+            if c != 0:
+                lam[i] = lam[i] + Supernumber(cfg, {bits: cfg.coerce(c)})
+    rows = [[cfg.zero() for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                if fijk[i][j][k] != 0 and not lam[i].is_zero():
+                    rows[k][j] = rows[k][j] + lam[i].scale(fijk[i][j][k])
+    return SuperMatrix(cfg, BlockShape(r, 0), rows, "general")
+
+
 def test_graded_bracket_kinds():
     cfg = RAT
     basis = basis_for(cfg, 1, 1, 2)
@@ -246,6 +285,62 @@ def test_ad_structure_constants_route():
         r = len(basis.elements())
         assert ad.matrix.shape == BlockShape(r, 0)
         assert ad.has_zero_body()
+
+
+def _unit_basis_with_a_mixed_element(cfg, shape):
+    """The unit matrices E_ab, which span every real matrix, with E_00
+    replaced by E_00 + E_0m: diagonal and off blocks at once."""
+    m, k = shape.m, shape.total
+    out = []
+    for a in range(k):
+        for b in range(k):
+            rows = [[cfg.zero()] * k for _ in range(k)]
+            rows[a][b] = cfg.one()
+            if (a, b) == (0, 0):
+                rows[0][m] = cfg.one()
+            out.append(SuperMatrix(cfg, shape, rows, "general"))
+    return out
+
+
+def test_ad_structure_constants_match_the_fijk_reference():
+    # against the graded-bracket table, for a nil X, an X with a body, and
+    # a basis whose first element is mixed-kind: rational entry for entry;
+    # float64 sums in another order, so within a few hundred ulps
+    for mode in ("rational", "float64"):
+        for L, (p, q) in ((4, (1, 0)), (4, (1, 1)), (8, (1, 0))):
+            cfg = AlgebraConfig(generator_count=L, coefficient_mode=mode)
+            basis = basis_for(cfg, p, q, 2)
+            flat = basis.elements()
+            mixed = _unit_basis_with_a_mixed_element(cfg, basis.gamma.shape)
+            assert _element_block_kind(mixed[0]) == "mixed"
+            rng = make_rng(41 + L + q)
+            for X in (random_nil(rng, basis, terms=3).X,
+                      random_member(rng, basis, terms=3)):
+                assert not X.is_zero()
+                for b in (flat, mixed):
+                    ad = ad_operator(X, b, basis_tag="real")
+                    ref = _structure_constants_reference(X, b)
+                    assert not ad.matrix.is_zero()
+                    if cfg.rational:
+                        assert ad.matrix == ref
+                    else:
+                        assert (ad.matrix - ref).entry_norm_max() <= \
+                            1e-13 * ref.entry_norm_max()
+
+
+def test_ad_dependent_basis_is_refused_for_a_zero_x():
+    # the solvers factor their grids up front, so a dependent basis is
+    # refused even when X has no slice to solve
+    for cfg in (RAT, FLT):
+        basis = basis_for(cfg, 1, 1, 2)
+        zero = SuperMatrix.zeros(cfg, basis.gamma.shape, "even")
+        flat = basis.elements()
+        family = basis.hJ_matrices()
+        for dependent in ([flat[0], flat[0]],
+                          flat + [flat[0].scale(2) + flat[1]],
+                          family + [family[-1].scale(3)]):
+            with pytest.raises(BasisDegenerate):
+                ad_operator(zero, dependent, basis_tag="dependent")
 
 
 def test_ad_composition_matches_operator_product():
@@ -328,14 +423,14 @@ def _flat_reference(X, family):
 
 
 def test_ad_flat_matches_entrywise_reference():
-    for cfg in (RAT, FLT):
-        for p, q in ((1, 0), (1, 1)):      # shapes (1|2) and (2|2)
+    # shapes (1|2) and (2|2) at L=4, and (1|2) at L=8 (r = 640)
+    for mode in ("rational", "float64"):
+        for L, p, q in ((4, 1, 0), (4, 1, 1), (8, 1, 0)):
+            cfg = AlgebraConfig(generator_count=L, coefficient_mode=mode)
             basis = basis_for(cfg, p, q, 2)
             X = random_nil(make_rng(29), basis, terms=2)
             family = basis.hJ_matrices()
-            cached = set(_SOLVER_CACHE)
             ad = ad_operator(X.X, family, basis_tag="hJ")
-            assert set(_SOLVER_CACHE) == cached   # no id()-keyed entries
             assert not ad.matrix.is_zero()
             assert ad.matrix == _flat_reference(X.X, family)
             assert ad.levels == tuple(bits for bits, _ in basis.hJ)
