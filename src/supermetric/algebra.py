@@ -67,7 +67,8 @@ class AlgebraConfig:
     zero_tolerance: float = None  # type: ignore[assignment]  # resolved below
 
     def __post_init__(self):
-        mode = _MODE_ALIASES.get(self.coefficient_mode)
+        mode = self.coefficient_mode
+        mode = _MODE_ALIASES.get(mode) if isinstance(mode, str) else None
         if mode is None:
             raise ConfigMismatch(
                 f"unknown coefficient mode {self.coefficient_mode!r}")

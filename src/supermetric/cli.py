@@ -25,7 +25,7 @@ from .canonical import (
     congruence,
     validate_metric,
 )
-from .errors import NumericalGateError, ValidationError
+from .errors import NumericalGateError, ShapeMismatch, ValidationError
 from .group import embed_isometry, semidirect_multiply
 from .isometry import check_basis_budget, is_isometry, lie_basis, \
     lie_membership
@@ -101,8 +101,9 @@ def _build_config(args, payload, default_L=None):
         if not isinstance(file_cfg, dict):
             raise ValidationError("config file must hold a JSON object")
         settings.update(file_cfg)
-    if isinstance(payload, dict) and isinstance(payload.get("algebra"),
-                                                dict):
+    if isinstance(payload, dict) and "algebra" in payload:
+        if not isinstance(payload["algebra"], dict):
+            raise ValidationError("'algebra' must be a JSON object")
         settings.update(payload["algebra"])
     kwargs = {}
     if "generator_count" in settings:
@@ -111,9 +112,10 @@ def _build_config(args, payload, default_L=None):
         kwargs["generator_count"] = default_L
     if "zero_tolerance" in settings:
         kwargs["zero_tolerance"] = settings["zero_tolerance"]
-    mode = args.mode or settings.get("coefficient_mode")
-    if mode:
-        kwargs["coefficient_mode"] = mode
+    if args.mode:
+        kwargs["coefficient_mode"] = args.mode
+    elif "coefficient_mode" in settings:
+        kwargs["coefficient_mode"] = settings["coefficient_mode"]
     return AlgebraConfig(**kwargs), settings
 
 
@@ -155,6 +157,10 @@ def _cmd_isometry_check(args):
         raise ValidationError("payload needs 'N' and 'gamma'")
     gamma = gamma_from_json(payload["gamma"], cfg)
     N = matrix_from_json(payload["N"], cfg)
+    # Gamma is as large as its declared n, which only a matching N bounds
+    if N.shape != gamma.shape:
+        raise ShapeMismatch(f"N has shape ({N.shape.m}|{N.shape.n}), gamma "
+                            f"({gamma.m}|{gamma.n})")
     G = gamma.matrix()
     resid = N.supertranspose() @ G @ N - G
     report = {
@@ -241,6 +247,11 @@ def _cmd_verify(args):
                 f"'{name}' must be a non-negative integer, "
                 f"got {json.dumps(value)}")
     check_size_budget(m, n, cfg.generator_count)
+    # the suites sample both blocks, symplectic pairs and grade-2 souls
+    if m < 1 or n < 2 or n % 2 or cfg.generator_count < 2:
+        raise ValidationError(
+            f"verify needs m >= 1, an even n >= 2 and at least 2 "
+            f"generators, got ({m}|{n}) with {cfg.generator_count}")
     return run_verify(cfg, seed=args.seed, m=m, n=n, strict=args.strict)
 
 

@@ -194,7 +194,8 @@ class LieBasis:
         return list(self.g0) + list(self.g1)
 
     def hJ_matrices(self):
-        """Materialize z(J) * X for each tagged pair."""
+        """Materialize z(J) * X for each tagged pair; ad_operator reads the
+        tags directly and needs no such list."""
         cfg = self.gamma.config
         flat = self.elements()
         out = []

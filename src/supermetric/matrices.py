@@ -15,7 +15,8 @@ zero-body and unipotent matrices, where the series are finite.
 
 The adjoint operator of an even-class element with respect to a basis comes
 in two forms: supernumber coordinates over a real Lie-algebra basis, or a
-flat real matrix over a basis of single-index slices z(J) * X_i.  Both rest
+flat real matrix over a basis of single-index slices z(J) * X_i, given as
+matrices or read from the (J, i) tags of a LieBasis.  Both rest
 on one bracket core.  The algebra is the Grassmann algebra tensored with a
 real one, so with X = sum_K z(K) X_K over real slices X_K every bracket
 with a basis element is a Grassmann sign times a real bracket X_K B -+ B X_K
@@ -525,7 +526,8 @@ def _element_block_kind(M: SuperMatrix) -> str:
 
 
 def ad_operator(X: SuperMatrix, basis, basis_tag="basis") -> AdOperator:
-    """Adjoint operator of X over the given basis.
+    """Adjoint operator of X over the given basis: a list of matrices, or a
+    LieBasis, whose tagged family z(J) X_i is read from its (J, i) tags.
 
     Both routes write X = sum_K z(K) X_K with real slices X_K and take only
     real brackets X_K B - B X~ of those slices with real grids B, solved
@@ -541,25 +543,43 @@ def ad_operator(X: SuperMatrix, basis, basis_tag="basis") -> AdOperator:
     Single-index basis z(J) B: the bracket with X has one slice per K
     disjoint from J, sigma(K, J) (X_K B - (-1)^(|J||K|) B X_K) at level
     K | J, where sigma is the sign of z(K) z(J).  The flat real coordinate
-    matrix is returned, with level tags recorded.
+    matrix is returned, with level tags recorded.  A LieBasis takes this
+    route without forming its family: slot j with tag (J, i) is the real
+    grid of element i at level J, which is what z(J) X_i flattens to.
     """
-    if not basis:
+    from .isometry import LieBasis
+
+    tagged = isinstance(basis, LieBasis)
+    elements = basis.elements() if tagged else basis
+    tags = basis.hJ if tagged else [(0, pos) for pos in range(len(basis))]
+    if not tags:
         raise BasisDegenerate("empty basis")
     cfg = X.config
-    for b in basis:
-        if b.config != cfg:
-            raise ConfigMismatch("basis element uses a different config")
-        if b.shape != X.shape:
-            raise ShapeMismatch("basis element shape differs from X")
-    decomps = [_flatten_slices(b) for b in basis]
-    if any(len(d) == 0 for d in decomps):
+    grids = {}     # slices of each element in use, by position
+    for _, pos in tags:
+        if pos not in grids:
+            b = elements[pos]
+            if b.config != cfg:
+                raise ConfigMismatch("basis element uses a different config")
+            if b.shape != X.shape:
+                raise ShapeMismatch("basis element shape differs from X")
+            grids[pos] = _flatten_slices(b)
+    if any(len(d) == 0 for d in grids.values()):
         raise BasisDegenerate("zero basis element")
+    if tagged:
+        if any(set(d) != {0} for d in grids.values()):
+            raise BasisDegenerate("tagged basis elements must be real")
+        # z(J) X_i flattens to the real grid of X_i at level J
+        decomps = [{J: grids[pos][0]} for J, pos in tags]
+    else:
+        decomps = [grids[pos] for _, pos in tags]
     if all(set(d) == {0} for d in decomps):
-        return _ad_structure_constants(X, basis, decomps, basis_tag)
+        members = [elements[pos] for _, pos in tags]
+        return _ad_structure_constants(X, members, decomps, basis_tag)
     if any(len(d) != 1 for d in decomps):
         raise BasisDegenerate(
             "basis elements must be real or single-index slices")
-    return _ad_flat(X, basis, decomps, basis_tag)
+    return _ad_flat(X, decomps, basis_tag)
 
 
 def _ad_structure_constants(X, basis, decomps, basis_tag):
@@ -585,9 +605,9 @@ def _ad_structure_constants(X, basis, decomps, basis_tag):
     return AdOperator(X, mat, basis_tag, "grassmann")
 
 
-def _ad_flat(X, basis, decomps, basis_tag):
+def _ad_flat(X, decomps, basis_tag):
     cfg = X.config
-    r = len(basis)
+    r = len(decomps)
     levels = tuple(next(iter(d)) for d in decomps)
     # group basis slots by index bitmask; levels whose grids are equal share
     # one solver, so each distinct grid family is factored once

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -120,28 +121,62 @@ def scalar_to_json(value, config: AlgebraConfig):
 
 def scalar_from_json(value, config: AlgebraConfig):
     """Parse one coefficient; NaN, infinities and values beyond the float64
-    range are rejected rather than carried into the arithmetic."""
+    range are rejected rather than carried into the arithmetic, in both
+    modes."""
     if isinstance(value, str):
         try:
-            f = Fraction(value)
+            exact = _parse_fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"unparseable coefficient {value!r}")
-        return f if config.rational else _finite_float(f)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"coefficient must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    elif isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"coefficient must be finite, got {value!r}")
-    if config.rational:
+    else:
         # route through the decimal text so "0.1" means 1/10
-        return Fraction(str(value))
-    return _finite_float(value)
-
-
-def _finite_float(value):
-    try:
-        return float(value)
-    except OverflowError:
+        exact = Fraction(str(value)) if config.rational else value
+    if abs(exact) > _FLOAT_MAX:
         raise ValidationError("coefficient exceeds the float64 range")
+    return exact if config.rational else float(exact)
+
+
+# a decimal literal with an exponent, in the grammar that Fraction reads
+_EXPONENT_FORM = re.compile(
+    r"\s*(?P<mantissa>[-+]?(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?)"
+    r"[eE](?P<exp>[-+]?\d+(?:_\d+)*)\s*\Z")
+_FLOAT_MAX = sys.float_info.max
+_FLOAT_MIN = math.ulp(0.0)      # the smallest positive (subnormal) float64
+_LOG10_2 = math.log10(2)
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """The exact value of a coefficient string.
+
+    Fraction(text) builds 10^|e| for an exponent e, a cost that the payload
+    size does not bound, so the exponent is read first.  A nonzero value
+    written with an exponent must lie in float64's range, from the smallest
+    subnormal up to the largest finite value in magnitude; one whose decimal
+    exponent is far outside is refused before it is built.  Other forms
+    (integers, "p/q", plain decimals) cost what their text costs.
+    """
+    form = _EXPONENT_FORM.match(text)
+    if form is None:
+        return Fraction(text)
+    mantissa = Fraction(form["mantissa"])
+    if mantissa == 0:
+        return mantissa
+    exp = int(form["exp"])
+    # log10 |mantissa|, to within one
+    lead = (abs(mantissa.numerator).bit_length()
+            - mantissa.denominator.bit_length()) * _LOG10_2
+    if not -330 < lead + exp < 315:
+        raise ValidationError(
+            f"coefficient {text!r} is outside the float64 range")
+    exact = mantissa * Fraction(10) ** exp
+    if abs(exact) < _FLOAT_MIN:
+        raise ValidationError(
+            f"coefficient {text!r} is below the float64 range")
+    return exact
 
 
 # -- supernumbers -----------------------------------------------------------------
@@ -195,12 +230,14 @@ def matrix_from_json(data, config: AlgebraConfig) -> SuperMatrix:
         raise ValidationError("matrix must be a JSON object")
     try:
         shape = data["shape"]
-        m, n = int(shape["m"]), int(shape["n"])
+        m, n = shape["m"], shape["n"]
         parity = data["parity"]
         entries = data["entries"]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError):
         raise ValidationError(
             "matrix needs 'shape' {m, n}, 'parity' and 'entries'")
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (m, n)):
+        raise ShapeMismatch("block sizes must be integers")
     if m < 0 or n < 0:
         raise ShapeMismatch("block sizes must be non-negative")
     k = m + n
@@ -231,6 +268,8 @@ def gamma_from_json(data, config: AlgebraConfig) -> GammaForm:
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValidationError("'n' must be a non-negative integer")
+    if not isinstance(data["eta"], list):
+        raise ValidationError("'eta' must be a list of supernumbers")
     eta = [supernumber_from_json(e, config) for e in data["eta"]]
     return GammaForm(config, tuple(eta), n)
 

@@ -250,9 +250,9 @@ def _section_ad(rng, cfg, m, n, cases):
             xi = rand_coeff(rng, cfg, nonzero=True)
             if spectrum_gate(ad, xi) != "invertible":
                 failures.append(f"case {t}: gate at xi={xi}")
-    # one flat run over the index-tagged family
+    # one flat run over the index-tagged family, read from its tags
     X = random_nil(rng, basis, terms=2)
-    ad = ad_operator(X.X, basis.hJ_matrices(), basis_tag="hJ")
+    ad = ad_operator(X.X, basis, basis_tag="hJ")
     if not ad.has_zero_body():
         failures.append("flat ad body nonzero")
     if spectrum_gate(ad, 0) != "singular":
@@ -373,11 +373,13 @@ def _section_semidirect(rng, cfg, m, n, cases):
 
 
 def flat_family_slots(m: int, n: int, L: int) -> int:
-    """Entry slots that the ad section's flat run allocates at (m|n), L.
+    """Entry slots that the budget charges the ad section's flat run at
+    (m|n), L.
 
     The real basis has r0 = dim g0 + dim g1 elements and the index-tagged
-    family z(J) X has r = 2^(L-1) r0 matrices of (m+n)^2 entries each; its
-    adjoint operator is an r x r matrix.
+    family z(J) X has r = 2^(L-1) r0 members of (m+n)^2 entries each; its
+    adjoint operator is an r x r matrix.  The run reads the family from its
+    tags without forming it, but the charge keeps the family's figure.
     """
     r = (m * (m - 1) // 2 + n * (n + 1) // 2 + m * n) << (L - 1)
     return r * (r + (m + n) ** 2)

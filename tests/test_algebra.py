@@ -37,8 +37,9 @@ def test_config_validation():
         AlgebraConfig(generator_count=0)
     with pytest.raises(ConfigMismatch):
         AlgebraConfig(generator_count=25)
-    with pytest.raises(ConfigMismatch):
-        AlgebraConfig(coefficient_mode="decimal")
+    for mode in ("decimal", ["x"], {"rational": 1}, None, 1):
+        with pytest.raises(ConfigMismatch):
+            AlgebraConfig(coefficient_mode=mode)
     with pytest.raises(ConfigMismatch):
         AlgebraConfig(zero_tolerance=-1e-3)
     # the exact mode accepts its long alias and ignores the tolerance

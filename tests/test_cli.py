@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end, in process."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -297,6 +298,34 @@ def test_verify_byte_deterministic(capsys):
     _, out2, _ = _run(capsys, argv)
     assert out1 == out2
     assert out1.endswith("\n")
+
+
+# SHA-256 of rational verify reports by (m, n, generator_count, seed), taken
+# before the adjoint operator read its basis from tags, the series shared
+# its brackets and nil elements kept their exponentials; a rewrite of the
+# arithmetic must leave these bytes as they are
+_VERIFY_SHA256 = {
+    (2, 2, 4, 1):
+        "3c3c2e28a4f8e509ffd659f40f30e545898ac8b130462285c7ab6f5156ae0816",
+    (2, 2, 4, 2):
+        "9c23addcd2e3a48712523f34811cdac9bc4cd2a7b5df79df1bf2cfe7f9c66b8e",
+    (1, 2, 8, 1):
+        "ec5f30c42c3a543038f3edee4de590d0cbb93fed71defc13ba28d28128e878c3",
+    (1, 2, 8, 2):
+        "8e8c02b39be93c392b1312d2d3622ff826432d60ba849fa810e21c208e834466",
+}
+
+
+@pytest.mark.parametrize("m, n, L, seed", sorted(_VERIFY_SHA256))
+def test_rational_verify_report_bytes_are_pinned(tmp_path, capsys, m, n, L,
+                                                 seed):
+    cfg_path = _write(tmp_path, "cfg.json",
+                      {"generator_count": L, "m": m, "n": n})
+    code, out, _ = _run(capsys, ["verify", "--config", cfg_path, "--mode",
+                                 "rational", "--seed", str(seed)])
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == _VERIFY_SHA256[m, n, L, seed]
 
 
 def test_verify_config_file_sets_shape(tmp_path, capsys):

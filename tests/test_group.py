@@ -21,6 +21,7 @@ from supermetric.group import (
     BCHOrderConfig,
     GroupElement,
     NilElement,
+    _nested_bracket,
     _word_table,
     action_alpha,
     bch_series,
@@ -32,7 +33,7 @@ from supermetric.group import (
     semidirect_multiply,
 )
 from supermetric.isometry import GammaForm, is_isometry
-from supermetric.matrices import SuperMatrix, exp_zero_body
+from supermetric.matrices import SuperMatrix, exp_zero_body, log_unipotent
 from supermetric.sampling import (
     basis_for,
     make_rng,
@@ -117,6 +118,81 @@ def _grade_one_nil(rng, basis):
     return NilElement(acc, basis.gamma)
 
 
+def _nested_bracket_per_word(mats, word):
+    """The reference: every word's bracket formed from its letters."""
+    acc = mats[word[-1]]
+    for ch in reversed(word[:-1]):
+        x = mats[ch]
+        acc = x @ acc - acc @ x
+    return acc
+
+
+def _series_per_word(X, Y, max_order):
+    cfg = X.config
+    acc = SuperMatrix.zeros(cfg, X.shape, "general")
+    for order in range(1, max_order + 1):
+        for coeff, word in _word_table(order):
+            term = _nested_bracket_per_word({"X": X, "Y": Y}, word)
+            if not term.is_zero():
+                acc = acc + term.scale(coeff if cfg.rational
+                                       else float(coeff))
+    return acc
+
+
+def _bits(M):
+    """Entries as (index set, exact value or float hex) lists, in order."""
+    return [[[(k, v.hex() if isinstance(v, float) else v)
+              for k, v in e.terms.items()] for e in row] for row in M.rows]
+
+
+def test_series_with_shared_brackets_matches_the_per_word_reference():
+    # orders 1..6: equal in rational mode, bit for bit in float64, on souls
+    # whose order-6 brackets survive and on small real matrices
+    a = [[0.0, 0.11], [-0.11, 0.0]]
+    b = [[0.05, 0.02], [0.02, -0.05]]
+    real = [SuperMatrix.from_real(FLT, m, (2, 0), "even") for m in (a, b)]
+    for mode in ("rational", "float64"):
+        cfg = AlgebraConfig(generator_count=6, coefficient_mode=mode)
+        basis = basis_for(cfg, 1, 1, 2)
+        rng = make_rng(41)
+        pairs = [(_grade_one_nil(rng, basis).X, _grade_one_nil(rng, basis).X)
+                 for _ in range(2)]
+        pairs.append((random_nil(rng, basis, terms=3).X,
+                      random_nil(rng, basis, terms=3).X))
+        if mode == "float64":
+            pairs.append(tuple(real))
+        for X, Y in pairs:
+            for order in range(1, 7):
+                got = bch_series(X, Y, BCHOrderConfig(order))
+                assert _bits(got) == _bits(_series_per_word(X, Y, order))
+
+
+def test_series_forms_each_bracket_once(monkeypatch):
+    # the 72 words through order 6 have 86 distinct suffixes of two or more
+    # letters, so 172 products where the words taken apart need 572
+    words = [w for order in range(1, 7) for _, w in _word_table(order)]
+    suffixes = {w[i:] for w in words for i in range(len(w) - 1)}
+    assert (len(words), len(suffixes)) == (72, 86)
+    assert 2 * sum(len(w) - 1 for w in words) == 572
+    X = SuperMatrix.from_real(FLT, [[0.0, 0.11], [-0.11, 0.0]], (2, 0),
+                              "even")
+    Y = SuperMatrix.from_real(FLT, [[0.05, 0.02], [0.02, -0.05]], (2, 0),
+                              "even")
+    calls = []
+    matmul = SuperMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return matmul(self, other)
+    monkeypatch.setattr(SuperMatrix, "__matmul__", counting)
+    bch_series(X, Y, BCHOrderConfig(6))
+    assert len(calls) == 172
+    brackets = {"X": X, "Y": Y}
+    for w in words:
+        _nested_bracket(brackets, w)
+    assert set(brackets) - {"X", "Y"} == suffixes
+
+
 def test_series_against_numeric_logarithm():
     # nonzero-body inputs below the norm gate: the order-6 series tracks
     # the numeric matrix logarithm
@@ -189,6 +265,33 @@ def test_diamond_group_axioms_exact():
         lhs = diamond(diamond(X, Y), W)
         rhs = diamond(X, diamond(Y, W))
         assert (lhs.X - rhs.X).entry_norm_max() == 0
+
+
+def test_diamond_exponentiates_each_operand_once(monkeypatch):
+    for cfg in (RAT, FLT):
+        basis = basis_for(cfg, 1, 1, 2)
+        rng = make_rng(43)
+        X = random_nil(rng, basis, terms=3)
+        Y = random_nil(rng, basis, terms=3)
+        # the kept exponential leaves the law bit for bit as it was
+        ref = log_unipotent(exp_zero_body(X.X) @ exp_zero_body(Y.X))
+        assert _bits(diamond(X, Y).X) == _bits(ref)
+        assert _bits(X.exp) == _bits(exp_zero_body(X.X))
+        # equality and hashing still see only the fields
+        twin = NilElement(X.X, X.gamma)
+        assert X == twin and "exp" in vars(X) and "exp" not in vars(twin)
+        for element in (X, twin):
+            with pytest.raises(TypeError):
+                hash(element)
+        calls = []
+        monkeypatch.setattr("supermetric.group.exp_zero_body",
+                            lambda M: calls.append(M) or exp_zero_body(M))
+        Z = random_nil(rng, basis, terms=3)
+        diamond(diamond(X, Z), Z)
+        diamond(Z, Y)
+        # Z once, and diamond(X, Z) once; X and Y were formed above
+        assert len(calls) == 2
+        monkeypatch.undo()
 
 
 def test_diamond_rejects_mismatched_forms():

@@ -1,5 +1,6 @@
 """Block matrices: graded transpose, inversion, exp/log, adjoint operators."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -434,6 +435,60 @@ def test_ad_flat_matches_entrywise_reference():
             assert not ad.matrix.is_zero()
             assert ad.matrix == _flat_reference(X.X, family)
             assert ad.levels == tuple(bits for bits, _ in basis.hJ)
+
+
+def test_ad_from_lie_basis_tags_matches_the_family():
+    # shapes (1|2) and (2|2) at L=4, and (1|2) at L=8 (r = 640)
+    for mode in ("rational", "float64"):
+        for L, p, q in ((4, 1, 0), (4, 1, 1), (8, 1, 0)):
+            cfg = AlgebraConfig(generator_count=L, coefficient_mode=mode)
+            basis = basis_for(cfg, p, q, 2)
+            X = random_nil(make_rng(37), basis, terms=2)
+            ad = ad_operator(X.X, basis, basis_tag="hJ")
+            ref = ad_operator(X.X, basis.hJ_matrices(), basis_tag="hJ")
+            assert ad.coordinate_field == ref.coordinate_field == "real"
+            assert ad.levels == ref.levels
+            assert ad.matrix == ref.matrix and not ad.matrix.is_zero()
+            assert all(type(a) is type(b)
+                       for ra, rb in zip(ad.matrix.rows, ref.matrix.rows)
+                       for x, y in zip(ra, rb)
+                       for a, b in zip(x.terms.values(), y.terms.values()))
+
+
+def test_ad_from_lie_basis_tags_raises_as_the_family_does():
+    basis = basis_for(RAT, 1, 0, 2)
+    X = random_nil(make_rng(31), basis, terms=2)
+    zero = SuperMatrix.zeros(RAT, X.X.shape, "even")
+    other = basis_for(FLT, 1, 0, 2).g0[0]
+    wide = SuperMatrix.zeros(RAT, (2, 2), "even")
+    low = [t for t in basis.hJ if t[0] <= 1]
+    thin = [t for t in basis.hJ if t[1] not in (0, len(basis.g0))]
+    cases = [
+        (dataclasses.replace(basis, hJ=[]), BasisDegenerate),
+        # levels {} and {1} only, then one slice fewer at every level
+        (dataclasses.replace(basis, hJ=low), BasisDegenerate),
+        (dataclasses.replace(basis, hJ=thin), BasisDegenerate),
+        (dataclasses.replace(basis, hJ=basis.hJ + basis.hJ[-1:]),
+         BasisDegenerate),
+        (dataclasses.replace(basis, g0=[zero] + basis.g0[1:]),
+         BasisDegenerate),
+        (dataclasses.replace(basis, g0=[wide] + basis.g0[1:]),
+         ShapeMismatch),
+    ]
+    for tagged, error in cases:
+        family = tagged.hJ_matrices()
+        with pytest.raises(error):
+            ad_operator(X.X, family, basis_tag="hJ")
+        with pytest.raises(error):
+            ad_operator(X.X, tagged, basis_tag="hJ")
+    # a family over another config cannot be formed at all; its level-0
+    # member is the element itself
+    assert basis.hJ[0] == (0, 0)
+    with pytest.raises(ConfigMismatch):
+        ad_operator(X.X, [other] + basis.hJ_matrices()[1:], basis_tag="hJ")
+    with pytest.raises(ConfigMismatch):
+        ad_operator(X.X, dataclasses.replace(basis, g0=[other] + basis.g0[1:]),
+                    basis_tag="hJ")
 
 
 def test_ad_flat_rejects_brackets_outside_the_slices():

@@ -62,11 +62,33 @@ def test_scalar_rejects_non_finite():
                       "nan"):
             with pytest.raises(ValidationError):
                 scalar_from_json(value, cfg)
-    # finite in rational mode, beyond the float64 range in float mode
-    assert scalar_from_json("1e400", RAT) == Fraction(10) ** 400
-    for value in ("1e400", 10 ** 400):
-        with pytest.raises(ValidationError):
-            scalar_from_json(value, FLT)
+    # beyond the float64 range in both modes, though exact in rational
+    for cfg in (RAT, FLT):
+        for value in ("1e400", 10 ** 400, "-" + "9" * 400, "1.8e308"):
+            with pytest.raises(ValidationError, match="float64 range"):
+                scalar_from_json(value, cfg)
+
+
+def test_scalar_reads_the_exponent_before_the_value():
+    # 10^|e| would take minutes to build; the exponent alone refuses it
+    for cfg in (RAT, FLT):
+        for value in ("1e999999999", "-2.5E-999999999", "1e-400",
+                      "4.9e-324"):
+            with pytest.raises(ValidationError, match="float64 range"):
+                scalar_from_json(value, cfg)
+        # zero with any exponent is zero
+        assert scalar_from_json("0.0e999999999", cfg) == 0
+    # in range, the value is exact and as Fraction reads it
+    for text in ("1.7e308", "-5e-324", " 1_0.5e-3 ", ".5E1", "1.e2"):
+        assert scalar_from_json(text, RAT) == Fraction(text)
+        assert scalar_from_json(text, FLT) == float(Fraction(text))
+    for text in ("1/2e3", "e5", "1e5e5", "1 e5", "1e"):
+        with pytest.raises(ValidationError, match="unparseable"):
+            scalar_from_json(text, RAT)
+    # a long-hand fraction costs what its text costs, however small
+    tiny = "1/1" + "0" * 1000
+    assert scalar_from_json(tiny, RAT) == Fraction(1, 10 ** 1000)
+    assert scalar_from_json(tiny, FLT) == 0.0
 
 
 def test_supernumber_round_trip_exact():
@@ -148,6 +170,11 @@ def test_matrix_validation():
     with pytest.raises(ShapeMismatch):
         matrix_from_json({"shape": {"m": -1, "n": 0}, "parity": "even",
                           "entries": []}, RAT)
+    # block sizes are integers, not values that int() turns into one
+    for m in (1.5, True, "1", 1.0, None):
+        with pytest.raises(ShapeMismatch, match="integers"):
+            matrix_from_json({"shape": {"m": m, "n": 0}, "parity": "even",
+                              "entries": [1]}, RAT)
 
 
 def test_gamma_round_trip_reduced_and_not():
@@ -171,6 +198,9 @@ def test_gamma_validation():
         gamma_from_json({"eta": [1], "n": True}, RAT)
     with pytest.raises(ValidationError):
         gamma_from_json({"eta": [1], "n": -2}, RAT)
+    for eta in (1, "11", {"1": 1}):
+        with pytest.raises(ValidationError, match="'eta' must be a list"):
+            gamma_from_json({"eta": eta, "n": 2}, RAT)
 
 
 def test_group_element_round_trip():

@@ -1,0 +1,180 @@
+"""Hostile wire payloads through the command line, in process.
+
+Each verb gets a small valid payload (at most 4 generators, matrices of
+side at most 4); hypothesis changes or drops one field of it.  Whatever
+comes in, the run must end in exit 0, 2 or 3 with a JSON report on stdout
+or one flat JSON error object on stderr, never with a traceback.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import time
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from supermetric.algebra import AlgebraConfig
+from supermetric.cli import main
+from supermetric.matrices import SuperMatrix
+from supermetric.sampling import (
+    basis_for,
+    make_rng,
+    random_group_element,
+    random_metric,
+)
+from supermetric.serialization import (
+    gamma_to_json,
+    group_element_to_json,
+    matrix_to_json,
+)
+
+
+def _payloads():
+    alg = {"generator_count": 4, "coefficient_mode": "float64"}
+    cfg = AlgebraConfig(**alg)
+    basis = basis_for(cfg, 1, 0, 2)
+    rng = make_rng(7)
+    gamma = gamma_to_json(basis.gamma)
+    return {
+        "canonicalize": {"algebra": alg, "metric": matrix_to_json(
+            random_metric(rng, cfg, 1, 2))},
+        "isometry-check": {"algebra": alg, "gamma": gamma,
+                           "N": matrix_to_json(SuperMatrix.identity(
+                               cfg, basis.gamma.shape))},
+        "lie-basis": {"algebra": alg, "gamma": gamma, "L": 2},
+        "group-op": {"algebra": alg, "gamma": gamma,
+                     "h1": group_element_to_json(
+                         random_group_element(rng, basis)),
+                     "h2": group_element_to_json(
+                         random_group_element(rng, basis))},
+        # the verify payload is its --config file
+        "verify": {"generator_count": 2, "coefficient_mode": "float64",
+                   "m": 1, "n": 2},
+    }
+
+
+_PAYLOADS = _payloads()
+
+
+def _paths(node, prefix=()):
+    """Every place in a JSON tree, the root excluded."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_PATHS = {verb: list(_paths(p)) for verb, p in _PAYLOADS.items()}
+
+_HOSTILE = st.one_of(
+    st.sampled_from([
+        None, True, False, 0, 1, -1, 2, 1.5, -0.0, 1e308, -1e308, 5e-324,
+        10 ** 400, 2 ** 63, 100000000, float("nan"), float("inf"),
+        "1e999999999", "-1e-999999999", "1e400", "1e-400", "1/3", "1/0",
+        "0.1", "x", "", "rational", "odd", [], {}, [1], [[1]], {"m": 1},
+        [{"index": [9], "coeff": 1}], [{"index": [2, 1], "coeff": 1}],
+    ]),
+    st.integers(-2, 4),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 4), max_size=3),
+)
+
+
+@st.composite
+def _mutated(draw):
+    verb = draw(st.sampled_from(sorted(_PAYLOADS)))
+    payload = copy.deepcopy(_PAYLOADS[verb])
+    *head, last = draw(st.sampled_from(_PATHS[verb]))
+    parent = payload
+    for key in head:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = draw(_HOSTILE)
+    return verb, payload
+
+
+def _run(tmp_dir, verb, payload):
+    path = tmp_dir / f"{verb}.json"
+    path.write_text(json.dumps(payload))
+    argv = (["verify", "--config", str(path)] if verb == "verify"
+            else [verb, str(path)])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _metric(coeff, algebra=None, shape=None):
+    payload = {"metric": {"shape": shape or {"m": 1, "n": 0},
+                          "parity": "even", "entries": [coeff]}}
+    if algebra is not None:
+        payload["algebra"] = algebra
+    return payload
+
+
+def _group_op_with_huge_body():
+    payload = copy.deepcopy(_PAYLOADS["group-op"])
+    payload["h1"]["g_body"][0][0] = 1e308
+    return payload
+
+
+# payloads that once ran without bound or ended in a traceback; each must
+# exit 2
+_REPROS = [
+    ("isometry-check",
+     {"N": {"shape": {"m": 1, "n": 0}, "parity": "even", "entries": [1]},
+      "gamma": {"eta": [1], "n": 100000000}}),
+    ("canonicalize", _metric([{"index": [], "coeff": "1e999999999"}])),
+    ("canonicalize", _metric("-1e-999999999")),
+    ("canonicalize", _metric("1e400", {"coefficient_mode": "rational"})),
+    ("canonicalize", _metric(10 ** 400, {"coefficient_mode": "rational"})),
+    ("group-op", _group_op_with_huge_body()),
+    ("canonicalize", _metric(1, {"coefficient_mode": ["x"]})),
+    ("canonicalize", _metric(1, {"coefficient_mode": ""})),
+    ("canonicalize", _metric(1, shape={"m": 1.5, "n": 0})),
+    ("canonicalize", _metric(1, shape={"m": True, "n": 0})),
+    ("canonicalize", _metric(1, shape={"m": "1", "n": 0})),
+    ("canonicalize", _metric(1, algebra=5)),
+    # shapes the verify suites cannot sample: m = 0 once looped forever
+    ("verify", {"generator_count": 2, "m": 0, "n": 2}),
+    ("verify", {"generator_count": 2, "m": 1, "n": 0}),
+    ("verify", {"generator_count": 1, "m": 1, "n": 2}),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_mutated())
+def test_one_changed_field_ends_in_a_json_exit(tmp_path_factory, case):
+    verb, payload = case
+    code, out, err = _run(tmp_path_factory.getbasetemp(), verb, payload)
+    assert code in (0, 2, 3)
+    if out:
+        report = json.loads(out)
+        assert report["command"] == verb and err == ""
+        assert code == (3 if report.get("status") == "fail" else 0)
+    else:
+        blob = json.loads(err)
+        assert code in (2, 3) and blob["exit_code"] == code
+        assert isinstance(blob["error"], str)
+
+
+for _case in _REPROS:
+    test_one_changed_field_ends_in_a_json_exit = example(case=_case)(
+        test_one_changed_field_ends_in_a_json_exit)
+
+
+@pytest.mark.parametrize("verb, payload", _REPROS)
+def test_old_hazards_exit_2_at_once(tmp_path, verb, payload):
+    start = time.perf_counter()
+    code, out, err = _run(tmp_path, verb, payload)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    blob = json.loads(err)
+    assert blob["exit_code"] == 2 and "kind" in blob
