@@ -24,10 +24,15 @@ into a single dict.  The sign of z(I) z(J) for disjoint I, J is the parity
 of popcount(I & mask(J)), where mask(J) marks the generator positions with
 an odd number of J's indices below them (the idea of a per-blade sign table,
 as in the precomputed multiplication tables of pygae/clifford,
-https://github.com/pygae/clifford); masks are memoized within one call only.
-Exactness rule: in rational mode every term product is added straight into
-the accumulator, which is exact in any order, and zeros are dropped once at
-the end.  In float64 mode the kernel keeps the summation order and pruning
+https://github.com/pygae/clifford); in float64 mode masks are memoized within
+one call only, in rational mode they sit in each operand's integer form.
+Exactness rule: in rational mode each operand is read through its integer
+form (one common denominator D and an integer numerator per term, kept on
+the supernumber), and every term product is added as an integer straight
+into an accumulator over one common denominator.  A pair whose D_x * D_y
+differs from it rescales the accumulator once, to their lcm.  Integer sums
+are exact in any order; zeros are dropped and each coefficient reduced once
+at the end.  In float64 mode the kernel keeps the summation order and pruning
 of the left fold ``x_1*y_1 + x_2*y_2 + ...`` bit for bit: each product is
 summed on its own and pruned against its largest term product, then merged
 into the accumulator, which is pruned against the larger of its own largest
@@ -194,13 +199,33 @@ class Supernumber:
     ``terms`` maps bitmask -> nonzero coefficient and is kept in ascending
     bitmask order.  Do not mutate; construct through AlgebraConfig or the
     arithmetic operators.
+
+    A rational supernumber also carries a derived integer form, built the
+    first time it is an operand of ``sum_of_products`` and kept after:
+    ``(D, ((bits, N, sign_mask), ...))`` in ``terms`` order, where D is the
+    lcm of the denominators, each coefficient equals N / D, and sign_mask is
+    ``_sign_mask(bits)``.  It is ``None`` until then, and always in float64
+    mode.
     """
 
-    __slots__ = ("config", "terms")
+    __slots__ = ("config", "terms", "_int_form")
 
     def __init__(self, config: AlgebraConfig, terms: dict):
         self.config = config
         self.terms = dict(sorted(terms.items()))
+        self._int_form = None
+
+    def _integer_form(self):
+        """Build and keep the integer form of a rational supernumber."""
+        den = 1
+        for c in self.terms.values():
+            q = c.denominator
+            if den % q:
+                den = den // math.gcd(den, q) * q
+        self._int_form = (den, tuple([
+            (b, c.numerator * (den // c.denominator), _sign_mask(b))
+            for b, c in self.terms.items()]))
+        return self._int_form
 
     # -- inspection ------------------------------------------------------
 
@@ -350,15 +375,18 @@ def sum_of_products(config: AlgebraConfig, pairs,
                     from_zero: bool = False) -> Supernumber:
     """sum_t x_t * y_t over an iterable of (x, y) supernumber pairs.
 
-    Pairs with an empty factor are skipped.  In float64 mode the result is
-    bit for bit the left fold ``x_1*y_1 + x_2*y_2 + ...`` of the operators,
-    or with ``from_zero`` the fold ``zero + x_1*y_1 + ...``, which prunes the
-    first product once more against its own largest term.  Raises
-    ConfigMismatch for any operand outside ``config``.
+    Pairs with an empty factor are skipped.  In rational mode the sum is
+    exact: integer numerators are added over one common denominator.  In
+    float64 mode the result is bit for bit the left fold
+    ``x_1*y_1 + x_2*y_2 + ...`` of the operators, or with ``from_zero`` the
+    fold ``zero + x_1*y_1 + ...``, which prunes the first product once more
+    against its own largest term.  Raises ConfigMismatch for any operand
+    outside ``config``.
     """
-    rational = config.rational
+    if config.rational:
+        return _rational_sum_of_products(config, pairs)
     masks = {}
-    acc = {} if rational or from_zero else None
+    acc = {} if from_zero else None
     for x, y in pairs:
         if (x.config is not config and x.config != config) or \
                 (y.config is not config and y.config != config):
@@ -370,34 +398,9 @@ def sum_of_products(config: AlgebraConfig, pairs,
             mask = masks.get(b2)
             if mask is None:
                 mask = masks[b2] = _sign_mask(b2)
-            ys.append((b2, c2.numerator, c2.denominator, mask) if rational
-                      else (b2, c2, -c2, mask))
-        if rational:
-            # exact: every term product goes straight into the accumulator
-            # as an unreduced (numerator, denominator) pair
-            for b1, c1 in x.terms.items():
-                n1, d1 = c1.numerator, c1.denominator
-                for b2, n2, d2, mask in ys:
-                    if b1 & b2:
-                        continue
-                    n = n1 * n2
-                    if (b1 & mask).bit_count() & 1:
-                        n = -n
-                    d = d1 * d2
-                    key = b1 | b2
-                    prev = acc.get(key)
-                    if prev is None:
-                        acc[key] = (n, d)
-                    elif prev[1] == d:
-                        acc[key] = (prev[0] + n, d)
-                    else:
-                        pn, pd = prev
-                        g = math.gcd(pd, d)
-                        acc[key] = (pn * (d // g) + n * (pd // g),
-                                    pd // g * d)
-            continue
-        # float64: the product on its own, pruned against its largest term
-        # product, then merged as by `+`
+            ys.append((b2, c2, -c2, mask))
+        # the product on its own, pruned against its largest term product,
+        # then merged as by `+`
         prod = {}
         running = 0
         for b1, c1 in x.terms.items():
@@ -412,9 +415,48 @@ def sum_of_products(config: AlgebraConfig, pairs,
                     running = a
         prod = _prune(config, prod, running)
         acc = prod if acc is None else _merge(config, acc, prod)
-    if rational:
-        acc = {b: Fraction(n, d) for b, (n, d) in acc.items() if n}
     return Supernumber(config, acc or {})
+
+
+def _rational_sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
+    """The exact branch of ``sum_of_products``: every coefficient of the
+    accumulator is acc[key] / den.  A pair whose denominator D_x * D_y
+    differs from ``den`` rescales the accumulator once to their lcm."""
+    acc = {}
+    get = acc.get
+    den = 1
+    for x, y in pairs:
+        if (x.config is not config and x.config != config) or \
+                (y.config is not config and y.config != config):
+            raise ConfigMismatch("operands use different algebra configs")
+        if not (x.terms and y.terms):
+            continue
+        dx, xs = x._int_form or x._integer_form()
+        dy, ys = y._int_form or y._integer_form()
+        d = dx * dy
+        scale = 1
+        if d != den:
+            g = math.gcd(den, d)
+            if g != d:
+                # d does not divide den: move the accumulator to the lcm
+                grow = d // g
+                for key in acc:
+                    acc[key] *= grow
+                den *= grow
+            scale = den // d
+        for b1, n1, _ in xs:
+            if scale != 1:
+                n1 *= scale
+            for b2, n2, mask in ys:
+                if b1 & b2:
+                    continue
+                key = b1 | b2
+                if (b1 & mask).bit_count() & 1:
+                    acc[key] = get(key, 0) - n1 * n2
+                else:
+                    acc[key] = get(key, 0) + n1 * n2
+    return Supernumber(config, {b: Fraction(n, den)
+                                for b, n in acc.items() if n})
 
 
 # -- module-level operation surface -------------------------------------------
@@ -471,12 +513,12 @@ def invert(z: Supernumber) -> Supernumber:
     b = z.body()
     if b == 0 or (not cfg.rational and abs(b) <= cfg.zero_tolerance):
         raise BodyNotInvertible("supernumber has zero body")
-    u = z.soul() / b
+    minus_u = -(z.soul() / b)
     one = cfg.one()
     acc = one
     term = one
     for _ in range(cfg.generator_count + 1):
-        term = term * (-u)
+        term = term * minus_u
         if term.is_zero():
             break
         acc = acc + term

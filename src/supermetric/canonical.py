@@ -40,6 +40,7 @@ from .errors import (
     NotEven,
     NotGradedSymmetric,
     OddDimensionOdd,
+    ValidationError,
 )
 from .matrices import SuperMatrix, _body_inverse
 
@@ -98,6 +99,36 @@ def _raw_mul(a, b):
     cfg = a[0][0].config
     cols = list(zip(*b))
     return [[sum_of_products(cfg, zip(ai, col)) for col in cols] for ai in a]
+
+
+def canonical_term_pairs(m: int, n: int, k: int) -> int:
+    """Term pairs that the budget charges canonicalizing an (m|n) metric
+    whose entries use k generators: (m+n)^3 entry products per matrix
+    product, each of at most 4^(k-1) term pairs, as two elements of one
+    parity over k generators hold 2^(k-1) terms each."""
+    return (m + n) ** 3 << max(2 * k - 2, 0)
+
+
+# the figure of (4|4) at L=8: 512 entry products of 4^7 term pairs each
+CANONICAL_BUDGET = canonical_term_pairs(4, 4, 8)
+
+
+def check_canonical_budget(G: SuperMatrix) -> None:
+    """Refuse a metric past CANONICAL_BUDGET before any work on it; k is
+    the number of generators in the union of all term bitmasks of G."""
+    used = 0
+    for row in G.rows:
+        for entry in row:
+            for bits in entry.terms:
+                used |= bits
+    m, n = G.shape
+    k = used.bit_count()
+    pairs = canonical_term_pairs(m, n, k)
+    if pairs > CANONICAL_BUDGET:
+        raise ValidationError(
+            f"canonicalize at ({m}|{n}) over {k} generators in use needs "
+            f"{pairs} term pairs, over the budget of {CANONICAL_BUDGET} "
+            f"((4|4) over 8 generators)")
 
 
 def validate_metric(G: SuperMatrix) -> SuperMetric:

@@ -22,6 +22,7 @@ from .canonical import (
     SuperMetric,
     body_reduce,
     canonical_form,
+    check_canonical_budget,
     congruence,
     validate_metric,
 )
@@ -40,7 +41,7 @@ from .serialization import (
     scalar_to_json,
     supernumber_to_json,
 )
-from .verify import check_size_budget, run_verify
+from .verify import check_verify_shape, run_verify
 
 _VERIFY_DEFAULT_L = 4
 
@@ -125,6 +126,7 @@ def _cmd_canonicalize(args):
     data = payload.get("metric", payload) if isinstance(payload, dict) \
         else payload
     G = matrix_from_json(data, cfg)
+    check_canonical_budget(G)
     metric = validate_metric(G)
     raw = canonical_form(metric)
     red = body_reduce(raw, strict=args.strict)
@@ -246,12 +248,7 @@ def _cmd_verify(args):
             raise ValidationError(
                 f"'{name}' must be a non-negative integer, "
                 f"got {json.dumps(value)}")
-    check_size_budget(m, n, cfg.generator_count)
-    # the suites sample both blocks, symplectic pairs and grade-2 souls
-    if m < 1 or n < 2 or n % 2 or cfg.generator_count < 2:
-        raise ValidationError(
-            f"verify needs m >= 1, an even n >= 2 and at least 2 "
-            f"generators, got ({m}|{n}) with {cfg.generator_count}")
+    check_verify_shape(m, n, cfg.generator_count)
     return run_verify(cfg, seed=args.seed, m=m, n=n, strict=args.strict)
 
 

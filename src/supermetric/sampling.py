@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraConfig, Supernumber
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, ValidationError
 from .isometry import GammaForm, LieBasis, _scale_by_supernumber, lie_basis
 from .matrices import SuperMatrix, exact_inverse
 
@@ -53,6 +53,9 @@ def _grades(L, parity, include_body):
         out = ([0] if include_body else []) + [g for g in (2, 4) if g <= L]
     else:
         out = [g for g in (1, 3) if g <= L]
+    if not out:   # only the even souls at L = 1
+        raise ValidationError(
+            f"no {parity} soul grade to sample with {L} generator(s)")
     return out
 
 
@@ -79,7 +82,8 @@ def _int_rows(rng, k, lo, hi):
 
 
 def _invertible(rows):
-    return bool(rows) and exact_inverse(
+    """Whether an integer matrix is invertible; the empty one is."""
+    return not rows or exact_inverse(
         [[Fraction(v) for v in row] for row in rows]) is not None
 
 
@@ -109,7 +113,7 @@ def random_metric(rng, config: AlgebraConfig, m: int, n: int,
         for p in range(0, n, 2):
             b_body[p][p + 1] += 2
             b_body[p + 1][p] -= 2
-        if n == 0 or _invertible(b_body):
+        if _invertible(b_body):
             break
 
     A = [[z for _ in range(m)] for _ in range(m)]
@@ -148,6 +152,10 @@ def random_member(rng, basis: LieBasis, terms=3, soul_only=False,
     cfg = basis.gamma.config
     L = cfg.generator_count
     flat = basis.elements()
+    if not flat:
+        raise ValidationError(
+            f"the Lie basis of ({basis.gamma.m}|{basis.gamma.n}) is empty; "
+            f"there is no member to sample")
     dim0 = len(basis.g0)
     acc = SuperMatrix.zeros(cfg, basis.gamma.shape, "even")
     for _ in range(terms):

@@ -398,6 +398,17 @@ def check_size_budget(m: int, n: int, L: int) -> None:
             f"slots, over the budget of {SIZE_BUDGET} ((4|4) at L=8)")
 
 
+def check_verify_shape(m: int, n: int, L: int) -> None:
+    """Refuse a run past SIZE_BUDGET, or at a shape the suites cannot
+    sample, before any section runs."""
+    check_size_budget(m, n, L)
+    # the suites sample both blocks, symplectic pairs and grade-2 souls
+    if m < 1 or n < 2 or n % 2 or L < 2:
+        raise ValidationError(
+            f"verify needs m >= 1, an even n >= 2 and at least 2 "
+            f"generators, got ({m}|{n}) with {L}")
+
+
 _PLAN = (
     ("grassmann_ring", 40),
     ("inversion_binomial", 30),
@@ -412,7 +423,9 @@ _PLAN = (
 
 def run_verify(config: AlgebraConfig, seed: int, m: int = 2, n: int = 2,
                strict: bool = False) -> dict:
-    """Run all sections; returns the report dict (no I/O here)."""
+    """Run all sections; returns the report dict (no I/O here).  Raises
+    ValidationError where ``check_verify_shape`` refuses (m|n)."""
+    check_verify_shape(m, n, config.generator_count)
     rng = make_rng(seed)
     plan = dict(_PLAN)
     sections = []

@@ -1,5 +1,6 @@
 """Grassmann coefficient ring: construction, arithmetic, inversion."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,11 @@ from supermetric.errors import (
     LengthMismatch,
     ParityMismatch,
 )
-from supermetric.sampling import make_rng
+from supermetric import algebra, canonical, matrices
+from supermetric.cli import main
+from supermetric.matrices import SuperMatrix
+from supermetric.sampling import make_rng, random_metric
+from supermetric.serialization import dumps, matrix_to_json
 
 RAT = AlgebraConfig(generator_count=4, coefficient_mode="rational")
 FLT = AlgebraConfig(generator_count=4, coefficient_mode="float64")
@@ -486,3 +491,184 @@ def test_kernel_checks_every_pair_config():
             sum_of_products(RAT, pairs)
     with pytest.raises(ConfigMismatch):
         RAT.one() * FLT.one()
+
+
+# -- the rational kernel against the unreduced (numerator, denominator) path --
+
+def _reference_rational_products(config, pairs):
+    """The former rational branch of sum_of_products: every term product goes
+    into the accumulator as an unreduced (numerator, denominator) pair."""
+    masks, acc = {}, {}
+    for x, y in pairs:
+        if x.config != config or y.config != config:
+            raise ConfigMismatch("operands use different algebra configs")
+        if not (x.terms and y.terms):
+            continue
+        ys = []
+        for b2, c2 in y.terms.items():
+            mask = masks.get(b2)
+            if mask is None:
+                mask = masks[b2] = _sign_mask(b2)
+            ys.append((b2, c2.numerator, c2.denominator, mask))
+        for b1, c1 in x.terms.items():
+            n1, d1 = c1.numerator, c1.denominator
+            for b2, n2, d2, mask in ys:
+                if b1 & b2:
+                    continue
+                n = n1 * n2
+                if (b1 & mask).bit_count() & 1:
+                    n = -n
+                d = d1 * d2
+                key = b1 | b2
+                prev = acc.get(key)
+                if prev is None:
+                    acc[key] = (n, d)
+                elif prev[1] == d:
+                    acc[key] = (prev[0] + n, d)
+                else:
+                    pn, pd = prev
+                    g = math.gcd(pd, d)
+                    acc[key] = (pn * (d // g) + n * (pd // g), pd // g * d)
+    return Supernumber(config, {b: Fraction(n, d)
+                                for b, (n, d) in acc.items() if n})
+
+
+_PRIMES = [p for p in range(2, 4000)
+           if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _denominators(rng, kind):
+    if kind == "small":
+        return int(rng.integers(1, 9))
+    if kind == "dyadic":
+        return 1 << int(rng.integers(0, 61))
+    return _PRIMES[int(rng.integers(0, len(_PRIMES)))]
+
+
+def _rational_element(rng, cfg, kind, max_terms=6):
+    terms = {}
+    for _ in range(int(rng.integers(0, max_terms + 1))):
+        c = Fraction(int(rng.integers(-9, 10)), _denominators(rng, kind))
+        terms[int(rng.integers(0, 1 << cfg.generator_count))] = c
+    return Supernumber(cfg, {b: c for b, c in terms.items() if c})
+
+
+def _rand_indices(rng, cfg):
+    picked = rng.choice(cfg.generator_count,
+                        size=int(rng.integers(0, cfg.generator_count + 1)),
+                        replace=False)
+    return sorted(int(i) + 1 for i in picked)
+
+
+def _same(got, want):
+    return got == want and list(got.terms.items()) == \
+        list(want.terms.items()) and \
+        all(type(c) is Fraction for c in got.terms.values())
+
+
+@pytest.mark.parametrize("kind", ["small", "dyadic", "prime"])
+def test_rational_kernel_equals_pair_path(kind):
+    cfg = AlgebraConfig(generator_count=5, coefficient_mode="rational")
+    rng = make_rng(9001)
+    for _ in range(400):
+        pairs = [(_rational_element(rng, cfg, kind),
+                  _rational_element(rng, cfg, kind))
+                 for _ in range(int(rng.integers(0, 6)))]
+        if pairs and rng.integers(0, 2):
+            # the same products again with the sign flipped: the sum is 0
+            pairs += [(x, -y) for x, y in pairs]
+            assert sum_of_products(cfg, pairs).is_zero()
+        snapshot = [(list(x.terms.items()), list(y.terms.items()))
+                    for x, y in pairs]
+        assert _same(sum_of_products(cfg, iter(pairs)),
+                     _reference_rational_products(cfg, pairs))
+        # operands keep their terms, and a second use reads the kept form
+        assert snapshot == [(list(x.terms.items()), list(y.terms.items()))
+                            for x, y in pairs]
+        assert _same(sum_of_products(cfg, pairs),
+                     _reference_rational_products(cfg, pairs))
+
+
+def test_rational_kernel_one_term_and_reused_operands():
+    cfg = AlgebraConfig(generator_count=6, coefficient_mode="rational")
+    rng = make_rng(17)
+    shared = _rational_element(rng, cfg, "prime", max_terms=8)
+    assert shared._int_form is None
+    for i in range(60):
+        kind = ("small", "dyadic", "prime")[i % 3]
+        lone = cfg.term(_rand_indices(rng, cfg),
+                        Fraction(int(rng.integers(1, 9)),
+                                 _denominators(rng, kind)))
+        other = _rational_element(rng, cfg, kind)
+        for pairs in ([(shared, lone)], [(lone, shared)],
+                      [(shared, other), (lone, shared), (other, lone)],
+                      [(shared, shared), (lone, lone)]):
+            assert _same(sum_of_products(cfg, pairs),
+                         _reference_rational_products(cfg, pairs))
+    den, form = shared._int_form
+    assert [b for b, _, _ in form] == list(shared.terms)
+    assert all(Fraction(n, den) == c
+               for (_, n, _), c in zip(form, shared.terms.values()))
+
+
+def test_float_supernumbers_never_gain_an_integer_form():
+    x = FLT.one() + FLT.generator(1).scale(0.5) + FLT.term([2, 3], 0.25)
+    y = FLT.generator(2) - FLT.term([1, 4], 3.0)
+    for out in (x * y, y * x, sum_of_products(FLT, [(x, y), (y, x)]),
+                sum_of_products(FLT, [(x, y)], from_zero=True)):
+        assert out._int_form is None
+    assert x._int_form is None and y._int_form is None
+
+
+def _prime_metric(cfg, m, n, per_entry, seed):
+    """A metric with random_metric's bodies under souls of ``per_entry``
+    terms each, whose denominators are distinct primes, so that nearly every
+    pair of a product brings a new denominator."""
+    rng = make_rng(seed)
+    bodies = random_metric(rng, cfg, m, n).rows
+    primes = iter(_PRIMES)
+    L = cfg.generator_count
+
+    def soul(grades):
+        terms = {}
+        for _ in range(per_entry):
+            grade = grades[int(rng.integers(0, len(grades)))]
+            bits = sum(1 << int(i)
+                       for i in rng.choice(L, size=grade, replace=False))
+            terms[bits] = terms.get(bits, 0) + \
+                Fraction(int(rng.integers(1, 4)), next(primes))
+        return cfg.from_terms(terms)
+
+    k = m + n
+    rows = [[cfg.zero()] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            if j < m or (i >= m and i != j):
+                # even diagonal blocks: A symmetric, B skew with zero diagonal
+                e = bodies[i][j] + soul((2, 4))
+                rows[i][j], rows[j][i] = e, (e if j < m else -e)
+            elif i < m <= j:
+                rows[i][j] = rows[j][i] = soul((1, 3))   # D = C^T
+    return SuperMatrix(cfg, (m, n), rows, "even")
+
+
+def test_prime_denominator_canonicalize_matches_pair_path(tmp_path, capsys,
+                                                          monkeypatch):
+    cfg = AlgebraConfig(generator_count=6, coefficient_mode="rational")
+    G = _prime_metric(cfg, 2, 2, 4, seed=5)
+    path = tmp_path / "metric.json"
+    path.write_text(dumps({"algebra": {"generator_count": 6,
+                                       "coefficient_mode": "rational"},
+                           "metric": matrix_to_json(G)}))
+    assert main(["canonicalize", str(path)]) == 0
+    report = capsys.readouterr().out
+    calls = []
+
+    def reference(config, pairs, from_zero=False):
+        calls.append(config)
+        return _reference_rational_products(config, pairs)
+
+    for module in (algebra, canonical, matrices):
+        monkeypatch.setattr(module, "sum_of_products", reference)
+    assert main(["canonicalize", str(path)]) == 0
+    assert calls and capsys.readouterr().out == report

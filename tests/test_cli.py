@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from supermetric.algebra import AlgebraConfig
+from supermetric.canonical import CANONICAL_BUDGET, canonical_term_pairs, \
+    check_canonical_budget
 from supermetric.cli import main
 from supermetric.errors import ValidationError
 from supermetric.isometry import (
@@ -326,6 +328,93 @@ def test_rational_verify_report_bytes_are_pinned(tmp_path, capsys, m, n, L,
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
     assert digest == _VERIFY_SHA256[m, n, L, seed]
+
+
+# canonicalize reports of random_metric(make_rng(seed), ...) in each mode;
+# the float64 digests guard the float branch of the Grassmann kernel
+_CANONICALIZE_SHA256 = {
+    (2, 2, 6, 1, "float64"):
+        "17324b42e64e1c3b46d8d26aceab019147daddaaa8cd138fb085213ba31ad7e6",
+    (2, 2, 6, 1, "rational"):
+        "2f7074e88399979eb4a25c8db9a5ce0f1946b9c52b8ef7d9fe5b250cbda35542",
+    (3, 4, 8, 1, "float64"):
+        "3e7c9a69b92949caf58d4dd6548f8f83a03761dd2d36059f26df149fa8bc90a4",
+    (3, 4, 8, 1, "rational"):
+        "e0aa33b25f5d79252f8a8f390f1670a94fd241181e287edb20d94a9fe5da8a01",
+    (3, 4, 8, 2, "float64"):
+        "000b1adaa71cf1076dc6cdce497d53523132191fa3bb7a76ebe39df0d73eed63",
+    (3, 4, 8, 2, "rational"):
+        "4bb2480b17965393a546b425a98f8c925907f683b00094df5bae6afbc05ad41f",
+}
+
+
+@pytest.mark.parametrize("m, n, L, seed, mode", sorted(_CANONICALIZE_SHA256))
+def test_canonicalize_report_bytes_are_pinned(tmp_path, capsys, m, n, L,
+                                              seed, mode):
+    cfg = AlgebraConfig(generator_count=L, coefficient_mode=mode)
+    G = random_metric(make_rng(seed), cfg, m, n)
+    path = _write(tmp_path, "metric.json",
+                  {"algebra": {"generator_count": L, "coefficient_mode": mode},
+                   "metric": matrix_to_json(G)})
+    code, out, _ = _run(capsys, ["canonicalize", path])
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == _CANONICALIZE_SHA256[m, n, L, seed, mode]
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_canonicalize_budget_refuses_before_any_work(tmp_path, capsys,
+                                                    monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+    monkeypatch.setattr("supermetric.cli.validate_metric", reached)
+    monkeypatch.setattr("supermetric.cli.canonical_form", reached)
+
+    def metric(L, shape, entries):
+        return _write(tmp_path, "metric.json", {
+            "algebra": {"generator_count": L},
+            "metric": {"shape": shape, "parity": "even",
+                       "entries": entries}})
+
+    def sum_of_pairs(k):
+        # d = 1 + sum_{i<j<=k} z(i) z(j): the Neumann series of its
+        # inverse grows as C(k, 2j) terms
+        return [[{"index": [], "coeff": 1}] +
+                [{"index": [i, j], "coeff": 1}
+                 for i in range(1, k + 1) for j in range(i + 1, k + 1)]]
+
+    one = {"m": 1, "n": 0}
+    # all of 9 (or 8) generators occur at seed 2; at seed 1 one does not
+    big = random_metric(make_rng(2), AlgebraConfig(generator_count=9), 4, 4)
+    for path in (metric(24, one, sum_of_pairs(24)),
+                 metric(13, one, sum_of_pairs(13)),
+                 _write(tmp_path, "big.json", {
+                     "algebra": {"generator_count": 9},
+                     "metric": matrix_to_json(big)})):
+        code, out, err = _run(capsys, ["canonicalize", path])
+        assert code == 2 and out == ""
+        blob = json.loads(err)
+        assert blob["kind"] == "ValidationError"
+        assert "budget" in blob["error"]
+    # at the bound: (1|0) over 12 generators, (4|4) over 8, and every
+    # canonicalize-dense shape, (2|2) at L=6 and 8 and (3|4) at L=8
+    G = random_metric(make_rng(2), AlgebraConfig(generator_count=8), 4, 4)
+    for path in (metric(12, one, sum_of_pairs(12)),
+                 _write(tmp_path, "edge.json", {
+                     "algebra": {"generator_count": 8},
+                     "metric": matrix_to_json(G)})):
+        with pytest.raises(_Reached):
+            main(["canonicalize", path])
+    assert canonical_term_pairs(4, 4, 8) == CANONICAL_BUDGET
+    assert canonical_term_pairs(2, 0, 11) == CANONICAL_BUDGET
+    for m, n, k in ((4, 4, 9), (5, 4, 8), (2, 0, 12), (1, 0, 13)):
+        assert canonical_term_pairs(m, n, k) > CANONICAL_BUDGET
+    for m, n, L, seed in ((2, 2, 6, 3), (2, 2, 8, 4), (3, 4, 8, 5)):
+        cfg = AlgebraConfig(generator_count=L, coefficient_mode="rational")
+        check_canonical_budget(random_metric(make_rng(seed), cfg, m, n))
 
 
 def test_verify_config_file_sets_shape(tmp_path, capsys):

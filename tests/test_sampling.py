@@ -1,0 +1,62 @@
+"""Seeded sampling at degenerate shapes, from Python and through the CLI."""
+
+import json
+
+import pytest
+
+from supermetric.algebra import AlgebraConfig
+from supermetric.canonical import validate_metric
+from supermetric.cli import main
+from supermetric.errors import ValidationError
+from supermetric.sampling import (
+    basis_for,
+    make_rng,
+    rand_homogeneous,
+    random_member,
+    random_metric,
+    random_nil,
+)
+from supermetric.verify import run_verify
+
+RAT = AlgebraConfig(generator_count=2, coefficient_mode="rational")
+
+
+def test_random_metric_with_an_empty_block():
+    # an empty block counts as invertible, so the retry loops end
+    for m, n in ((0, 2), (2, 0), (0, 0)):
+        G = random_metric(make_rng(3), RAT, m, n)
+        assert tuple(G.shape) == (m, n)
+        validate_metric(G)
+
+
+def test_no_grade_to_sample_is_a_validation_error():
+    one = AlgebraConfig(generator_count=1, coefficient_mode="rational")
+    with pytest.raises(ValidationError, match="1 generator"):
+        rand_homogeneous(make_rng(1), one, "even", include_body=False)
+    assert rand_homogeneous(make_rng(1), one, "even").parity() \
+        in ("even", "zero")
+    # odd elements of a (1|2) basis need an odd grade, even ones a grade 2
+    with pytest.raises(ValidationError, match="1 generator"):
+        random_member(make_rng(1), basis_for(one, 1, 0, 2), terms=4,
+                      soul_only=True)
+
+
+def test_empty_basis_is_a_validation_error():
+    basis = basis_for(RAT, 1, 0, 0)
+    assert not basis.elements()
+    for draw in (random_member, random_nil):
+        with pytest.raises(ValidationError, match=r"\(1\|0\)"):
+            draw(make_rng(1), basis)
+
+
+@pytest.mark.parametrize("L, m, n", [(2, 0, 2), (2, 1, 0), (2, 1, 3),
+                                     (1, 1, 2), (2, 0, 0), (4, 40, 2)])
+def test_run_verify_refuses_what_the_cli_refuses(tmp_path, capsys, L, m, n):
+    cfg = AlgebraConfig(generator_count=L, coefficient_mode="rational")
+    with pytest.raises(ValidationError) as raised:
+        run_verify(cfg, seed=1, m=m, n=n)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"generator_count": L, "m": m, "n": n,
+                                "coefficient_mode": "rational"}))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == str(raised.value)
