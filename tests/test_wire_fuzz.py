@@ -141,6 +141,10 @@ _REPROS = [
     ("canonicalize", _metric(1, shape={"m": True, "n": 0})),
     ("canonicalize", _metric(1, shape={"m": "1", "n": 0})),
     ("canonicalize", _metric(1, algebra=5)),
+    # shapes the verify suites cannot sample: m = 0 once looped forever
+    ("verify", {"generator_count": 2, "m": 0, "n": 2}),
+    ("verify", {"generator_count": 2, "m": 1, "n": 0}),
+    ("verify", {"generator_count": 1, "m": 1, "n": 2}),
     # (1|0) over 24 generators, d = 1 + sum_{i<j} z(i) z(j): past the
     # canonicalize budget, once still running after 30 s
     ("canonicalize", {"algebra": {"generator_count": 24}, "metric": {
@@ -148,10 +152,6 @@ _REPROS = [
         "entries": [[{"index": [], "coeff": 1}] + [
             {"index": [i, j], "coeff": 1}
             for i in range(1, 25) for j in range(i + 1, 25)]]}}),
-    # shapes the verify suites cannot sample: m = 0 once looped forever
-    ("verify", {"generator_count": 2, "m": 0, "n": 2}),
-    ("verify", {"generator_count": 2, "m": 1, "n": 0}),
-    ("verify", {"generator_count": 1, "m": 1, "n": 2}),
 ]
 
 
