@@ -36,7 +36,10 @@ at the end.  In float64 mode the kernel keeps the summation order and pruning
 of the left fold ``x_1*y_1 + x_2*y_2 + ...`` bit for bit: each product is
 summed on its own and pruned against its largest term product, then merged
 into the accumulator, which is pruned against the larger of its own largest
-term and the merged terms.
+term and the merged terms.  The prune and merge run inline, and the
+accumulator's largest term is carried from one prune to the next.  Matrix
+products pass only their nonempty pairs (see ``matrices``), which the fold
+skips anyway.
 """
 
 from __future__ import annotations
@@ -385,8 +388,10 @@ def sum_of_products(config: AlgebraConfig, pairs,
     """
     if config.rational:
         return _rational_sum_of_products(config, pairs)
+    tol = config.zero_tolerance
     masks = {}
     acc = {} if from_zero else None
+    acc_max = 0     # largest |term| of acc, carried from its last prune
     for x, y in pairs:
         if (x.config is not config and x.config != config) or \
                 (y.config is not config and y.config != config):
@@ -399,8 +404,7 @@ def sum_of_products(config: AlgebraConfig, pairs,
             if mask is None:
                 mask = masks[b2] = _sign_mask(b2)
             ys.append((b2, c2, -c2, mask))
-        # the product on its own, pruned against its largest term product,
-        # then merged as by `+`
+        # the product on its own, with its largest term product
         prod = {}
         running = 0
         for b1, c1 in x.terms.items():
@@ -413,8 +417,45 @@ def sum_of_products(config: AlgebraConfig, pairs,
                 a = abs(c)
                 if a > running:
                     running = a
-        prod = _prune(config, prod, running)
-        acc = prod if acc is None else _merge(config, acc, prod)
+        if not tol:
+            # only exact zeros drop
+            if acc is None:
+                acc = {key: c for key, c in prod.items() if c != 0}
+                continue
+            for key, c in prod.items():
+                if c != 0:
+                    acc[key] = acc[key] + c if key in acc else c
+            acc = {key: c for key, c in acc.items() if c != 0}
+            continue
+        # what survives the product's prune goes into acc as by `+`, whose
+        # cut is set by the larger of acc's largest term and the added terms
+        cut = tol * float(running)
+        if acc is None:
+            acc = {}
+            for key, c in prod.items():
+                a = abs(c)
+                if a > cut:
+                    acc[key] = c
+                    if a > acc_max:
+                        acc_max = a
+            continue
+        running = acc_max
+        for key, c in prod.items():
+            a = abs(c)
+            if a > cut:
+                acc[key] = acc[key] + c if key in acc else c
+                if a > running:
+                    running = a
+        cut = tol * float(running)
+        kept = {}
+        acc_max = 0
+        for key, c in acc.items():
+            a = abs(c)
+            if a > cut:
+                kept[key] = c
+                if a > acc_max:
+                    acc_max = a
+        acc = kept
     return Supernumber(config, acc or {})
 
 

@@ -30,7 +30,6 @@ from .algebra import (
     Supernumber,
     binomial_inverse_sqrt,
     invert,
-    sum_of_products,
     _rational_sqrt,
 )
 from .errors import (
@@ -42,7 +41,7 @@ from .errors import (
     OddDimensionOdd,
     ValidationError,
 )
-from .matrices import SuperMatrix, _body_inverse
+from .matrices import SuperMatrix, _body_inverse, _mul_rows
 
 _GATE = 1e-10
 
@@ -93,12 +92,11 @@ def _raw_transpose(rows):
 
 
 def _raw_mul(a, b):
-    # a: p x q, b: q x r lists of supernumbers
+    # a: p x q, b: q x r lists of supernumbers; each entry folds from its
+    # first nonzero product
     if not a or not b:
         return [[] for _ in a]
-    cfg = a[0][0].config
-    cols = list(zip(*b))
-    return [[sum_of_products(cfg, zip(ai, col)) for col in cols] for ai in a]
+    return _mul_rows(a[0][0].config, a, b, from_zero=False)
 
 
 def canonical_term_pairs(m: int, n: int, k: int) -> int:

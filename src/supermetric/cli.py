@@ -14,6 +14,7 @@ run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,7 +47,9 @@ from .verify import check_verify_shape, run_verify
 _VERIFY_DEFAULT_L = 4
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parsing does not change it
     p = argparse.ArgumentParser(
         prog="supermetric",
         description="Canonical forms, isometry algebra, and the covering "

@@ -103,7 +103,8 @@ def is_isometry(N: SuperMatrix, gamma: GammaForm) -> bool:
         raise ShapeMismatch(f"{N.shape} vs {gamma.shape}")
     G = gamma.matrix()
     residual = N.supertranspose() @ G @ N - G
-    scale = N.induced_norm() * N.induced_norm() * G.induced_norm()
+    norm = N.induced_norm()
+    scale = norm * norm * G.induced_norm()
     return _residual_ok(residual, scale)
 
 

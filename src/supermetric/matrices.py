@@ -7,6 +7,12 @@ A SuperMatrix has an (m|n) block shape and a declared parity class:
 * odd class: the parities are flipped blockwise;
 * general: no constraint.
 
+Products visit nonzero entries only: ``@`` (and ``canonical._raw_mul`` on
+raw rows) hands each entry's nonempty pairs, in ascending inner index, to the
+Grassmann kernel, so float64 keeps the order and pruning of the fold of the
+operators bit for bit; an entry with no such pair, like a sum of two empty
+entries, is one shared zero.
+
 Inversion goes through the body factorization N = B(I + B^{-1}S): the body
 is inverted as a real matrix autonomously and the soul correction is a
 terminating Neumann sum, mirroring the fact that a matrix over the algebra
@@ -148,24 +154,28 @@ class SuperMatrix:
 
     def __matmul__(self, other):
         self._check_mate(other)
-        cfg = self.config
-        cols = list(zip(*other.rows))
-        rows = [[sum_of_products(cfg, zip(ri, col), from_zero=True)
-                 for col in cols] for ri in self.rows]
+        rows = _mul_rows(self.config, self.rows, other.rows, from_zero=True)
         return SuperMatrix(self.config, self.shape, rows,
                            _compose_parity(self.parity_class,
                                            other.parity_class))
 
     def __add__(self, other):
+        return self._entrywise(other, Supernumber.__add__)
+
+    def __sub__(self, other):
+        return self._entrywise(other, Supernumber.__sub__)
+
+    def _entrywise(self, other, op):
+        """op of each pair of entries; where both are empty, one shared
+        zero."""
         self._check_mate(other)
         cls = (self.parity_class if self.parity_class == other.parity_class
                else "general")
-        rows = [[a + b for a, b in zip(ra, rb)]
+        zero = self.config.zero()
+        rows = [[op(a, b) if a.terms or b.terms else zero
+                 for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)]
         return SuperMatrix(self.config, self.shape, rows, cls)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         rows = [[-e for e in r] for r in self.rows]
@@ -261,6 +271,46 @@ class SuperMatrix:
     def __repr__(self):
         return (f"SuperMatrix(({self.shape.m}|{self.shape.n}), "
                 f"{self.parity_class})")
+
+
+def _mul_rows(config, a, b, from_zero):
+    """The product of a p x q and a q x r list of supernumber rows, from the
+    nonzero entries only.
+
+    Each entry is ``sum_of_products`` over the pairs (a[i][t], b[t][j]) with
+    both factors nonempty, in ascending t, so in float64 it is the fold of
+    the operators that skips empty products (from ``config.zero()`` with
+    ``from_zero``, else from the first product).  An entry with no such pair
+    is one zero shared by the product, with no kernel call.  Every entry of
+    both operands is checked against ``config`` once, so a foreign one
+    raises ConfigMismatch, empty or not.
+    """
+    for rows in (a, b):
+        for row in rows:
+            for e in row:
+                if e.config is not config and e.config != config:
+                    raise ConfigMismatch(
+                        "matrix entries use different algebra configs")
+    # the nonzeros of each row of a as [(t, entry)] and of each column of b
+    # as {t: entry}, each with the bitmask of its t
+    a_rows = []
+    for row in a:
+        nz = [(t, e) for t, e in enumerate(row) if e.terms]
+        a_rows.append((nz, sum(1 << t for t, _ in nz)))
+    r = len(b[0]) if b else 0
+    cols = [{} for _ in range(r)]
+    col_masks = [0] * r
+    for t, row in enumerate(b):
+        for j, f in enumerate(row):
+            if f.terms:
+                cols[j][t] = f
+                col_masks[j] |= 1 << t
+    b_cols = list(zip(cols, col_masks))
+    zero = config.zero()
+    return [[sum_of_products(config, [(e, col[t]) for t, e in nz if t in col],
+                             from_zero) if mask & col_mask else zero
+             for col, col_mask in b_cols]
+            for nz, mask in a_rows]
 
 
 # -- real/rational matrix helpers ----------------------------------------------

@@ -115,7 +115,13 @@ def _slot_dtype(length: int):
 
 def scalar_to_json(value, config: AlgebraConfig):
     if config.rational:
-        return str(Fraction(value))
+        value = Fraction(value)
+        try:
+            return str(value)
+        except ValueError:
+            # past Python's limit on the digits of an int-to-text conversion
+            raise ValidationError(
+                "a rational coefficient has too many digits to write")
     return float(value)
 
 

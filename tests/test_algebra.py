@@ -27,7 +27,7 @@ from supermetric.errors import (
     LengthMismatch,
     ParityMismatch,
 )
-from supermetric import algebra, canonical, matrices
+from supermetric import algebra, matrices
 from supermetric.cli import main
 from supermetric.matrices import SuperMatrix
 from supermetric.sampling import make_rng, random_metric
@@ -668,7 +668,8 @@ def test_prime_denominator_canonicalize_matches_pair_path(tmp_path, capsys,
         calls.append(config)
         return _reference_rational_products(config, pairs)
 
-    for module in (algebra, canonical, matrices):
+    # every product, `*` or of matrices and raw rows, calls it through these
+    for module in (algebra, matrices):
         monkeypatch.setattr(module, "sum_of_products", reference)
     assert main(["canonicalize", str(path)]) == 0
     assert calls and capsys.readouterr().out == report

@@ -11,6 +11,7 @@ from supermetric.canonical import CANONICAL_BUDGET, canonical_term_pairs, \
     check_canonical_budget
 from supermetric.cli import main
 from supermetric.errors import ValidationError
+from supermetric.group import embed_isometry
 from supermetric.isometry import (
     BASIS_BUDGET,
     basis_report_slots,
@@ -360,6 +361,76 @@ def test_canonicalize_report_bytes_are_pinned(tmp_path, capsys, m, n, L,
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
     assert digest == _CANONICALIZE_SHA256[m, n, L, seed, mode]
+
+
+# group-op, isometry-check and lie-basis reports on the payloads the
+# group-sparse benchmark builds, by (m, n, generator_count, seed, mode, verb);
+# taken before products visited only nonzero entries
+_GROUP_VERB_SHA256 = {
+    (2, 2, 6, 1, "float64", "group-op"):
+        "fc853454d401bcc9a18986f9d102cd048d8ab69aeb2675bbc29de98c390ee7b4",
+    (2, 2, 6, 1, "float64", "isometry-check"):
+        "c7a1b4b844da92ecf5e4c2272dd94aae8975f165a830936d1f0ba12648d72a0e",
+    (2, 2, 6, 1, "float64", "lie-basis"):
+        "5d803c39a1c792c1cdc605b8cf3bea4d3b8355b27daa0f8a2c381f0a18a9404c",
+    (2, 2, 6, 1, "rational", "group-op"):
+        "a70c57a55384c313fce2a00e47815173864118ce5b4660bbb07d512d72a95dca",
+    (2, 2, 6, 1, "rational", "isometry-check"):
+        "37de859b0203011b2f9b7cde16788da59aecd0bc6e12f170cdee04e9b13eb347",
+    (2, 2, 6, 1, "rational", "lie-basis"):
+        "1741eb162819c85f0b5969345c7fe0cd33d3366435386663b5bec3bf43bea78a",
+    (3, 4, 8, 2, "float64", "group-op"):
+        "b4cd8f7855ee872b190dfae376c67c0fd270d7d2ed2e73342bc02469b4fabe20",
+    (3, 4, 8, 2, "float64", "isometry-check"):
+        "f7a90652356e4409e110ba63c7bde729ac0758dc1d1fe22557b5eb18ac946992",
+    (3, 4, 8, 2, "float64", "lie-basis"):
+        "ed39bd542d659725aa8c2a2014f58e1c32f31de97e92ec44a09dacec3a28e28b",
+    (3, 4, 8, 2, "rational", "group-op"):
+        "8fdd6d3a6d67722755d5580aab442f1375de78fb651dbfa48daa704d221cb58f",
+    (3, 4, 8, 2, "rational", "isometry-check"):
+        "7571bcf5f05a91e7e8f7a8460052a62f065f28e90eddabf527c60a63e244ab8d",
+    (3, 4, 8, 2, "rational", "lie-basis"):
+        "f80ac8b7c6c2069ede8b14e512c423ea743f09c9c65754c3dce81f24c7a1e0bb",
+    (4, 4, 8, 3, "float64", "group-op"):
+        "9d5ea47869dba4c1593bfd23733da260c5ad74e4144f4e044a8333c9b9f28037",
+    (4, 4, 8, 3, "float64", "isometry-check"):
+        "ef5e00f7848ebe366d1df3da11a0641c8f8cddc21848e1c90c2a7bd24b0ee85c",
+    (4, 4, 8, 3, "float64", "lie-basis"):
+        "d85af61f3e081d4a234effb3e2d353d1ec755a5bebbc7fb570d39e2d7b3feb3f",
+    (4, 4, 8, 3, "rational", "group-op"):
+        "3572f9706bd7ae899b8718c68bd9d2c34d2ee6c48e0339a91d0f5ff09a6ea4f4",
+    (4, 4, 8, 3, "rational", "isometry-check"):
+        "37de859b0203011b2f9b7cde16788da59aecd0bc6e12f170cdee04e9b13eb347",
+    (4, 4, 8, 3, "rational", "lie-basis"):
+        "a08e5fc3ce515004cbcf33d87ef259c543b5d89a03a4b3e8280204c115f284e5",
+}
+
+
+def _group_verb_payloads(m, n, L, seed, mode):
+    cfg = AlgebraConfig(generator_count=L, coefficient_mode=mode)
+    basis = basis_for(cfg, (m + 1) // 2, m // 2, n)
+    rng = make_rng(seed)
+    head = {"algebra": {"generator_count": L, "coefficient_mode": mode},
+            "gamma": gamma_to_json(basis.gamma)}
+    h1 = random_group_element(rng, basis)
+    h2 = random_group_element(rng, basis)
+    N = embed_isometry(random_group_element(rng, basis))
+    return {"group-op": dict(head, h1=group_element_to_json(h1),
+                             h2=group_element_to_json(h2)),
+            "isometry-check": dict(head, N=matrix_to_json(N)),
+            "lie-basis": head}
+
+
+@pytest.mark.parametrize("m, n, L, seed, mode",
+                         sorted({key[:5] for key in _GROUP_VERB_SHA256}))
+def test_group_verb_report_bytes_are_pinned(tmp_path, capsys, m, n, L, seed,
+                                            mode):
+    for verb, payload in _group_verb_payloads(m, n, L, seed, mode).items():
+        code, out, _ = _run(capsys, [verb, _write(tmp_path, "p.json",
+                                                  payload)])
+        assert code == 0
+        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert digest == _GROUP_VERB_SHA256[m, n, L, seed, mode, verb], verb
 
 
 class _Reached(Exception):

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from supermetric.algebra import AlgebraConfig, Supernumber
+from supermetric import matrices
+from supermetric.algebra import AlgebraConfig, Supernumber, \
+    sum_of_products
 from supermetric.canonical import _raw_mul
 from supermetric.errors import (
     BasisDegenerate,
@@ -23,6 +25,7 @@ from supermetric.matrices import (
     SuperMatrix,
     _element_block_kind,
     _flatten_slices,
+    _mul_rows,
     _SliceSolver,
     ad_operator,
     exp_zero_body,
@@ -127,6 +130,96 @@ def test_matmul_rejects_an_entry_from_another_config():
             M @ N
         with pytest.raises(ConfigMismatch):
             N @ M
+
+
+def _fold(cfg, pairs, from_zero):
+    """The operator fold of the nonempty products, densely over every t."""
+    acc = cfg.zero() if from_zero else None
+    for e, f in pairs:
+        if e.terms and f.terms:
+            acc = e * f if acc is None else acc + e * f
+    return cfg.zero() if acc is None else acc
+
+
+def test_mul_rows_is_the_dense_fold_bit_for_bit():
+    # rectangular p x q by q x r, with a row of a and a column of b emptied
+    # in some products, in both fold starts; dust near the cut from
+    # _dusty_matrix
+    for mode, tol in (("rational", None), ("float64", None),
+                      ("float64", 1e-3), ("float64", 0.0)):
+        cfg = AlgebraConfig(generator_count=4, coefficient_mode=mode,
+                            zero_tolerance=tol)
+        rng = make_rng(47)
+        for trial in range(30):
+            p, q, r = (int(v) for v in rng.integers(1, 5, size=3))
+            a = [row[:q] for row in _dusty_matrix(rng, cfg, max(p, q))[:p]]
+            b = [row[:r] for row in _dusty_matrix(rng, cfg, max(q, r))[:q]]
+            if trial % 3 == 0:
+                a[int(rng.integers(0, p))] = [cfg.zero()] * q
+            if trial % 3 == 1:
+                col = int(rng.integers(0, r))
+                for row in b:
+                    row[col] = cfg.zero()
+            for from_zero in (False, True):
+                out = _mul_rows(cfg, a, b, from_zero)
+                assert len(out) == p and all(len(row) == r for row in out)
+                for i in range(p):
+                    for j in range(r):
+                        want = _fold(cfg, [(a[i][t], b[t][j])
+                                           for t in range(q)], from_zero)
+                        assert _same_bits(out[i][j], want)
+
+
+def test_products_refuse_a_foreign_zero_that_no_pair_reaches():
+    # the foreign zero sits in an empty row (or column), so no kernel call
+    # would ever see it; it raises on either side of `@` and _raw_mul
+    other = AlgebraConfig(generator_count=5, coefficient_mode="rational")
+    z, g = RAT.zero(), RAT.generator(1)
+    full = [[g, g], [g, g]]
+    for place in ((0, 0), (1, 1)):
+        rows = [[z, z], [z, z]]
+        rows[place[0]][place[1]] = other.zero()
+        bad = SuperMatrix(RAT, (2, 0), rows)
+        good = SuperMatrix(RAT, (2, 0), full)
+        for left, right in ((bad, good), (good, bad)):
+            with pytest.raises(ConfigMismatch):
+                left @ right
+            with pytest.raises(ConfigMismatch):
+                _raw_mul([list(r) for r in left.rows],
+                         [list(r) for r in right.rows])
+
+
+def test_products_call_the_kernel_only_where_a_pair_is_nonzero(monkeypatch):
+    calls = []
+
+    def counting(config, pairs, from_zero=False):
+        calls.append(list(pairs))
+        return sum_of_products(config, calls[-1], from_zero)
+
+    monkeypatch.setattr(matrices, "sum_of_products", counting)
+    for cfg in (RAT, FLT):
+        z, g1, g2 = cfg.zero(), cfg.generator(1), cfg.generator(2)
+        one = cfg.one()
+        # row 1 of a is empty, column 2 of b is empty, and a[0][t] b[t][0]
+        # meet only at t = 2
+        a = [[g1, z, g2], [z, z, z], [one, g2, z]]
+        b = [[z, one, z], [z, g1, z], [g1, g2, z]]
+        A, B = SuperMatrix(cfg, (3, 0), a), SuperMatrix(cfg, (3, 0), b)
+        for product in (lambda: A @ B, lambda: _raw_mul(a, b)):
+            calls.clear()
+            out = product()
+            rows = out.rows if isinstance(out, SuperMatrix) else out
+            # (0, 0), (0, 1), (2, 1); (2, 0) has no nonzero pair either
+            assert [[(x, y) for x, y in c] for c in calls] == [
+                [(g2, g1)], [(g1, one), (g2, g2)], [(one, one), (g2, g1)]]
+            empty = [rows[i][j] for i in range(3) for j in range(3)
+                     if (i, j) not in ((0, 0), (0, 1), (2, 1))]
+            assert all(e is empty[0] and e.is_zero() for e in empty)
+        # 0 + 0 and 0 - 0 are the shared zero as well
+        for out in (A + B, A - B):
+            assert out.rows[1][0] is out.rows[1][2] and out.rows[1][0] == z
+            assert out.rows[0][0] == g1 and out.rows[2][0] in (one + g1,
+                                                               one - g1)
 
 
 def test_wrongly_placed_entries_fail_parity_check():

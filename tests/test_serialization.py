@@ -1,6 +1,7 @@
 """Wire-format round trips and validation failures."""
 
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supermetric import cli
 from supermetric.algebra import AlgebraConfig
 from supermetric.errors import LengthMismatch, ShapeMismatch, ValidationError
 from supermetric.isometry import GammaForm
@@ -54,6 +56,27 @@ def test_scalar_wire_forms():
         scalar_from_json("1/0", RAT)
     with pytest.raises(ValidationError):
         scalar_from_json(None, FLT)
+
+
+def test_scalar_past_the_int_text_limit_is_a_validation_error(monkeypatch,
+                                                              tmp_path,
+                                                              capsys):
+    # built from ints, so no digits are parsed; writing it needs more digits
+    # than Python converts from int to text
+    huge = 10 ** (sys.get_int_max_str_digits() or 4300)
+    for value in (Fraction(1, huge), Fraction(huge + 1, 3)):
+        with pytest.raises(ValidationError, match="too many digits"):
+            scalar_to_json(value, RAT)
+    # the CLI turns it into exit 2 with the flat JSON error object
+    monkeypatch.setitem(cli._COMMANDS, "lie-basis", lambda args: {
+        "residual": scalar_to_json(Fraction(1, huge), RAT)})
+    path = tmp_path / "basis.json"
+    path.write_text("{}")
+    assert cli.main(["lie-basis", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "a rational coefficient has too many digits to write",
+        "kind": "ValidationError", "exit_code": 2}
 
 
 def test_scalar_rejects_non_finite():
