@@ -63,6 +63,9 @@ _MODE_ALIASES = {"float64": FLOAT64, "rational": RATIONAL, "exact-rational": RAT
 
 GENERATOR_CAP = 24
 _DEFAULT_FLOAT_TOLERANCE = 1e-14
+# the one relative gate of the checks that compare floats: entry equality,
+# membership, isometry, body singularity and verify's identities
+GATE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -374,23 +377,21 @@ def _merge(cfg: AlgebraConfig, acc: dict, terms: dict) -> dict:
     return _prune(cfg, acc, running)
 
 
-def sum_of_products(config: AlgebraConfig, pairs,
-                    from_zero: bool = False) -> Supernumber:
+def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
     """sum_t x_t * y_t over an iterable of (x, y) supernumber pairs.
 
     Pairs with an empty factor are skipped.  In rational mode the sum is
     exact: integer numerators are added over one common denominator.  In
     float64 mode the result is bit for bit the left fold
-    ``x_1*y_1 + x_2*y_2 + ...`` of the operators, or with ``from_zero`` the
-    fold ``zero + x_1*y_1 + ...``, which prunes the first product once more
-    against its own largest term.  Raises ConfigMismatch for any operand
-    outside ``config``.
+    ``x_1*y_1 + x_2*y_2 + ...`` of the operators, which starts at the first
+    nonempty product.  Raises ConfigMismatch for any operand outside
+    ``config``.
     """
     if config.rational:
         return _rational_sum_of_products(config, pairs)
     tol = config.zero_tolerance
     masks = {}
-    acc = {} if from_zero else None
+    acc = None
     acc_max = 0     # largest |term| of acc, carried from its last prune
     for x, y in pairs:
         if (x.config is not config and x.config != config) or \

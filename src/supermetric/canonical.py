@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import (
+    GATE,
     Supernumber,
     binomial_inverse_sqrt,
     invert,
@@ -41,9 +42,9 @@ from .errors import (
     OddDimensionOdd,
     ValidationError,
 )
-from .matrices import SuperMatrix, _body_inverse, _mul_rows
-
-_GATE = 1e-10
+# standard_symplectic is defined beside GammaForm and importable from here too
+from .isometry import GammaForm, standard_symplectic  # noqa: F401
+from .matrices import SuperMatrix, _body_inverse
 
 
 @dataclass(frozen=True)
@@ -81,22 +82,20 @@ def _entries_equal(x: Supernumber, y: Supernumber, tol_scale) -> bool:
     diff = x - y
     if x.config.rational:
         return diff.is_zero()
-    return float(diff.norm()) <= 1e-10 * (1.0 + tol_scale)
+    return float(diff.norm()) <= GATE * (1.0 + tol_scale)
 
 
-def _raw_transpose(rows):
-    if not rows:
-        return []
-    return [[rows[i][j] for i in range(len(rows))]
-            for j in range(len(rows[0]))]
-
-
-def _raw_mul(a, b):
-    # a: p x q, b: q x r lists of supernumbers; each entry folds from its
-    # first nonzero product
-    if not a or not b:
-        return [[] for _ in a]
-    return _mul_rows(a[0][0].config, a, b, from_zero=False)
+def _bilinear(cfg, rows, x, y):
+    """x^T M y for coordinate columns x, y (lists of supernumbers) and the
+    rows of M, folded term by term with the operators from zero."""
+    acc = cfg.zero()
+    for i, xi in enumerate(x):
+        if xi.is_zero():
+            continue
+        for j, yj in enumerate(y):
+            if not yj.is_zero():
+                acc = acc + xi * rows[i][j] * yj
+    return acc
 
 
 def canonical_term_pairs(m: int, n: int, k: int) -> int:
@@ -164,17 +163,18 @@ def validate_metric(G: SuperMatrix) -> SuperMetric:
     return SuperMetric(G)
 
 
-def _eigh_frame(A_rows, cfg):
+def _eigh_frame(A: SuperMatrix, cfg):
     """Deterministic real frame from the body of A: eigenvalues descending,
     each eigenvector's first nonvanishing component positive."""
-    m = len(A_rows)
-    bf = np.array([[float(e.body()) for e in r] for r in A_rows])
-    w, v = np.linalg.eigh(bf)
+    m = A.shape.m
+    w, v = np.linalg.eigh(A.body_float())
     order = np.argsort(-w, kind="stable")
     v = v[:, order]
     for col in range(m):
         lead = 0.0
         for i in range(m):
+            # a unit eigenvector's components under 1e-12 are round-off,
+            # too small to fix its sign by
             if abs(v[i, col]) > 1e-12:
                 lead = v[i, col]
                 break
@@ -191,28 +191,16 @@ def _eigh_frame(A_rows, cfg):
 def orthogonalize_even(metric: SuperMetric):
     """Diagonalize the even-even block over the even subalgebra.
 
-    Returns (P0, d): P0 is the m x m transition (as raw supernumber rows)
+    Returns (P0, d): P0 is the m x m transition, an (m|0) SuperMatrix,
     with P0^T A P0 = diag(d), each body(d_i) nonzero.
     """
     cfg = metric.config
     m = metric.m
-    A = metric.matrix.block_a()
     if m == 0:
-        return [], []
-    frame = _eigh_frame(A, cfg)
-    P = [[cfg.scalar(frame[i][j]) for j in range(m)] for i in range(m)]
-    Abar = _raw_mul(_raw_transpose(P), _raw_mul(A, P))
-
-    def pair(x, y):
-        # x^T Abar y for coordinate columns (lists of supernumbers)
-        acc = cfg.zero()
-        for i in range(m):
-            if x[i].is_zero():
-                continue
-            for j in range(m):
-                if not y[j].is_zero():
-                    acc = acc + x[i] * Abar[i][j] * y[j]
-        return acc
+        return SuperMatrix(cfg, (0, 0), []), []
+    A = SuperMatrix(cfg, (m, 0), metric.matrix.block_a(), "even")
+    P = SuperMatrix.from_real(cfg, _eigh_frame(A, cfg), (m, 0), "even")
+    Abar = (P.supertranspose() @ (A @ P)).rows
 
     cols = [[cfg.one() if i == k else cfg.zero() for i in range(m)]
             for k in range(m)]
@@ -222,12 +210,12 @@ def orthogonalize_even(metric: SuperMetric):
     for k in range(m):
         f = cols[k]
         for l in range(len(fs)):
-            coeff = pair(cols[k], fs[l]) * inv_ds[l]
+            coeff = _bilinear(cfg, Abar, cols[k], fs[l]) * inv_ds[l]
             if not coeff.is_zero():
                 f = [fi - coeff * gl for fi, gl in zip(f, fs[l])]
-        dk = pair(f, f)
+        dk = _bilinear(cfg, Abar, f, f)
         body = dk.body()
-        limit = _GATE * (1.0 + float(dk.norm())) if not cfg.rational else 0
+        limit = GATE * (1.0 + float(dk.norm())) if not cfg.rational else 0
         if body == 0 or (not cfg.rational and abs(float(body)) <= limit):
             raise DegenerateBody(
                 f"diagonal entry {k} lost its body during orthogonalization")
@@ -236,8 +224,7 @@ def orthogonalize_even(metric: SuperMetric):
         inv_ds.append(invert(dk))
     # assemble P0 = frame @ gram-schmidt columns
     gs = [[fs[k][i] for k in range(m)] for i in range(m)]
-    P0 = _raw_mul(P, gs)
-    return P0, ds
+    return P @ SuperMatrix(cfg, (m, 0), gs, "even"), ds
 
 
 def odd_complement(metric: SuperMetric, P0, d):
@@ -249,17 +236,16 @@ def odd_complement(metric: SuperMetric, P0, d):
     cfg = metric.config
     m, n = metric.m, metric.n
     G = metric.matrix
-    z = cfg.zero()
     # lift P0 to diag(P0, I) and transform
-    I_n = [[cfg.one() if a == b else z for b in range(n)] for a in range(n)]
-    P_even = SuperMatrix.from_blocks(cfg, P0, None, None, I_n, "even")
+    I_n = SuperMatrix.identity(cfg, (n, 0)).rows
+    P_even = SuperMatrix.from_blocks(cfg, P0.rows, None, None, I_n, "even")
     G1 = P_even.supertranspose() @ G @ P_even
     Cp = G1.block_c()  # entries g(e_i, f_alpha) in the new even frame
     inv_d = [invert(di) for di in d]
     W = [[inv_d[j] * Cp[j][a] for a in range(n)] for j in range(m)]
     shear = SuperMatrix.from_blocks(
         cfg,
-        [[cfg.one() if i == j else z for j in range(m)] for i in range(m)],
+        SuperMatrix.identity(cfg, (m, 0)).rows,
         [[-W[i][a] for a in range(n)] for i in range(m)],
         None,
         I_n,
@@ -278,34 +264,24 @@ def symplectic_reduce(B1, cfg):
     if n == 0:
         return []
     z = cfg.zero()
-
-    def w_pair(x, y):
-        acc = cfg.zero()
-        for i in range(n):
-            if x[i].is_zero():
-                continue
-            for j in range(n):
-                if not y[j].is_zero():
-                    acc = acc + x[i] * B1[i][j] * y[j]
-        return acc
-
     bscale = max((abs(float(e.body())) for r in B1 for e in r), default=0.0)
     remaining = [[cfg.one() if i == k else z for i in range(n)]
                  for k in range(n)]
     pairs = []
     while remaining:
         u = remaining.pop(0)
-        scores = [abs(float(w_pair(u, w).body())) for w in remaining]
-        floor = 0.0 if cfg.rational else _GATE * bscale
+        scores = [abs(float(_bilinear(cfg, B1, u, w).body()))
+                  for w in remaining]
+        floor = 0.0 if cfg.rational else GATE * bscale
         if not scores or max(scores) <= floor:
             raise DegenerateBody(
                 "no partner with nonzero body pairing remains")
         w = remaining.pop(scores.index(max(scores)))
-        zval = w_pair(u, w)
-        w = [invert(zval) * wi for wi in w]          # now w_pair(u, w) = 1
+        zval = _bilinear(cfg, B1, u, w)
+        w = [invert(zval) * wi for wi in w]          # now u^T B1 w = 1
         for idx, x in enumerate(remaining):
-            cu = w_pair(x, w)
-            cw = w_pair(x, u)
+            cu = _bilinear(cfg, B1, x, w)
+            cw = _bilinear(cfg, B1, x, u)
             remaining[idx] = [xi - cu * ui + cw * wi
                               for xi, ui, wi in zip(x, u, w)]
         pairs.append((u, w))
@@ -316,29 +292,15 @@ def symplectic_reduce(B1, cfg):
     return [[cols[k][i] for k in range(n)] for i in range(n)]
 
 
-def standard_symplectic(cfg, n) -> list:
-    """Raw rows of the block diagonal of n/2 copies of [[0,1],[-1,0]]."""
-    rows = [[cfg.zero() for _ in range(n)] for _ in range(n)]
-    for k in range(0, n, 2):
-        rows[k][k + 1] = cfg.one()
-        rows[k + 1][k] = cfg.scalar(-1)
-    return rows
-
-
 def canonical_form(metric: SuperMetric) -> CanonicalizationResult:
     """Compose the three stages; P^ST G P = diag(eta, J) with eta = diag(d)."""
     cfg = metric.config
-    m, n = metric.m, metric.n
-    z = cfg.zero()
     P0, d = orthogonalize_even(metric)
     P1, G2 = odd_complement(metric, P0, d)
     Q = symplectic_reduce(G2.block_b(), cfg)
-    I_m = [[cfg.one() if i == j else z for j in range(m)] for i in range(m)]
-    lift_Q = SuperMatrix.from_blocks(cfg, I_m, None, None, Q, "even")
-    P = P1 @ lift_Q
-    eta_rows = [[d[i] if i == j else z for j in range(m)] for i in range(m)]
-    Gamma = SuperMatrix.from_blocks(
-        cfg, eta_rows, None, None, standard_symplectic(cfg, n), "even")
+    I_m = SuperMatrix.identity(cfg, (metric.m, 0)).rows
+    P = P1 @ SuperMatrix.from_blocks(cfg, I_m, None, None, Q, "even")
+    Gamma = GammaForm(cfg, d, metric.n).matrix()
     reducibility = []
     for di in d:
         ratio = _soul_body_ratio(di)
@@ -400,19 +362,18 @@ def body_reduce(result: CanonicalizationResult,
         ratios.append(ratio)
     order = sorted(range(m), key=lambda i: (0 if signs[i] > 0 else 1, i))
     # transition: first the diagonal rescale, then the sign-sorting permutation
-    resc_rows = [[lambdas[i] if i == j else z for j in range(m)]
-                 for i in range(m)]
-    perm_rows = [[cfg.one() if order[j] == i else z for j in range(m)]
-                 for i in range(m)]
-    step = _raw_mul(resc_rows, perm_rows)
-    I_n = [[cfg.one() if a == b else z for b in range(n)] for a in range(n)]
-    lift = SuperMatrix.from_blocks(cfg, step, None, None, I_n, "even")
+    resc = SuperMatrix(cfg, (m, 0), [[lambdas[i] if i == j else z
+                                      for j in range(m)] for i in range(m)],
+                       "even")
+    perm = SuperMatrix(cfg, (m, 0), [[cfg.one() if order[j] == i else z
+                                      for j in range(m)] for i in range(m)],
+                       "even")
+    I_n = SuperMatrix.identity(cfg, (n, 0)).rows
+    lift = SuperMatrix.from_blocks(cfg, (resc @ perm).rows, None, None, I_n,
+                                   "even")
     new_P = result.P @ lift
     new_d = [cfg.scalar(signs[i]) for i in order]
-    eta_rows = [[new_d[i] if i == j else z for j in range(m)]
-                for i in range(m)]
-    Gamma = SuperMatrix.from_blocks(
-        cfg, eta_rows, None, None, standard_symplectic(cfg, n), "even")
+    Gamma = GammaForm(cfg, new_d, n).matrix()
     reducibility = []
     for i in order:
         reducibility.append({

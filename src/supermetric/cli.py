@@ -52,8 +52,9 @@ def _build_parser():
     # built once per process: parsing does not change it
     p = argparse.ArgumentParser(
         prog="supermetric",
-        description="Canonical forms, isometry algebra, and the covering "
-                    "group toolkit for graded metrics.")
+        description="Canonical forms, isometry algebra, and the group of "
+                    "body isometries and zero-body exponentials for graded "
+                    "metrics.")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, needs_input=True):

@@ -22,10 +22,12 @@ entries are cross-validated against the exact route in the tests.
 A zero-body element keeps its exponential once it has been formed, so the
 group law and the embedding exponentiate each operand once.
 
-The full covering group is the semi-direct product of body-level isometries
+The group built here is the semi-direct product of body-level isometries
 with the zero-body group: (g1, n1) o (g2, n2) = (g1 g2, n1 <> alpha(g1) n2)
 where alpha is conjugation, realized concretely because conjugating an
-exponential is exponentiating a conjugate.
+exponential is exponentiating a conjugate.  The paper's covering group, the
+simply connected cover of the body isometries (the local spin group), is not
+built.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import expm
 
+from .algebra import GATE
 from .errors import (
     ConfigMismatch,
     NonZeroBody,
@@ -50,12 +53,12 @@ from .errors import (
 from .isometry import GammaForm, violated_conditions
 from .matrices import (
     SuperMatrix,
+    _grid_mul,
     exact_inverse,
     exp_zero_body,
     log_unipotent,
 )
 
-_TOL = 1e-10
 MAX_SERIES_ORDER = 6
 
 
@@ -210,7 +213,7 @@ def _check_g0(X0, gamma: GammaForm):
     if len(X0) != m + n or any(len(r) != m + n for r in X0):
         raise ShapeMismatch("wrong real matrix size")
     scale = max((abs(float(v)) for r in X0 for v in r), default=0.0)
-    tol = _TOL * (1.0 + scale)
+    tol = GATE * (1.0 + scale)
     if not _real_block_diag_ok(X0, m, n, tol):
         raise NotInG0("off-diagonal blocks must vanish for a real element")
     eta = [1.0 if e.body() > 0 else -1.0 for e in gamma.eta]
@@ -226,18 +229,6 @@ def _check_g0(X0, gamma: GammaForm):
                   for a in range(n)], dtype=float)
     if n and np.max(np.abs(b.T @ Jb + Jb @ b)) > tol:
         raise NotInG0("odd block fails b^T J + J b = 0")
-
-
-def _to_real_rows(mat):
-    if isinstance(mat, np.ndarray):
-        return [[v for v in row] for row in mat.tolist()]
-    return [[v for v in row] for row in mat]
-
-
-def _real_mat_mul(a, b):
-    k = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k)]
-            for i in range(k)]
 
 
 def _real_inverse(rows, rational):
@@ -257,18 +248,18 @@ class GroupElement:
 
     def __post_init__(self):
         gamma = self.n_part.gamma
-        rows = _to_real_rows(self.g_body)
+        rows = self.g_body
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()     # Python scalars, not numpy ones
         k = gamma.m + gamma.n
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ShapeMismatch("body matrix has the wrong size")
-        if gamma.config.rational:
-            rows = [[Fraction(v) for v in row] for row in rows]
-        else:
-            rows = [[float(v) for v in row] for row in rows]
-        object.__setattr__(self, "g_body", tuple(tuple(r) for r in rows))
+        coerce = Fraction if gamma.config.rational else float
+        rows = tuple(tuple(coerce(v) for v in row) for row in rows)
+        object.__setattr__(self, "g_body", rows)
         scale = max((abs(float(v)) for r in rows for v in r), default=0.0)
         if not _real_block_diag_ok(rows, gamma.m, gamma.n,
-                                   _TOL * (1.0 + scale)):
+                                   GATE * (1.0 + scale)):
             raise NotBodyIsometry("body matrix must be block diagonal")
         gb = np.array([[float(v) for v in row] for row in rows])
         Gb = gamma.body_float()
@@ -276,7 +267,7 @@ class GroupElement:
             resid = np.max(np.abs(gb.T @ Gb @ gb - Gb))
         # entries near the float64 limit overflow the product, and an inf or
         # nan residual passes no comparison against the (then infinite) gate
-        if not np.isfinite(resid) or resid > _TOL * (1.0 + scale * scale):
+        if not np.isfinite(resid) or resid > GATE * (1.0 + scale * scale):
             raise NotBodyIsometry(
                 "body matrix does not preserve the body of the form")
 
@@ -293,12 +284,13 @@ class GroupElement:
 
 
 def conjugate_action(g_rows, Y: NilElement) -> NilElement:
-    """alpha(g): Y -> g Y g^{-1}, preserving zero body and membership."""
+    """alpha(g): Y -> g Y g^{-1}, preserving zero body and membership.
+    The rows of g are used as they are: Python numbers (a float ndarray
+    also serves; in rational mode numpy integers would enter Fractions)."""
     gamma = Y.gamma
     cfg = gamma.config
-    rows = _to_real_rows(g_rows)
-    inv = _real_inverse(rows, cfg.rational)
-    G = SuperMatrix.from_real(cfg, rows, gamma.shape, "even")
+    inv = _real_inverse(g_rows, cfg.rational)
+    G = SuperMatrix.from_real(cfg, g_rows, gamma.shape, "even")
     Gi = SuperMatrix.from_real(cfg, inv, gamma.shape, "even")
     return NilElement(G @ Y.X @ Gi, gamma)
 
@@ -329,16 +321,16 @@ def body_exponential(X0, gamma: GammaForm):
 def semidirect_multiply(h1: GroupElement, h2: GroupElement) -> GroupElement:
     if h1.gamma != h2.gamma:
         raise ShapeMismatch("operands live over different canonical forms")
-    g = _real_mat_mul(_to_real_rows(h1.g_body), _to_real_rows(h2.g_body))
+    g = _grid_mul(h1.g_body, h2.g_body)
     n = diamond(h1.n_part, conjugate_action(h1.g_body, h2.n_part))
-    return GroupElement(tuple(map(tuple, g)), n)
+    return GroupElement(g, n)
 
 
 def semidirect_inverse(h: GroupElement) -> GroupElement:
     cfg = h.gamma.config
-    ginv = _real_inverse(_to_real_rows(h.g_body), cfg.rational)
+    ginv = _real_inverse(h.g_body, cfg.rational)
     n = conjugate_action(ginv, -h.n_part)
-    return GroupElement(tuple(map(tuple, ginv)), n)
+    return GroupElement(ginv, n)
 
 
 def embed_isometry(h: GroupElement, gamma: GammaForm = None) -> SuperMatrix:
@@ -349,6 +341,5 @@ def embed_isometry(h: GroupElement, gamma: GammaForm = None) -> SuperMatrix:
     elif gamma != h.gamma:
         raise ShapeMismatch("element does not belong to this canonical form")
     cfg = gamma.config
-    G = SuperMatrix.from_real(cfg, _to_real_rows(h.g_body), gamma.shape,
-                              "even")
+    G = SuperMatrix.from_real(cfg, h.g_body, gamma.shape, "even")
     return h.n_part.exp @ G

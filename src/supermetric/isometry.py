@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraConfig, Supernumber
-from .canonical import _raw_mul, _raw_transpose, standard_symplectic
+from .algebra import GATE, AlgebraConfig, Supernumber
 from .errors import (
     DegenerateBody,
     LengthMismatch,
@@ -35,9 +34,16 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .matrices import BlockShape, SuperMatrix
+from .matrices import BlockShape, SuperMatrix, _mul_rows
 
-_TOL = 1e-10
+
+def standard_symplectic(cfg, n) -> list:
+    """Raw rows of the block diagonal of n/2 copies of [[0,1],[-1,0]]."""
+    rows = [[cfg.zero() for _ in range(n)] for _ in range(n)]
+    for k in range(0, n, 2):
+        rows[k][k + 1] = cfg.one()
+        rows[k + 1][k] = cfg.scalar(-1)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,7 @@ class GammaForm:
 def _residual_ok(mat: SuperMatrix, scale) -> bool:
     # the same relative gate in both modes: rational residuals are exact
     # values compared against it, per the membership tolerance contract
-    return float(mat.entry_norm_max()) <= _TOL * (1.0 + float(scale))
+    return float(mat.entry_norm_max()) <= GATE * (1.0 + float(scale))
 
 
 def is_isometry(N: SuperMatrix, gamma: GammaForm) -> bool:
@@ -132,13 +138,13 @@ def violated_conditions(ell: SuperMatrix, gamma: GammaForm) -> list:
     r1 = [[a[j][i] * eta[j] + eta[i] * a[i][j] for j in range(m)]
           for i in range(m)]
     # (2) b^T J + J b
-    bt = _raw_transpose(b) if n else []
-    r2 = ([[x + y for x, y in zip(rx, ry)]
-           for rx, ry in zip(_raw_mul(bt, J), _raw_mul(J, b))] if n else [])
-    # (3) eta c - d^T J
-    dtj = _raw_mul(_raw_transpose(d), J) if (n and m) else []
-    r3 = ([[eta[i] * c[i][al] - dtj[i][al] for al in range(n)]
-           for i in range(m)] if (n and m) else [])
+    r2 = [[x + y for x, y in zip(rx, ry)]
+          for rx, ry in zip(_mul_rows(cfg, list(zip(*b)), J),
+                            _mul_rows(cfg, J, b))]
+    # (3) eta c - d^T J, with d^T J rectangular (m x n)
+    dtj = _mul_rows(cfg, list(zip(*d)), J)
+    r3 = [[eta[i] * c[i][al] - dtj[i][al] for al in range(n)]
+          for i in range(m)]
 
     def block_ok(rows):
         worst = 0.0
@@ -147,7 +153,7 @@ def violated_conditions(ell: SuperMatrix, gamma: GammaForm) -> list:
                 v = float(e.norm())
                 if v > worst:
                     worst = v
-        return worst <= _TOL * (1.0 + float(scale))
+        return worst <= GATE * (1.0 + float(scale))
 
     violated = []
     if not block_ok(r1):
@@ -256,7 +262,7 @@ def lie_basis(gamma: GammaForm, L: int = None) -> LieBasis:
             if ga != al:
                 T[ga][al] = cfg.one()
             g0.append(block_diag_mat([[z] * m for _ in range(m)],
-                                     _raw_mul(J, T)))
+                                     _mul_rows(cfg, J, T)))
     g1 = []
     for al in range(n):
         for i in range(m):

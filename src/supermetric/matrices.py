@@ -7,11 +7,11 @@ A SuperMatrix has an (m|n) block shape and a declared parity class:
 * odd class: the parities are flipped blockwise;
 * general: no constraint.
 
-Products visit nonzero entries only: ``@`` (and ``canonical._raw_mul`` on
-raw rows) hands each entry's nonempty pairs, in ascending inner index, to the
-Grassmann kernel, so float64 keeps the order and pruning of the fold of the
-operators bit for bit; an entry with no such pair, like a sum of two empty
-entries, is one shared zero.
+Products visit nonzero entries only: ``@`` (and ``_mul_rows`` on rectangular
+rows) hands each entry's nonempty pairs, in ascending inner index, to the
+Grassmann kernel, so float64 keeps the order and pruning of the operator fold
+from the first nonempty product bit for bit; an entry with no such pair, like
+a sum, negation or scaling of empty entries, is one shared zero.
 
 Inversion goes through the body factorization N = B(I + B^{-1}S): the body
 is inverted as a real matrix autonomously and the soul correction is a
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Supernumber, _sign_mask, sum_of_products
+from .algebra import GATE, Supernumber, _sign_mask, sum_of_products
 from .errors import (
     BasisDegenerate,
     BodyNotInvertible,
@@ -50,8 +50,6 @@ from .errors import (
     ParityMismatch,
     ShapeMismatch,
 )
-
-_BODY_GATE = 1e-10  # relative smallest-singular-value gate, float64 mode
 
 
 class BlockShape(NamedTuple):
@@ -154,7 +152,7 @@ class SuperMatrix:
 
     def __matmul__(self, other):
         self._check_mate(other)
-        rows = _mul_rows(self.config, self.rows, other.rows, from_zero=True)
+        rows = _mul_rows(self.config, self.rows, other.rows)
         return SuperMatrix(self.config, self.shape, rows,
                            _compose_parity(self.parity_class,
                                            other.parity_class))
@@ -178,11 +176,14 @@ class SuperMatrix:
         return SuperMatrix(self.config, self.shape, rows, cls)
 
     def __neg__(self):
-        rows = [[-e for e in r] for r in self.rows]
+        zero = self.config.zero()
+        rows = [[-e if e.terms else zero for e in r] for r in self.rows]
         return SuperMatrix(self.config, self.shape, rows, self.parity_class)
 
     def scale(self, scalar):
-        rows = [[e.scale(scalar) for e in r] for r in self.rows]
+        zero = self.config.zero()
+        rows = [[e.scale(scalar) if e.terms else zero for e in r]
+                for r in self.rows]
         return SuperMatrix(self.config, self.shape, rows, self.parity_class)
 
     # -- graded structure --------------------------------------------------
@@ -273,17 +274,16 @@ class SuperMatrix:
                 f"{self.parity_class})")
 
 
-def _mul_rows(config, a, b, from_zero):
+def _mul_rows(config, a, b):
     """The product of a p x q and a q x r list of supernumber rows, from the
     nonzero entries only.
 
     Each entry is ``sum_of_products`` over the pairs (a[i][t], b[t][j]) with
     both factors nonempty, in ascending t, so in float64 it is the fold of
-    the operators that skips empty products (from ``config.zero()`` with
-    ``from_zero``, else from the first product).  An entry with no such pair
-    is one zero shared by the product, with no kernel call.  Every entry of
-    both operands is checked against ``config`` once, so a foreign one
-    raises ConfigMismatch, empty or not.
+    the operators from the first nonempty product.  An entry with no such
+    pair is one zero shared by the product, with no kernel call.  Every
+    entry of both operands is checked against ``config`` once, so a foreign
+    one raises ConfigMismatch, empty or not.
     """
     for rows in (a, b):
         for row in rows:
@@ -307,8 +307,8 @@ def _mul_rows(config, a, b, from_zero):
                 col_masks[j] |= 1 << t
     b_cols = list(zip(cols, col_masks))
     zero = config.zero()
-    return [[sum_of_products(config, [(e, col[t]) for t, e in nz if t in col],
-                             from_zero) if mask & col_mask else zero
+    return [[sum_of_products(config, [(e, col[t]) for t, e in nz if t in col])
+             if mask & col_mask else zero
              for col, col_mask in b_cols]
             for nz, mask in a_rows]
 
@@ -353,7 +353,8 @@ def _body_inverse(N: SuperMatrix):
         return inv
     bf = N.body_float()
     svals = np.linalg.svd(bf, compute_uv=False)
-    if svals[-1] <= _BODY_GATE * max(svals[0], 1e-300):
+    # relative smallest-singular-value gate
+    if svals[-1] <= GATE * max(svals[0], 1e-300):
         raise BodyNotInvertible(
             f"matrix body is numerically singular "
             f"(smallest/largest singular value = {svals[-1]:.3e}/{svals[0]:.3e})")
@@ -551,6 +552,8 @@ class _SliceSolver:
         x = self._pinv @ y
         resid = np.max(np.abs(self._a @ x - y)) if len(y) else 0.0
         scale = max(1.0, float(np.max(np.abs(y))))
+        # looser than GATE: the residual of a least-squares solve carries
+        # the conditioning of the slice grids
         if resid > 1e-8 * scale:
             raise BasisDegenerate(
                 f"bracket leaves the basis span (residual {resid:.3e})")

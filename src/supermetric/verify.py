@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (
+    GATE,
     AlgebraConfig,
     binomial_inverse_sqrt,
     invert,
@@ -48,24 +49,24 @@ from .sampling import (
     standard_gamma,
 )
 
-_FLOAT_TOL = 1e-10
-
 
 def _near_zero(M: SuperMatrix, scale=1) -> bool:
     if M.config.rational:
         return M.is_zero()
-    return float(M.entry_norm_max()) <= _FLOAT_TOL * (1.0 + float(scale))
+    return float(M.entry_norm_max()) <= GATE * (1.0 + float(scale))
 
 
 def _scalar_near(x, y, rational) -> bool:
     if rational:
         return x == y
-    return abs(float(x) - float(y)) <= _FLOAT_TOL * (1.0 + abs(float(y)))
+    return abs(float(x) - float(y)) <= GATE * (1.0 + abs(float(y)))
 
 
 # -- sections ---------------------------------------------------------------------
 
 def _sn_near(x, y, rtol=1e-12):
+    # ring identities of a few short products: float round-off alone, far
+    # below GATE
     if x.config.rational:
         return x == y
     scale = float(x.norm()) + float(y.norm())
@@ -112,7 +113,7 @@ def _section_inversion(rng, cfg, cases):
         if cfg.rational:
             ok = prod == one
         else:
-            ok = float((prod - one).norm()) <= _FLOAT_TOL
+            ok = float((prod - one).norm()) <= GATE
         if not ok:
             failures.append(f"case {t}: inversion round-trip")
 
@@ -125,7 +126,7 @@ def _section_inversion(rng, cfg, cases):
         if cfg.rational:
             ok = lhs == one
         else:
-            ok = float((lhs - one).norm()) <= _FLOAT_TOL
+            ok = float((lhs - one).norm()) <= GATE
         if not ok:
             failures.append(f"case {t}: binomial identity")
 
@@ -148,7 +149,7 @@ def _normalized_criterion_agrees(d, half) -> bool:
     beta = abs(dn.body())
     if beta == 0:
         return True
-    if not d.config.rational and abs(s - beta) <= _FLOAT_TOL:
+    if not d.config.rational and abs(s - beta) <= GATE:
         return True
     return (s / beta < 1) == (s < half)
 

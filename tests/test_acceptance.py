@@ -34,11 +34,11 @@ from supermetric.group import (
     embed_isometry,
     semidirect_inverse,
     semidirect_multiply,
-    _real_mat_mul,
 )
 from supermetric.isometry import is_isometry, lie_basis, lie_membership
 from supermetric.matrices import (
     SuperMatrix,
+    _grid_mul,
     ad_operator,
     exp_zero_body,
     spectrum_gate,
@@ -484,8 +484,7 @@ def test_criterion_8_semidirect_product(acceptance):
                 failures += 1
             # alpha is a homomorphism into the automorphisms
             Ya = random_nil(rng, basis, terms=2, amp=Fraction(1, 4))
-            g12 = _real_mat_mul([list(r_) for r_ in h1.g_body],
-                                [list(r_) for r_ in h2.g_body])
+            g12 = _grid_mul(h1.g_body, h2.g_body)
             lhs = conjugate_action(g12, Ya)
             rhs = conjugate_action(h1.g_body,
                                    conjugate_action(h2.g_body, Ya))

@@ -308,7 +308,11 @@ def test_group_element_validation():
     nil = NilElement(SuperMatrix.zeros(RAT, gamma.shape, "even"), gamma)
     k = gamma.m + gamma.n
     eye = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    GroupElement(tuple(map(tuple, eye)), nil)
+    h = GroupElement(tuple(map(tuple, eye)), nil)
+    # an integer ndarray comes out as the same tuples of Python Fractions
+    from_array = GroupElement(np.eye(k, dtype=np.int64), nil)
+    assert from_array.g_body == h.g_body
+    assert all(type(v.numerator) is int for r in from_array.g_body for v in r)
     with pytest.raises(NotBodyIsometry):
         GroupElement(tuple(tuple(2 * v for v in r) for r in eye), nil)
     off = [list(r) for r in eye]
@@ -333,9 +337,8 @@ def test_conjugation_is_an_automorphism():
     rhs = diamond(gY, conjugate_action(h1.g_body, Z))
     assert (lhs.X - rhs.X).entry_norm_max() == 0
     # alpha(g1 g2) = alpha(g1) alpha(g2)
-    from supermetric.group import _real_mat_mul
-    g12 = _real_mat_mul([list(r) for r in h1.g_body],
-                        [list(r) for r in h2.g_body])
+    from supermetric.matrices import _grid_mul
+    g12 = _grid_mul(h1.g_body, h2.g_body)
     lhs2 = conjugate_action(g12, Y)
     rhs2 = conjugate_action(h1.g_body, conjugate_action(h2.g_body, Y))
     assert (lhs2.X - rhs2.X).entry_norm_max() == 0

@@ -9,7 +9,6 @@ import pytest
 from supermetric import matrices
 from supermetric.algebra import AlgebraConfig, Supernumber, \
     sum_of_products
-from supermetric.canonical import _raw_mul
 from supermetric.errors import (
     BasisDegenerate,
     BodyNotInvertible,
@@ -92,9 +91,10 @@ def _same_bits(x, y):
 
 
 def test_matmul_is_the_operator_fold_bit_for_bit():
-    # each entry of A @ B is zero + A[i][0]*B[0][j] + ... folded with the
-    # operators, and each entry of _raw_mul the same fold from its first
-    # product; float dust near the cut and empty entries included
+    # each entry of A @ B, and of _mul_rows on a rectangular corner of the
+    # same rows, is A[i][t]*B[t][j] + ... folded with the operators from its
+    # first nonempty product; float dust near the cut and empty entries
+    # included
     for mode, tol in (("rational", None), ("float64", None),
                       ("float64", 1e-3), ("float64", 0.0)):
         cfg = AlgebraConfig(generator_count=4, coefficient_mode=mode,
@@ -104,19 +104,21 @@ def test_matmul_is_the_operator_fold_bit_for_bit():
             k = int(rng.integers(1, 5))
             a, b = _dusty_matrix(rng, cfg, k), _dusty_matrix(rng, cfg, k)
             prod = SuperMatrix(cfg, (k, 0), a) @ SuperMatrix(cfg, (k, 0), b)
-            raw = _raw_mul(a, b)
+            p, r = (int(v) for v in rng.integers(1, k + 1, size=2))
+            rect = _mul_rows(cfg, a[:p], [row[:r] for row in b])
+            assert len(rect) == p and all(len(row) == r for row in rect)
             for i in range(k):
                 for j in range(k):
-                    acc, first = cfg.zero(), None
+                    first = None
                     for t in range(k):
                         e, f = a[i][t], b[t][j]
                         if e.terms and f.terms:
-                            acc = acc + e * f
                             first = e * f if first is None \
                                 else first + e * f
-                    assert _same_bits(prod.rows[i][j], acc)
-                    assert _same_bits(raw[i][j],
-                                      cfg.zero() if first is None else first)
+                    want = cfg.zero() if first is None else first
+                    assert _same_bits(prod.rows[i][j], want)
+                    if i < p and j < r:
+                        assert _same_bits(rect[i][j], want)
 
 
 def test_matmul_rejects_an_entry_from_another_config():
@@ -132,9 +134,9 @@ def test_matmul_rejects_an_entry_from_another_config():
             N @ M
 
 
-def _fold(cfg, pairs, from_zero):
+def _fold(cfg, pairs):
     """The operator fold of the nonempty products, densely over every t."""
-    acc = cfg.zero() if from_zero else None
+    acc = None
     for e, f in pairs:
         if e.terms and f.terms:
             acc = e * f if acc is None else acc + e * f
@@ -143,8 +145,7 @@ def _fold(cfg, pairs, from_zero):
 
 def test_mul_rows_is_the_dense_fold_bit_for_bit():
     # rectangular p x q by q x r, with a row of a and a column of b emptied
-    # in some products, in both fold starts; dust near the cut from
-    # _dusty_matrix
+    # in some products; dust near the cut from _dusty_matrix
     for mode, tol in (("rational", None), ("float64", None),
                       ("float64", 1e-3), ("float64", 0.0)):
         cfg = AlgebraConfig(generator_count=4, coefficient_mode=mode,
@@ -160,19 +161,17 @@ def test_mul_rows_is_the_dense_fold_bit_for_bit():
                 col = int(rng.integers(0, r))
                 for row in b:
                     row[col] = cfg.zero()
-            for from_zero in (False, True):
-                out = _mul_rows(cfg, a, b, from_zero)
-                assert len(out) == p and all(len(row) == r for row in out)
-                for i in range(p):
-                    for j in range(r):
-                        want = _fold(cfg, [(a[i][t], b[t][j])
-                                           for t in range(q)], from_zero)
-                        assert _same_bits(out[i][j], want)
+            out = _mul_rows(cfg, a, b)
+            assert len(out) == p and all(len(row) == r for row in out)
+            for i in range(p):
+                for j in range(r):
+                    want = _fold(cfg, [(a[i][t], b[t][j]) for t in range(q)])
+                    assert _same_bits(out[i][j], want)
 
 
 def test_products_refuse_a_foreign_zero_that_no_pair_reaches():
     # the foreign zero sits in an empty row (or column), so no kernel call
-    # would ever see it; it raises on either side of `@` and _raw_mul
+    # would ever see it; it raises on either side of `@` and _mul_rows
     other = AlgebraConfig(generator_count=5, coefficient_mode="rational")
     z, g = RAT.zero(), RAT.generator(1)
     full = [[g, g], [g, g]]
@@ -185,16 +184,15 @@ def test_products_refuse_a_foreign_zero_that_no_pair_reaches():
             with pytest.raises(ConfigMismatch):
                 left @ right
             with pytest.raises(ConfigMismatch):
-                _raw_mul([list(r) for r in left.rows],
-                         [list(r) for r in right.rows])
+                _mul_rows(RAT, left.rows, right.rows)
 
 
 def test_products_call_the_kernel_only_where_a_pair_is_nonzero(monkeypatch):
     calls = []
 
-    def counting(config, pairs, from_zero=False):
+    def counting(config, pairs):
         calls.append(list(pairs))
-        return sum_of_products(config, calls[-1], from_zero)
+        return sum_of_products(config, calls[-1])
 
     monkeypatch.setattr(matrices, "sum_of_products", counting)
     for cfg in (RAT, FLT):
@@ -205,7 +203,7 @@ def test_products_call_the_kernel_only_where_a_pair_is_nonzero(monkeypatch):
         a = [[g1, z, g2], [z, z, z], [one, g2, z]]
         b = [[z, one, z], [z, g1, z], [g1, g2, z]]
         A, B = SuperMatrix(cfg, (3, 0), a), SuperMatrix(cfg, (3, 0), b)
-        for product in (lambda: A @ B, lambda: _raw_mul(a, b)):
+        for product in (lambda: A @ B, lambda: _mul_rows(cfg, a, b)):
             calls.clear()
             out = product()
             rows = out.rows if isinstance(out, SuperMatrix) else out

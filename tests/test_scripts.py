@@ -10,15 +10,32 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["canonicalize_walkthrough.py",
-                                    "series_decay.py"])
-def test_script_runs(script):
+def _run(script, *args):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] \
         if env.get("PYTHONPATH") else src
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *args],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+@pytest.mark.parametrize("script", ["canonicalize_walkthrough.py",
+                                    "series_decay.py"])
+def test_script_runs(script):
+    proc = _run(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_report_digests_on_group_sparse():
+    proc = _run("report_digests.py", "--seed", "31",
+                "--workload", "group-sparse")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:5] for line in lines] == [
+        ["group-sparse", "requests", "144", "failed", "0"],
+        ["all", "requests", "144", "failed", "0"]]
+    digests = {line.split()[-1] for line in lines}
+    assert len(digests) == 1 and len(digests.pop()) == 64
