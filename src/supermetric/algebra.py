@@ -51,6 +51,7 @@ from fractions import Fraction
 
 from .errors import (
     BodyNotInvertible,
+    CoefficientOverflow,
     ConfigMismatch,
     ConvergenceViolation,
     LengthMismatch,
@@ -66,6 +67,15 @@ _DEFAULT_FLOAT_TOLERANCE = 1e-14
 # the one relative gate of the checks that compare floats: entry equality,
 # membership, isometry, body singularity and verify's identities
 GATE = 1e-10
+
+
+def within_gate(value, scale=0.0) -> bool:
+    """value <= GATE * (1 + scale) with that bound finite; a NaN, an
+    infinity or a value past the float64 range fails."""
+    try:
+        return float(value) <= GATE * (1.0 + float(scale)) < math.inf
+    except OverflowError:          # an int or Fraction beyond float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -110,7 +120,12 @@ class AlgebraConfig:
     def coerce(self, value):
         """Bring a scalar into this config's coefficient domain."""
         if self.rational:
-            return value if isinstance(value, Fraction) else Fraction(value)
+            if isinstance(value, Fraction):
+                return value
+            if not isinstance(value, (int, float)) and \
+                    isinstance(value, numbers.Integral):
+                value = int(value)   # a numpy integer numerator would wrap
+            return Fraction(value)
         return float(value)
 
     # -- constructors ----------------------------------------------------
@@ -354,7 +369,7 @@ def _running_max(values):
 
 
 def _prune(cfg: AlgebraConfig, acc: dict, running_max) -> dict:
-    if cfg.rational or cfg.zero_tolerance == 0:
+    if cfg.rational:
         return {b: c for b, c in acc.items() if c != 0}
     cut = cfg.zero_tolerance * float(running_max)
     return {b: c for b, c in acc.items() if abs(c) > cut}
@@ -364,7 +379,7 @@ def _merge(cfg: AlgebraConfig, acc: dict, terms: dict) -> dict:
     """acc + terms, adding into ``acc``.  In float64 mode the sum is pruned
     against the larger of both operands' largest terms; otherwise only
     zeros are dropped."""
-    if cfg.rational or cfg.zero_tolerance == 0:
+    if cfg.rational:
         for b, c in terms.items():
             acc[b] = acc[b] + c if b in acc else c
         return {b: c for b, c in acc.items() if c != 0}
@@ -385,11 +400,13 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
     float64 mode the result is bit for bit the left fold
     ``x_1*y_1 + x_2*y_2 + ...`` of the operators, which starts at the first
     nonempty product.  Raises ConfigMismatch for any operand outside
-    ``config``.
+    ``config``, and in float64 mode CoefficientOverflow once a term product
+    or the accumulator's largest term is infinite (the prune cut would then
+    drop every term).
     """
     if config.rational:
         return _rational_sum_of_products(config, pairs)
-    tol = config.zero_tolerance
+    tol, inf = config.zero_tolerance, math.inf
     masks = {}
     acc = None
     acc_max = 0     # largest |term| of acc, carried from its last prune
@@ -418,16 +435,8 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
                 a = abs(c)
                 if a > running:
                     running = a
-        if not tol:
-            # only exact zeros drop
-            if acc is None:
-                acc = {key: c for key, c in prod.items() if c != 0}
-                continue
-            for key, c in prod.items():
-                if c != 0:
-                    acc[key] = acc[key] + c if key in acc else c
-            acc = {key: c for key, c in acc.items() if c != 0}
-            continue
+        if running == inf:
+            raise CoefficientOverflow("a float64 term product overflowed")
         # what survives the product's prune goes into acc as by `+`, whose
         # cut is set by the larger of acc's largest term and the added terms
         cut = tol * float(running)
@@ -439,24 +448,26 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
                     acc[key] = c
                     if a > acc_max:
                         acc_max = a
-            continue
-        running = acc_max
-        for key, c in prod.items():
-            a = abs(c)
-            if a > cut:
-                acc[key] = acc[key] + c if key in acc else c
-                if a > running:
-                    running = a
-        cut = tol * float(running)
-        kept = {}
-        acc_max = 0
-        for key, c in acc.items():
-            a = abs(c)
-            if a > cut:
-                kept[key] = c
-                if a > acc_max:
-                    acc_max = a
-        acc = kept
+        else:
+            running = acc_max
+            for key, c in prod.items():
+                a = abs(c)
+                if a > cut:
+                    acc[key] = acc[key] + c if key in acc else c
+                    if a > running:
+                        running = a
+            cut = tol * float(running)
+            kept = {}
+            acc_max = 0
+            for key, c in acc.items():
+                a = abs(c)
+                if a > cut:
+                    kept[key] = c
+                    if a > acc_max:
+                        acc_max = a
+            acc = kept
+        if acc_max == inf:
+            raise CoefficientOverflow("a float64 sum overflowed")
     return Supernumber(config, acc or {})
 
 

@@ -31,6 +31,7 @@ from .algebra import (
     Supernumber,
     binomial_inverse_sqrt,
     invert,
+    within_gate,
     _rational_sqrt,
 )
 from .errors import (
@@ -80,9 +81,9 @@ class CanonicalizationResult:
 
 def _entries_equal(x: Supernumber, y: Supernumber, tol_scale) -> bool:
     diff = x - y
-    if x.config.rational:
-        return diff.is_zero()
-    return float(diff.norm()) <= GATE * (1.0 + tol_scale)
+    # an exact zero passes even where the float bound overflows
+    return diff.is_zero() or (not x.config.rational
+                              and within_gate(diff.norm(), tol_scale))
 
 
 def _bilinear(cfg, rows, x, y):
@@ -137,7 +138,7 @@ def validate_metric(G: SuperMatrix) -> SuperMetric:
     m, n = G.shape
     if n % 2 != 0:
         raise OddDimensionOdd(f"odd dimension n = {n} must be even")
-    scale = float(G.entry_norm_max())
+    scale = G.entry_norm_max()
     A, B = G.block_a(), G.block_b()
     C, D = G.block_c(), G.block_d()
     for i in range(m):
@@ -215,8 +216,8 @@ def orthogonalize_even(metric: SuperMetric):
                 f = [fi - coeff * gl for fi, gl in zip(f, fs[l])]
         dk = _bilinear(cfg, Abar, f, f)
         body = dk.body()
-        limit = GATE * (1.0 + float(dk.norm())) if not cfg.rational else 0
-        if body == 0 or (not cfg.rational and abs(float(body)) <= limit):
+        if body == 0 or (not cfg.rational
+                         and within_gate(abs(body), dk.norm())):
             raise DegenerateBody(
                 f"diagonal entry {k} lost its body during orthogonalization")
         fs.append(f)

@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from .algebra import AlgebraConfig
+from .algebra import AlgebraConfig, within_gate
 from .canonical import (
     SuperMetric,
     body_reduce,
@@ -29,7 +29,7 @@ from .canonical import (
 )
 from .errors import NumericalGateError, ShapeMismatch, ValidationError
 from .group import embed_isometry, semidirect_multiply
-from .isometry import check_basis_budget, is_isometry, lie_basis, \
+from .isometry import check_basis_budget, isometry_residual, lie_basis, \
     lie_membership
 from .serialization import (
     dumps,
@@ -167,13 +167,12 @@ def _cmd_isometry_check(args):
     if N.shape != gamma.shape:
         raise ShapeMismatch(f"N has shape ({N.shape.m}|{N.shape.n}), gamma "
                             f"({gamma.m}|{gamma.n})")
-    G = gamma.matrix()
-    resid = N.supertranspose() @ G @ N - G
+    resid, scale = isometry_residual(N, gamma)
     report = {
         "command": "isometry-check",
         "mode": "rational" if cfg.rational else "float64",
-        "isometry": is_isometry(N, gamma),
-        "residual": scalar_to_json(resid.entry_norm_max(), cfg),
+        "isometry": within_gate(resid, scale),
+        "residual": scalar_to_json(resid, cfg),
     }
     membership = lie_membership(N, gamma)
     report["lie_membership"] = {
@@ -227,8 +226,7 @@ def _cmd_group_op(args):
     image = embed_isometry(prod)
     hom_resid = (image - embed_isometry(h1) @ embed_isometry(h2)
                  ).entry_norm_max()
-    G = gamma.matrix()
-    iso_resid = (image.supertranspose() @ G @ image - G).entry_norm_max()
+    iso_resid, iso_scale = isometry_residual(image, gamma)
     return {
         "command": "group-op",
         "mode": "rational" if cfg.rational else "float64",
@@ -238,7 +236,7 @@ def _cmd_group_op(args):
             "isometry": scalar_to_json(iso_resid, cfg),
             "embedding_homomorphism": scalar_to_json(hom_resid, cfg),
         },
-        "isometry": is_isometry(image, gamma),
+        "isometry": within_gate(iso_resid, iso_scale),
     }
 
 

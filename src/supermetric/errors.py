@@ -95,3 +95,7 @@ class ConvergenceViolation(NumericalGateError):
 
 class NormBoundViolation(NumericalGateError):
     """The log 2 bound for the series composition gate failed."""
+
+
+class CoefficientOverflow(NumericalGateError):
+    """A float64 coefficient overflowed to infinity."""

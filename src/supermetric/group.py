@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import GATE
+from .algebra import within_gate
 from .errors import (
     ConfigMismatch,
     NonZeroBody,
@@ -196,11 +196,11 @@ def diamond(X: NilElement, Y: NilElement) -> NilElement:
 
 # -- body group and the semi-direct product ----------------------------------------
 
-def _real_block_diag_ok(M, m, n, tol):
+def _real_block_diag_ok(M, m, n, scale):
     k = m + n
     for i in range(k):
         for j in range(k):
-            if (i < m) != (j < m) and abs(float(M[i][j])) > tol:
+            if (i < m) != (j < m) and not within_gate(abs(M[i][j]), scale):
                 return False
     return True
 
@@ -213,21 +213,18 @@ def _check_g0(X0, gamma: GammaForm):
     if len(X0) != m + n or any(len(r) != m + n for r in X0):
         raise ShapeMismatch("wrong real matrix size")
     scale = max((abs(float(v)) for r in X0 for v in r), default=0.0)
-    tol = GATE * (1.0 + scale)
-    if not _real_block_diag_ok(X0, m, n, tol):
+    if not _real_block_diag_ok(X0, m, n, scale):
         raise NotInG0("off-diagonal blocks must vanish for a real element")
     eta = [1.0 if e.body() > 0 else -1.0 for e in gamma.eta]
     for i in range(m):
         for j in range(m):
-            if abs(float(X0[j][i]) * eta[j] + eta[i] * float(X0[i][j])) > tol:
+            if not within_gate(abs(float(X0[j][i]) * eta[j]
+                                   + eta[i] * float(X0[i][j])), scale):
                 raise NotInG0("even block fails a^T eta + eta a = 0")
-    Jb = np.zeros((n, n))
-    for k in range(0, n, 2):
-        Jb[k, k + 1] = 1.0
-        Jb[k + 1, k] = -1.0
+    Jb = gamma.body_float()[m:, m:]
     b = np.array([[float(X0[m + a][m + g]) for g in range(n)]
                   for a in range(n)], dtype=float)
-    if n and np.max(np.abs(b.T @ Jb + Jb @ b)) > tol:
+    if n and not within_gate(np.max(np.abs(b.T @ Jb + Jb @ b)), scale):
         raise NotInG0("odd block fails b^T J + J b = 0")
 
 
@@ -249,25 +246,23 @@ class GroupElement:
     def __post_init__(self):
         gamma = self.n_part.gamma
         rows = self.g_body
-        if isinstance(rows, np.ndarray):
-            rows = rows.tolist()     # Python scalars, not numpy ones
         k = gamma.m + gamma.n
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ShapeMismatch("body matrix has the wrong size")
-        coerce = Fraction if gamma.config.rational else float
+        # each entry as the mode's Python scalar, numpy scalars included
+        coerce = gamma.config.coerce
         rows = tuple(tuple(coerce(v) for v in row) for row in rows)
         object.__setattr__(self, "g_body", rows)
         scale = max((abs(float(v)) for r in rows for v in r), default=0.0)
-        if not _real_block_diag_ok(rows, gamma.m, gamma.n,
-                                   GATE * (1.0 + scale)):
+        if not _real_block_diag_ok(rows, gamma.m, gamma.n, scale):
             raise NotBodyIsometry("body matrix must be block diagonal")
         gb = np.array([[float(v) for v in row] for row in rows])
         Gb = gamma.body_float()
+        # entries near the float64 limit overflow the product to an inf or
+        # nan residual, which the gate fails
         with np.errstate(over="ignore", invalid="ignore"):
             resid = np.max(np.abs(gb.T @ Gb @ gb - Gb))
-        # entries near the float64 limit overflow the product, and an inf or
-        # nan residual passes no comparison against the (then infinite) gate
-        if not np.isfinite(resid) or resid > GATE * (1.0 + scale * scale):
+        if not within_gate(resid, scale * scale):
             raise NotBodyIsometry(
                 "body matrix does not preserve the body of the form")
 
@@ -285,26 +280,20 @@ class GroupElement:
 
 def conjugate_action(g_rows, Y: NilElement) -> NilElement:
     """alpha(g): Y -> g Y g^{-1}, preserving zero body and membership.
-    The rows of g are used as they are: Python numbers (a float ndarray
-    also serves; in rational mode numpy integers would enter Fractions)."""
+    The rows of g may be Python numbers or a numpy array."""
     gamma = Y.gamma
     cfg = gamma.config
-    inv = _real_inverse(g_rows, cfg.rational)
     G = SuperMatrix.from_real(cfg, g_rows, gamma.shape, "even")
-    Gi = SuperMatrix.from_real(cfg, inv, gamma.shape, "even")
+    # inverted from G's coerced bodies, where numpy integers are Python ints
+    Gi = SuperMatrix.from_real(cfg, _real_inverse(G.body(), cfg.rational),
+                               gamma.shape, "even")
     return NilElement(G @ Y.X @ Gi, gamma)
 
 
 def action_alpha(X0, Y: NilElement) -> NilElement:
-    """The action of exp(X0) for a real linearized element X0, computed as
-    conjugation by the matrix exponential."""
-    gamma = Y.gamma
-    _check_g0(X0, gamma)
-    g = expm(np.array([[float(v) for v in row] for row in X0], dtype=float))
-    if gamma.config.rational:
-        # exact dyadic lift; the conjugation itself is then exact
-        g = [[Fraction(float(v)) for v in row] for row in g.tolist()]
-    return conjugate_action(g, Y)
+    """The action of exp(X0) for a real linearized element X0: conjugation
+    by its body exponential."""
+    return conjugate_action(body_exponential(X0, Y.gamma), Y)
 
 
 def body_exponential(X0, gamma: GammaForm):
@@ -312,10 +301,9 @@ def body_exponential(X0, gamma: GammaForm):
     coordinate of a group element."""
     _check_g0(X0, gamma)
     g = expm(np.array([[float(v) for v in row] for row in X0], dtype=float))
-    rows = g.tolist()
-    if gamma.config.rational:
-        rows = [[Fraction(float(v)) for v in row] for row in rows]
-    return tuple(tuple(r) for r in rows)
+    # in rational mode each float lifts exactly, as the dyadic it is
+    coerce = gamma.config.coerce
+    return tuple(tuple(coerce(v) for v in row) for row in g.tolist())
 
 
 def semidirect_multiply(h1: GroupElement, h2: GroupElement) -> GroupElement:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GATE, AlgebraConfig, Supernumber
+from .algebra import AlgebraConfig, Supernumber, within_gate
 from .errors import (
     DegenerateBody,
     LengthMismatch,
@@ -96,22 +96,23 @@ class GammaForm:
         return self.matrix().body_float()
 
 
-def _residual_ok(mat: SuperMatrix, scale) -> bool:
-    # the same relative gate in both modes: rational residuals are exact
-    # values compared against it, per the membership tolerance contract
-    return float(mat.entry_norm_max()) <= GATE * (1.0 + float(scale))
-
-
-def is_isometry(N: SuperMatrix, gamma: GammaForm) -> bool:
+def isometry_residual(N: SuperMatrix, gamma: GammaForm):
+    """(residual, scale): the largest entry norm of N^ST Gamma N - Gamma and
+    its gate scale ||N||^2 ||Gamma|| (induced norms).  The same relative
+    gate applies in both modes: a rational residual is an exact value
+    compared against it."""
     if N.parity_class != "even":
         raise ParityMismatch("isometry candidates must be even class")
     if N.shape != gamma.shape:
         raise ShapeMismatch(f"{N.shape} vs {gamma.shape}")
     G = gamma.matrix()
-    residual = N.supertranspose() @ G @ N - G
+    residual = (N.supertranspose() @ G @ N - G).entry_norm_max()
     norm = N.induced_norm()
-    scale = norm * norm * G.induced_norm()
-    return _residual_ok(residual, scale)
+    return residual, norm * norm * G.induced_norm()
+
+
+def is_isometry(N: SuperMatrix, gamma: GammaForm) -> bool:
+    return within_gate(*isometry_residual(N, gamma))
 
 
 def _membership_scale(ell: SuperMatrix, gamma: GammaForm):
@@ -147,13 +148,8 @@ def violated_conditions(ell: SuperMatrix, gamma: GammaForm) -> list:
           for i in range(m)]
 
     def block_ok(rows):
-        worst = 0.0
-        for row in rows:
-            for e in row:
-                v = float(e.norm())
-                if v > worst:
-                    worst = v
-        return worst <= GATE * (1.0 + float(scale))
+        return within_gate(max((e.norm() for row in rows for e in row),
+                               default=0), scale)
 
     violated = []
     if not block_ok(r1):
@@ -176,7 +172,8 @@ def lie_membership(ell: SuperMatrix, gamma: GammaForm) -> dict:
 
     G = gamma.matrix()
     single = ell.supertranspose() @ G + G @ ell
-    single_ok = _residual_ok(single, _membership_scale(ell, gamma))
+    single_ok = within_gate(single.entry_norm_max(),
+                            _membership_scale(ell, gamma))
     return {
         "member": triple_ok,
         "violated": violated,

@@ -14,11 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (
-    GATE,
     AlgebraConfig,
     binomial_inverse_sqrt,
     invert,
     multiply,
+    within_gate,
 )
 from .canonical import SuperMetric, body_reduce, canonical_form, congruence
 from .errors import ValidationError
@@ -53,20 +53,20 @@ from .sampling import (
 def _near_zero(M: SuperMatrix, scale=1) -> bool:
     if M.config.rational:
         return M.is_zero()
-    return float(M.entry_norm_max()) <= GATE * (1.0 + float(scale))
+    return within_gate(M.entry_norm_max(), scale)
 
 
 def _scalar_near(x, y, rational) -> bool:
     if rational:
         return x == y
-    return abs(float(x) - float(y)) <= GATE * (1.0 + abs(float(y)))
+    return within_gate(abs(float(x) - float(y)), abs(float(y)))
 
 
 # -- sections ---------------------------------------------------------------------
 
 def _sn_near(x, y, rtol=1e-12):
     # ring identities of a few short products: float round-off alone, far
-    # below GATE
+    # below algebra.GATE
     if x.config.rational:
         return x == y
     scale = float(x.norm()) + float(y.norm())
@@ -113,7 +113,7 @@ def _section_inversion(rng, cfg, cases):
         if cfg.rational:
             ok = prod == one
         else:
-            ok = float((prod - one).norm()) <= GATE
+            ok = within_gate((prod - one).norm())
         if not ok:
             failures.append(f"case {t}: inversion round-trip")
 
@@ -126,7 +126,7 @@ def _section_inversion(rng, cfg, cases):
         if cfg.rational:
             ok = lhs == one
         else:
-            ok = float((lhs - one).norm()) <= GATE
+            ok = within_gate((lhs - one).norm())
         if not ok:
             failures.append(f"case {t}: binomial identity")
 
@@ -149,7 +149,7 @@ def _normalized_criterion_agrees(d, half) -> bool:
     beta = abs(dn.body())
     if beta == 0:
         return True
-    if not d.config.rational and abs(s - beta) <= GATE:
+    if not d.config.rational and within_gate(abs(s - beta)):
         return True
     return (s / beta < 1) == (s < half)
 
@@ -202,10 +202,10 @@ def _section_body_reduce(results):
     return failures
 
 
-def _section_isometry(rng, cfg, m, n, cases):
+def _section_isometry(rng, basis, cases):
     failures = []
-    gamma = standard_gamma(cfg, (m + 1) // 2, m // 2, n)
-    basis = lie_basis(gamma)
+    gamma = basis.gamma
+    cfg, m, n = gamma.config, gamma.m, gamma.n
     dim0 = len(basis.g0)
     want0 = m * (m - 1) // 2 + n * (n + 1) // 2
     if dim0 != want0 or len(basis.g1) != m * n:
@@ -235,10 +235,9 @@ def _section_isometry(rng, cfg, m, n, cases):
     return failures
 
 
-def _section_ad(rng, cfg, m, n, cases):
+def _section_ad(rng, basis, cases):
     failures = []
-    gamma = standard_gamma(cfg, (m + 1) // 2, m // 2, n)
-    basis = lie_basis(gamma)
+    cfg = basis.gamma.config
     real_basis = basis.elements()
     for t in range(cases):
         X = random_nil(rng, basis, terms=2)
@@ -276,10 +275,10 @@ def _grade_one_nil(rng, basis, terms=2):
     return NilElement(acc, gamma)
 
 
-def _section_bch(rng, cfg, m, n, cases):
+def _section_bch(rng, basis, cases):
     failures = []
-    gamma = standard_gamma(cfg, (m + 1) // 2, m // 2, n)
-    basis = lie_basis(gamma)
+    gamma = basis.gamma
+    cfg = gamma.config
     zero = SuperMatrix.zeros(cfg, gamma.shape, "even")
     identity = NilElement(zero, gamma)
     for t in range(cases):
@@ -330,10 +329,9 @@ def _ge_equal(h1: GroupElement, h2: GroupElement) -> bool:
     return _near_zero(diff, h1.n_part.X.induced_norm())
 
 
-def _section_semidirect(rng, cfg, m, n, cases):
+def _section_semidirect(rng, basis, cases):
     failures = []
-    gamma = standard_gamma(cfg, (m + 1) // 2, m // 2, n)
-    basis = lie_basis(gamma)
+    gamma = basis.gamma
     ident = GroupElement.identity(gamma)
     for t in range(cases):
         h1 = random_group_element(rng, basis)
@@ -449,14 +447,16 @@ def run_verify(config: AlgebraConfig, seed: int, m: int = 2, n: int = 2,
     record("canonicalization", plan["canonicalization"], fails)
     record("body_reduction", len(canon_results),
            _section_body_reduce(canon_results))
+    # the last four sections share one form and basis; neither draws from
+    # the rng
+    basis = lie_basis(standard_gamma(config, (m + 1) // 2, m // 2, n))
     record("isometry_lie", plan["isometry_lie"],
-           _section_isometry(rng, config, m, n, plan["isometry_lie"]))
+           _section_isometry(rng, basis, plan["isometry_lie"]))
     record("ad_spectrum", plan["ad_spectrum"],
-           _section_ad(rng, config, m, n, plan["ad_spectrum"]))
-    record("bch", plan["bch"],
-           _section_bch(rng, config, m, n, plan["bch"]))
+           _section_ad(rng, basis, plan["ad_spectrum"]))
+    record("bch", plan["bch"], _section_bch(rng, basis, plan["bch"]))
     record("semidirect", plan["semidirect"],
-           _section_semidirect(rng, config, m, n, plan["semidirect"]))
+           _section_semidirect(rng, basis, plan["semidirect"]))
 
     status = "pass" if all(s["status"] == "pass" for s in sections) else \
         "fail"
