@@ -255,7 +255,8 @@ class Supernumber:
         return [(_bits_to_indices(b), c) for b, c in self.terms.items()]
 
     def body(self):
-        return self.terms.get(0, self.config.coerce(0))
+        c = self.terms.get(0)
+        return self.config.coerce(0) if c is None else c
 
     def soul(self) -> "Supernumber":
         return Supernumber(self.config,
@@ -369,10 +370,21 @@ def _running_max(values):
 
 
 def _prune(cfg: AlgebraConfig, acc: dict, running_max) -> dict:
+    """In float64 mode, CoefficientOverflow where the largest operand term
+    or a kept sum is infinite: the cut would drop every term or keep inf."""
     if cfg.rational:
         return {b: c for b, c in acc.items() if c != 0}
+    if running_max == math.inf:
+        raise CoefficientOverflow("a float64 term is infinite")
     cut = cfg.zero_tolerance * float(running_max)
-    return {b: c for b, c in acc.items() if abs(c) > cut}
+    kept = {}
+    for b, c in acc.items():
+        a = abs(c)
+        if a > cut:
+            if a == math.inf:
+                raise CoefficientOverflow("a float64 sum overflowed")
+            kept[b] = c
+    return kept
 
 
 def _merge(cfg: AlgebraConfig, acc: dict, terms: dict) -> dict:
@@ -521,7 +533,7 @@ def multiply(x: Supernumber, y: Supernumber) -> Supernumber:
 
 
 def linear_combine(coeffs, terms) -> Supernumber:
-    """sum_i coeffs[i] * terms[i] with zero pruning."""
+    """sum_i coeffs[i] * terms[i], pruned and overflow-checked as by `+`."""
     if len(coeffs) != len(terms):
         raise LengthMismatch(
             f"{len(coeffs)} coefficients vs {len(terms)} terms")

@@ -137,7 +137,7 @@ def _cmd_canonicalize(args):
     resid = congruence(red.P, G) - red.Gamma
     return {
         "command": "canonicalize",
-        "mode": "rational" if cfg.rational else "float64",
+        "mode": cfg.coefficient_mode,
         "P": matrix_to_json(red.P),
         "Gamma": matrix_to_json(red.Gamma),
         "d_raw": [supernumber_to_json(di) for di in raw.d],
@@ -170,7 +170,7 @@ def _cmd_isometry_check(args):
     resid, scale = isometry_residual(N, gamma)
     report = {
         "command": "isometry-check",
-        "mode": "rational" if cfg.rational else "float64",
+        "mode": cfg.coefficient_mode,
         "isometry": within_gate(resid, scale),
         "residual": scalar_to_json(resid, cfg),
     }
@@ -204,7 +204,7 @@ def _cmd_lie_basis(args):
         hJ.append({"index": idx, "position": pos})
     return {
         "command": "lie-basis",
-        "mode": "rational" if cfg.rational else "float64",
+        "mode": cfg.coefficient_mode,
         "gamma": gamma_to_json(gamma),
         "dims": basis.dims,
         "g0": [matrix_to_json(M) for M in basis.g0],
@@ -229,7 +229,7 @@ def _cmd_group_op(args):
     iso_resid, iso_scale = isometry_residual(image, gamma)
     return {
         "command": "group-op",
-        "mode": "rational" if cfg.rational else "float64",
+        "mode": cfg.coefficient_mode,
         "product": group_element_to_json(prod),
         "embedded": matrix_to_json(image),
         "residuals": {

@@ -43,11 +43,13 @@ from scipy.linalg import expm
 from .algebra import within_gate
 from .errors import (
     ConfigMismatch,
+    DegenerateBody,
     NonZeroBody,
     NormBoundViolation,
     NotBodyIsometry,
     NotInG0,
     NotLieElement,
+    NotUnipotent,
     ShapeMismatch,
 )
 from .isometry import GammaForm, violated_conditions
@@ -163,7 +165,8 @@ def bch_series(X: SuperMatrix, Y: SuperMatrix,
 
 @dataclass(frozen=True)
 class NilElement:
-    """Even zero-body matrix satisfying the membership conditions."""
+    """Even zero-body matrix satisfying the membership conditions, which the
+    constructor checks; members built from members come from ``_trusted``."""
     X: SuperMatrix
     gamma: GammaForm
 
@@ -177,8 +180,15 @@ class NilElement:
             raise NotLieElement(
                 f"membership conditions violated: {violated}")
 
+    @classmethod
+    def _trusted(cls, X: SuperMatrix, gamma: GammaForm):
+        """An element whose X is a member by construction, unchecked."""
+        element = object.__new__(cls)
+        element.__dict__.update(X=X, gamma=gamma)
+        return element
+
     def __neg__(self):
-        return NilElement(-self.X, self.gamma)
+        return NilElement._trusted(-self.X, self.gamma)
 
     @cached_property
     def exp(self) -> SuperMatrix:
@@ -190,8 +200,12 @@ def diamond(X: NilElement, Y: NilElement) -> NilElement:
     """Exact group law log(exp X exp Y) on zero-body elements."""
     if X.gamma != Y.gamma:
         raise ShapeMismatch("operands live over different canonical forms")
-    Z = log_unipotent(X.exp @ Y.exp)
-    return NilElement(Z, X.gamma)
+    try:
+        Z = log_unipotent(X.exp @ Y.exp)
+    except NotUnipotent:    # souls past 1 / zero_tolerance pruned it
+        raise DegenerateBody("the group law lost its identity body to "
+                             "float64 pruning") from None
+    return NilElement._trusted(Z, X.gamma)
 
 
 # -- body group and the semi-direct product ----------------------------------------
@@ -279,15 +293,15 @@ class GroupElement:
 
 
 def conjugate_action(g_rows, Y: NilElement) -> NilElement:
-    """alpha(g): Y -> g Y g^{-1}, preserving zero body and membership.
-    The rows of g may be Python numbers or a numpy array."""
+    """alpha(g): Y -> g Y g^{-1}, a member again (unchecked) for a body
+    isometry g.  The rows of g may be Python numbers or a numpy array."""
     gamma = Y.gamma
     cfg = gamma.config
     G = SuperMatrix.from_real(cfg, g_rows, gamma.shape, "even")
     # inverted from G's coerced bodies, where numpy integers are Python ints
     Gi = SuperMatrix.from_real(cfg, _real_inverse(G.body(), cfg.rational),
                                gamma.shape, "even")
-    return NilElement(G @ Y.X @ Gi, gamma)
+    return NilElement._trusted(G @ Y.X @ Gi, gamma)
 
 
 def action_alpha(X0, Y: NilElement) -> NilElement:

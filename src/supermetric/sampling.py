@@ -172,7 +172,7 @@ def random_nil(rng, basis: LieBasis, terms=3, amp=1):
     from .group import NilElement
 
     X = random_member(rng, basis, terms=terms, soul_only=True, amp=amp)
-    return NilElement(X, basis.gamma)
+    return NilElement._trusted(X, basis.gamma)
 
 
 def _rand_float(rng, amp=1.0):

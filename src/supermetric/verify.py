@@ -34,7 +34,7 @@ from .group import (
     semidirect_multiply,
 )
 from .isometry import _scale_by_supernumber, is_isometry, lie_basis, \
-    lie_membership
+    lie_membership, violated_conditions
 from .matrices import SuperMatrix, ad_operator, exp_zero_body, spectrum_gate
 from .sampling import (
     make_rng,
@@ -272,7 +272,7 @@ def _grade_one_nil(rng, basis, terms=2):
         acc = acc + _scale_by_supernumber(
             g1[pos], rand_pure(rng, cfg, 1, Fraction(1, 2)
                                if cfg.rational else 0.5))
-    return NilElement(acc, gamma)
+    return NilElement._trusted(acc, gamma)
 
 
 def _section_bch(rng, basis, cases):
@@ -294,6 +294,8 @@ def _section_bch(rng, basis, cases):
         rhs = diamond(X, diamond(Y, Z)).X
         if not _near_zero(lhs - rhs, lhs.induced_norm()):
             failures.append(f"case {t}: associativity")
+        if any(violated_conditions(M, gamma) for M in (lhs, rhs)):
+            failures.append(f"case {t}: product not a member")
 
         # order 2 equals X + Y + [X,Y]/2 by construction of the tables
         ser = bch_series(X.X, Y.X, BCHOrderConfig(max_order=2))
@@ -348,6 +350,8 @@ def _section_semidirect(rng, basis, cases):
         rhs = semidirect_multiply(h1, semidirect_multiply(h2, h3))
         if not _ge_equal(lhs, rhs):
             failures.append(f"case {t}: associativity")
+        if any(violated_conditions(h.n_part.X, gamma) for h in (lhs, rhs)):
+            failures.append(f"case {t}: product not a member")
 
         # alpha is a homomorphism of the body group
         g1 = random_body_isometry(rng, gamma)
@@ -462,7 +466,7 @@ def run_verify(config: AlgebraConfig, seed: int, m: int = 2, n: int = 2,
         "fail"
     return {
         "command": "verify",
-        "mode": "rational" if config.rational else "float64",
+        "mode": config.coefficient_mode,
         "seed": int(seed),
         "generator_count": config.generator_count,
         "shape": {"m": m, "n": n},

@@ -5,10 +5,19 @@ fixture; the terminal summary prints them after the run so the pass/fail
 status of each numbered criterion is visible regardless of capture mode.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 from supermetric.algebra import AlgebraConfig
 from supermetric.sampling import make_rng
+
+# pyproject's `pythonpath` puts src/ on this process's path only; the CLI
+# tests that start `python -m supermetric.cli` need it on the child's
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 _ACCEPTANCE_LINES = []
 

@@ -275,6 +275,48 @@ def test_group_op_rational_exact(tmp_path, capsys):
     assert report["product"]["n_part"]["parity"] == "even"
 
 
+def test_group_op_refuses_a_non_member_on_the_wire(tmp_path, capsys):
+    basis = basis_for(RAT, 1, 1, 2)
+    rng = make_rng(12)
+    h1 = group_element_to_json(random_group_element(rng, basis))
+    h2 = group_element_to_json(random_group_element(rng, basis))
+    # a soul on the diagonal of the even-even block: zero body, not skew
+    entries = h1["n_part"]["entries"]
+    entries[0] = entries[0] + [{"index": [1, 2], "coeff": "1"}]
+    path = _write(tmp_path, "op.json", {
+        "algebra": ALG,
+        "gamma": gamma_to_json(basis.gamma),
+        "h1": h1,
+        "h2": h2,
+    })
+    code, out, err = _run(capsys, ["group-op", path])
+    assert code == 2 and out == ""
+    blob = json.loads(err)
+    assert blob["kind"] == "NotLieElement" and "even-even" in blob["error"]
+
+
+def test_group_op_pruned_identity_body_exits_3(tmp_path, capsys):
+    # souls past 1 / zero_tolerance: float64 pruning drops the identity
+    # body of exp(X) exp(Y), a numerical refusal, not a bad input
+    cfg = AlgebraConfig(generator_count=8, coefficient_mode="float64")
+    basis = basis_for(cfg, 2, 1, 4)
+    rng = make_rng(11)
+    h1 = random_group_element(rng, basis, terms=4, amp=4096)
+    h2 = random_group_element(rng, basis, terms=4, amp=4096)
+    path = _write(tmp_path, "op.json", {
+        "algebra": {"generator_count": 8, "coefficient_mode": "float64"},
+        "gamma": gamma_to_json(basis.gamma),
+        "h1": group_element_to_json(h1),
+        "h2": group_element_to_json(h2),
+    })
+    code, out, err = _run(capsys, ["group-op", path])
+    assert code == 3 and out == ""
+    blob = json.loads(err)
+    assert blob["kind"] == "DegenerateBody" and blob["exit_code"] == 3
+    code, out, err = _run(capsys, ["group-op", "--mode", "rational", path])
+    assert code == 0 and err == "" and json.loads(out)["isometry"] is True
+
+
 def test_mode_flag_overrides_payload(tmp_path, capsys):
     G = random_metric(make_rng(5), RAT, 1, 0)
     path = _write(tmp_path, "metric.json",

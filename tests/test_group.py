@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
+from supermetric import group, verify
 from supermetric.algebra import AlgebraConfig
 from supermetric.errors import (
     ConfigMismatch,
@@ -32,7 +33,8 @@ from supermetric.group import (
     semidirect_inverse,
     semidirect_multiply,
 )
-from supermetric.isometry import GammaForm, is_isometry
+from supermetric.isometry import GammaForm, is_isometry, \
+    violated_conditions
 from supermetric.matrices import SuperMatrix, exp_zero_body, log_unipotent
 from supermetric.sampling import (
     basis_for,
@@ -41,6 +43,8 @@ from supermetric.sampling import (
     random_nil,
     standard_gamma,
 )
+from supermetric.serialization import group_element_from_json, \
+    group_element_to_json
 
 RAT = AlgebraConfig(generator_count=4, coefficient_mode="rational")
 FLT = AlgebraConfig(generator_count=4, coefficient_mode="float64")
@@ -248,6 +252,49 @@ def test_nil_element_checks_only_the_three_conditions(monkeypatch):
     monkeypatch.setattr(SuperMatrix, "supertranspose", no_supertranspose)
     for X in members:
         assert NilElement(X, basis.gamma).X is X
+
+
+def test_members_built_from_members_are_not_checked_again(monkeypatch):
+    # membership is checked where a matrix comes in from outside: on the
+    # wire, once per element; the group law and sampling trust members
+    basis = basis_for(FLT, 2, 1, 2)
+    gamma = basis.gamma
+    rng = make_rng(8)
+    wire = [group_element_to_json(random_group_element(rng, basis))
+            for _ in range(2)]
+    calls = []
+
+    def counted(ell, form):
+        calls.append(ell)
+        return violated_conditions(ell, form)
+    monkeypatch.setattr(group, "violated_conditions", counted)
+    h1, h2 = (group_element_from_json(h, gamma) for h in wire)
+    assert len(calls) == 2
+    semidirect_multiply(h1, h2)
+    semidirect_inverse(h1)
+    random_nil(rng, basis, terms=2)
+    assert len(calls) == 2
+
+
+def test_verify_reports_a_law_that_leaves_the_group(monkeypatch):
+    # verify asserts membership of the laws' final values itself: a product
+    # outside the group is a failure line, not a NotLieElement crash
+    law = group.diamond
+
+    def leaves_the_group(X, Y):
+        Z = law(X, Y).X
+        rows = [list(r) for r in Z.rows]
+        rows[0][0] = rows[0][0] + Z.config.term([1, 2], 1)
+        return NilElement._trusted(
+            SuperMatrix(Z.config, Z.shape, rows, "even"), X.gamma)
+    monkeypatch.setattr(group, "diamond", leaves_the_group)
+    monkeypatch.setattr(verify, "diamond", leaves_the_group)
+    report = verify.run_verify(RAT, seed=1, m=1, n=2)
+    assert report["status"] == "fail"
+    sections = {s["name"]: s for s in report["sections"]}
+    for name in ("bch", "semidirect"):
+        assert sections[name]["status"] == "fail"
+        assert "case 0: product not a member" in sections[name]["failures"]
 
 
 def test_diamond_group_axioms_exact():

@@ -8,7 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from supermetric.algebra import GATE, AlgebraConfig, within_gate
+from supermetric.algebra import (
+    GATE,
+    AlgebraConfig,
+    Supernumber,
+    linear_combine,
+    within_gate,
+)
 from supermetric.cli import main
 from supermetric.errors import CoefficientOverflow, NumericalGateError
 from supermetric.group import (
@@ -53,6 +59,29 @@ def test_float_products_that_overflow_raise(tol):
         SuperMatrix(cfg, (1, 1), [[x, x], [x, x]]) @ \
             SuperMatrix(cfg, (1, 1), [[one, one], [one, one]])
     assert issubclass(CoefficientOverflow, NumericalGateError)
+
+
+@pytest.mark.parametrize("tol", [None, 0.0])
+def test_float_sums_that_overflow_raise(tol):
+    cfg = AlgebraConfig(generator_count=2, coefficient_mode="float64",
+                        zero_tolerance=tol)
+    big, one = cfg.scalar(1e308), cfg.one()
+    # a kept inf would make the next prune cut inf and drop every term
+    with pytest.raises(CoefficientOverflow):
+        big + big
+    with pytest.raises(CoefficientOverflow):
+        big - (-big)
+    M = SuperMatrix(cfg, (1, 0), [[big]])
+    with pytest.raises(CoefficientOverflow):
+        M + M + M
+    with pytest.raises(CoefficientOverflow):
+        linear_combine([1e308, 1e308], [one, one])
+    # an infinite term product, and an infinite operand term
+    with pytest.raises(CoefficientOverflow):
+        linear_combine([1e308], [cfg.scalar(10.0)])
+    with pytest.raises(CoefficientOverflow):
+        Supernumber(cfg, {0: math.inf}) + one
+    assert (big + (-big)).is_zero() and (big + one).body() == 1e308
 
 
 def _isometry_check(tmp_path, capsys, mode):
