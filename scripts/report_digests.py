@@ -6,8 +6,11 @@ coefficient modes through `supermetric.cli.main` in this process, and
 prints, per workload and for all of them together, one SHA-256 over each
 request's exit code, standard output and standard error, with the number of
 requests whose report fails the workload's check (each such request is
-listed below its workload's line).  Two checkouts that print the same
-digests produced byte-identical reports.
+listed below its workload's lines).  Each line over both modes is followed
+by one per mode (`group-sparse:float64`, `all:rational`, ...) over that
+mode's requests alone, so a change can show one mode's reports untouched
+while the other's move.  Two checkouts that print the same digests produced
+byte-identical reports.
 
     python scripts/report_digests.py --seed 31
     python scripts/report_digests.py --seed 31 --workload group-sparse
@@ -35,6 +38,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 from supermetric import cli  # noqa: E402
 
+MODES = ("float64", "rational")
+
 
 def send(request):
     """(exit code, stdout, stderr) of one request; a crash is its type and
@@ -58,24 +63,47 @@ def check(request, code, out, err):
         return f"unreadable report: {exc!r}"
 
 
-def digest_workload(name, seed, workdir, total):
-    """Feed every request of the workload into ``total`` and into its own
-    digest; returns (requests, failures, hex digest)."""
+class Tally:
+    """Requests, failures and one running SHA-256 over their records."""
+
+    def __init__(self):
+        self.requests = self.failed = 0
+        self.sha = hashlib.sha256()
+
+    def add(self, record, failed):
+        self.sha.update(record)
+        self.requests += 1
+        self.failed += failed
+
+    def line(self, name):
+        return (f"{name:<28} requests {self.requests:4d}  "
+                f"failed {self.failed:3d}  {self.sha.hexdigest()}")
+
+
+def digest_workload(name, seed, workdir, totals):
+    """Feed every request of the workload into the tallies of ``totals``
+    (keyed None for both modes, else by mode) and into its own; returns
+    its tallies and its failure lines."""
     wl = WORKLOADS[name](seed, workdir, rounds=ROUNDS[name])
-    own = hashlib.sha256()
-    requests = 0
+    own = {key: Tally() for key in (None, *MODES)}
     failures = []
     for request in (r for rnd in wl.rounds for r in rnd):
         code, out, err = send(request)
         record = f"{code}\n{out}\0{err}\0".encode()
-        own.update(record)
-        total.update(record)
-        requests += 1
         failure = check(request, code, out, err)
+        for tallies in (own, totals):
+            for key in (None, request.mode):
+                tallies[key].add(record, failure is not None)
         if failure is not None:
             args = " ".join(Path(a).name for a in request.argv)
             failures.append(f"{args}: {failure}")
-    return requests, failures, own.hexdigest()
+    return own, failures
+
+
+def print_tallies(name, tallies):
+    print(tallies[None].line(name))
+    for mode in MODES:
+        print(tallies[mode].line(f"{name}:{mode}"))
 
 
 def main(argv=None):
@@ -85,22 +113,16 @@ def main(argv=None):
                    help="workload to run (repeatable; default all)")
     args = p.parse_args(argv)
     names = args.workload or list(WORKLOADS)
-    total = hashlib.sha256()
-    requests = failed = 0
+    totals = {key: Tally() for key in (None, *MODES)}
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             workdir = Path(tmp) / name
             workdir.mkdir()
-            n, failures, hexdigest = digest_workload(name, args.seed,
-                                                     workdir, total)
-            requests += n
-            failed += len(failures)
-            print(f"{name:<20} requests {n:4d}  failed {len(failures):3d}  "
-                  f"{hexdigest}")
+            own, failures = digest_workload(name, args.seed, workdir, totals)
+            print_tallies(name, own)
             for failure in failures:
                 print(f"  failed {failure}")
-    print(f"{'all':<20} requests {requests:4d}  failed {failed:3d}  "
-          f"{total.hexdigest()}")
+    print_tallies("all", totals)
     return 0
 
 

@@ -12,8 +12,9 @@ exactly at finite L.
 Two coefficient modes are supported:
 
 * ``float64`` for speed, with relative pruning of cancellation dust;
-* ``rational`` (exact ``Fraction`` coefficients), the oracle mode in which
-  every identity is checked exactly.
+* ``rational`` (exact: integer numerators over one common denominator,
+  read as ``Fraction`` coefficients), the oracle mode in which every
+  identity is checked exactly.
 
 Values are immutable; all operations are pure functions that iterate terms
 in ascending bitmask order, so float64 results are bit-reproducible.
@@ -24,22 +25,25 @@ into a single dict.  The sign of z(I) z(J) for disjoint I, J is the parity
 of popcount(I & mask(J)), where mask(J) marks the generator positions with
 an odd number of J's indices below them (the idea of a per-blade sign table,
 as in the precomputed multiplication tables of pygae/clifford,
-https://github.com/pygae/clifford); in float64 mode masks are memoized within
-one call only, in rational mode they sit in each operand's integer form.
-Exactness rule: in rational mode each operand is read through its integer
-form (one common denominator D and an integer numerator per term, kept on
-the supernumber), and every term product is added as an integer straight
-into an accumulator over one common denominator.  A pair whose D_x * D_y
-differs from it rescales the accumulator once, to their lcm.  Integer sums
-are exact in any order; zeros are dropped and each coefficient reduced once
-at the end.  In float64 mode the kernel keeps the summation order and pruning
-of the left fold ``x_1*y_1 + x_2*y_2 + ...`` bit for bit: each product is
-summed on its own and pruned against its largest term product, then merged
-into the accumulator, which is pruned against the larger of its own largest
-term and the merged terms.  The prune and merge run inline, and the
-accumulator's largest term is carried from one prune to the next.  Matrix
-products pass only their nonempty pairs (see ``matrices``), which the fold
-skips anyway.
+https://github.com/pygae/clifford); masks are memoized within one call.
+Exactness rule: a rational value is an integer form, one common denominator
+D and an integer numerator per term, every coefficient N / D with D the lcm
+of the coefficients' denominators.  The kernel adds every term product as an
+integer straight into an accumulator over one common denominator; a pair
+whose D_x * D_y differs from it rescales the accumulator once, to their lcm.
+Integer sums are exact in any order, so the result is the accumulator's
+nonzero numerators with one gcd divided out.  Values the kernel returns, and
+their negations, scalings and sums, are born in that form, and their
+``Fraction`` coefficients are a view built the first time ``terms`` is read;
+a value built from a dict of ``Fraction``s gets its integer form the first
+time it is a kernel operand.  In float64 mode the kernel keeps the summation
+order and pruning of the left fold ``x_1*y_1 + x_2*y_2 + ...`` bit for bit:
+each product is summed on its own and pruned against its largest term
+product, then merged into the accumulator, which is pruned against the
+larger of its own largest term and the merged terms.  The prune and merge
+run inline, and the accumulator's largest term is carried from one prune to
+the next.  Matrix products pass only their nonempty pairs (see
+``matrices``), which the fold skips anyway.
 """
 
 from __future__ import annotations
@@ -221,12 +225,14 @@ class Supernumber:
     bitmask order.  Do not mutate; construct through AlgebraConfig or the
     arithmetic operators.
 
-    A rational supernumber also carries a derived integer form, built the
-    first time it is an operand of ``sum_of_products`` and kept after:
-    ``(D, ((bits, N, sign_mask), ...))`` in ``terms`` order, where D is the
-    lcm of the denominators, each coefficient equals N / D, and sign_mask is
-    ``_sign_mask(bits)``.  It is ``None`` until then, and always in float64
-    mode.
+    A rational value's own representation is its integer form
+    ``(D, ((bits, N), ...))``, bits ascending, where D is the lcm of the
+    coefficients' denominators and each coefficient equals N / D.  Kernel
+    results, and their negations, scalings and sums, are born in it (see
+    ``_IntegerBorn``) and build ``terms`` on first read; a value built here
+    from a dict gets the form the first time it is an operand of
+    ``sum_of_products`` and keeps it.  ``_int_form`` is ``None`` until
+    then, and always in float64 mode.
     """
 
     __slots__ = ("config", "terms", "_int_form")
@@ -244,7 +250,7 @@ class Supernumber:
             if den % q:
                 den = den // math.gcd(den, q) * q
         self._int_form = (den, tuple([
-            (b, c.numerator * (den // c.denominator), _sign_mask(b))
+            (b, c.numerator * (den // c.denominator))
             for b, c in self.terms.items()]))
         return self._int_form
 
@@ -358,6 +364,114 @@ class Supernumber:
                 idx = ",".join(str(i) for i in _bits_to_indices(b))
                 parts.append(f"{c}*z({idx})")
         return "Supernumber(" + " + ".join(parts) + ")"
+
+
+class _IntegerBorn(Supernumber):
+    """A nonzero rational supernumber born in its integer form.
+
+    ``terms`` is a view: the ``Fraction`` dict is built on its first read
+    and kept.  Zero checks, the body, the soul, the parity, the norm,
+    equality with another integer form, negation, scaling and sums read the
+    form itself, so a value that only feeds further arithmetic never builds
+    its Fractions.  float64 values never take this class, so their
+    ``terms`` stays a plain slot.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, config: AlgebraConfig, form):
+        self.config = config
+        self._int_form = form
+        self._terms = None
+
+    @property
+    def terms(self):
+        terms = self._terms
+        if terms is None:
+            den, items = self._int_form
+            terms = self._terms = {b: Fraction(n, den) for b, n in items}
+        return terms
+
+    def body(self):
+        den, items = self._int_form
+        bits, n = items[0]
+        return Fraction(0) if bits else Fraction(n, den)
+
+    def soul(self) -> Supernumber:
+        den, items = self._int_form
+        if items[0][0]:
+            return self
+        return _born(self.config, den, items[1:])
+
+    def norm(self):
+        den, items = self._int_form
+        return Fraction(sum([abs(n) for _, n in items]), den)
+
+    def parity(self) -> str:
+        kinds = {b.bit_count() & 1 for b, _ in self._int_form[1]}
+        if len(kinds) == 2:
+            return "mixed"
+        return "odd" if kinds.pop() else "even"
+
+    def is_zero(self) -> bool:
+        return False
+
+    def __add__(self, other):
+        if not isinstance(other, Supernumber):
+            other = self.config.scalar(other)
+        self._check_mate(other)
+        dx, xs = self._int_form
+        dy, ys = other._int_form or other._integer_form()
+        den = dx // math.gcd(dx, dy) * dy
+        sx, sy = den // dx, den // dy
+        acc = {b: n * sx for b, n in xs}
+        get = acc.get
+        for b, n in ys:
+            acc[b] = get(b, 0) + n * sy
+        return _born(self.config, den,
+                     [(b, n) for b, n in sorted(acc.items()) if n])
+
+    # Python tries a subclass's reflected operator first, so a value built
+    # from a dict plus or minus a born one also goes by the forms; exact
+    # sums do not depend on order
+    __radd__ = __add__
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __neg__(self):
+        den, items = self._int_form
+        return _IntegerBorn(self.config,
+                            (den, tuple([(b, -n) for b, n in items])))
+
+    def scale(self, scalar):
+        c0 = self.config.coerce(scalar)
+        if c0 == 0:
+            return self.config.zero()
+        p, q = c0.numerator, c0.denominator
+        den, items = self._int_form
+        return _born(self.config, den * q, [(b, n * p) for b, n in items])
+
+    def __eq__(self, other):
+        if isinstance(other, Supernumber) and other._int_form is not None:
+            return self.config == other.config and \
+                self._int_form == other._int_form
+        return Supernumber.__eq__(self, other)
+
+
+def _born(config: AlgebraConfig, den: int, items) -> Supernumber:
+    """The rational sum of N / den z(bits) over ``items``, a sequence of
+    (bits, N) with bits ascending and every N nonzero, with the gcd of den
+    and every N divided out: lcm_i(den / gcd(den, N_i)) is
+    den / gcd(den, N_1, ..., N_k), so den becomes the lcm of the reduced
+    denominators."""
+    if not items:
+        return Supernumber(config, {})
+    g = math.gcd(den, *[n for _, n in items])
+    if g != 1:
+        den //= g
+        items = [(b, n // g) for b, n in items]
+    return _IntegerBorn(config, (den, tuple(items)))
 
 
 def _running_max(values):
@@ -486,18 +600,26 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
 def _rational_sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
     """The exact branch of ``sum_of_products``: every coefficient of the
     accumulator is acc[key] / den.  A pair whose denominator D_x * D_y
-    differs from ``den`` rescales the accumulator once to their lcm."""
+    differs from ``den`` rescales the accumulator once to their lcm.  The
+    result is born in its integer form."""
     acc = {}
     get = acc.get
+    masks = {}
     den = 1
     for x, y in pairs:
         if (x.config is not config and x.config != config) or \
                 (y.config is not config and y.config != config):
             raise ConfigMismatch("operands use different algebra configs")
-        if not (x.terms and y.terms):
-            continue
         dx, xs = x._int_form or x._integer_form()
         dy, ys = y._int_form or y._integer_form()
+        if not (xs and ys):
+            continue
+        ym = []
+        for b2, n2 in ys:
+            mask = masks.get(b2)
+            if mask is None:
+                mask = masks[b2] = _sign_mask(b2)
+            ym.append((b2, n2, mask))
         d = dx * dy
         scale = 1
         if d != den:
@@ -509,10 +631,10 @@ def _rational_sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
                     acc[key] *= grow
                 den *= grow
             scale = den // d
-        for b1, n1, _ in xs:
+        for b1, n1 in xs:
             if scale != 1:
                 n1 *= scale
-            for b2, n2, mask in ys:
+            for b2, n2, mask in ym:
                 if b1 & b2:
                     continue
                 key = b1 | b2
@@ -520,8 +642,7 @@ def _rational_sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
                     acc[key] = get(key, 0) - n1 * n2
                 else:
                     acc[key] = get(key, 0) + n1 * n2
-    return Supernumber(config, {b: Fraction(n, den)
-                                for b, n in acc.items() if n})
+    return _born(config, den, [(b, n) for b, n in sorted(acc.items()) if n])
 
 
 # -- module-level operation surface -------------------------------------------

@@ -265,12 +265,15 @@ class GroupElement:
             raise ShapeMismatch("body matrix has the wrong size")
         # each entry as the mode's Python scalar, numpy scalars included
         coerce = gamma.config.coerce
-        rows = tuple(tuple(coerce(v) for v in row) for row in rows)
+        native = Fraction if gamma.config.rational else float
+        rows = tuple(tuple(v if type(v) is native else coerce(v) for v in row)
+                     for row in rows)
         object.__setattr__(self, "g_body", rows)
-        scale = max((abs(float(v)) for r in rows for v in r), default=0.0)
-        if not _real_block_diag_ok(rows, gamma.m, gamma.n, scale):
+        floats = [[float(v) for v in row] for row in rows]
+        scale = max((abs(v) for r in floats for v in r), default=0.0)
+        if not _real_block_diag_ok(floats, gamma.m, gamma.n, scale):
             raise NotBodyIsometry("body matrix must be block diagonal")
-        gb = np.array([[float(v) for v in row] for row in rows])
+        gb = np.array(floats)
         Gb = gamma.body_float()
         # entries near the float64 limit overflow the product to an inf or
         # nan residual, which the gate fails
@@ -292,9 +295,10 @@ class GroupElement:
         return cls(tuple(map(tuple, eye)), NilElement(X, gamma))
 
 
-def conjugate_action(g_rows, Y: NilElement) -> NilElement:
-    """alpha(g): Y -> g Y g^{-1}, a member again (unchecked) for a body
-    isometry g.  The rows of g may be Python numbers or a numpy array."""
+def _conjugate(g_rows, Y: NilElement) -> NilElement:
+    """g Y g^{-1}, unchecked: a member again for a body isometry g, which
+    the semi-direct product's operands carry.  The rows of g may be Python
+    numbers or a numpy array."""
     gamma = Y.gamma
     cfg = gamma.config
     G = SuperMatrix.from_real(cfg, g_rows, gamma.shape, "even")
@@ -302,6 +306,13 @@ def conjugate_action(g_rows, Y: NilElement) -> NilElement:
     Gi = SuperMatrix.from_real(cfg, _real_inverse(G.body(), cfg.rational),
                                gamma.shape, "even")
     return NilElement._trusted(G @ Y.X @ Gi, gamma)
+
+
+def conjugate_action(g_rows, Y: NilElement) -> NilElement:
+    """alpha(g): Y -> g Y g^{-1}, checked for membership: NotLieElement
+    when the conjugate is not a member, as when g is no body isometry.  The
+    rows of g may be Python numbers or a numpy array."""
+    return NilElement(_conjugate(g_rows, Y).X, Y.gamma)
 
 
 def action_alpha(X0, Y: NilElement) -> NilElement:
@@ -324,14 +335,14 @@ def semidirect_multiply(h1: GroupElement, h2: GroupElement) -> GroupElement:
     if h1.gamma != h2.gamma:
         raise ShapeMismatch("operands live over different canonical forms")
     g = _grid_mul(h1.g_body, h2.g_body)
-    n = diamond(h1.n_part, conjugate_action(h1.g_body, h2.n_part))
+    n = diamond(h1.n_part, _conjugate(h1.g_body, h2.n_part))
     return GroupElement(g, n)
 
 
 def semidirect_inverse(h: GroupElement) -> GroupElement:
     cfg = h.gamma.config
     ginv = _real_inverse(h.g_body, cfg.rational)
-    n = conjugate_action(ginv, -h.n_part)
+    n = _conjugate(ginv, -h.n_part)
     return GroupElement(ginv, n)
 
 

@@ -24,6 +24,9 @@ the tensor algebra at truncation L.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .algebra import AlgebraConfig, Supernumber, within_gate
 from .errors import (
@@ -92,8 +95,16 @@ class GammaForm:
         return SuperMatrix.from_blocks(
             cfg, eta_rows, None, None, standard_symplectic(cfg, n), "even")
 
-    def body_float(self):
-        return self.matrix().body_float()
+    def body_float(self) -> np.ndarray:
+        """The body of diag(eta, J) as a read-only float array, built once
+        per form."""
+        return self._body_float
+
+    @cached_property
+    def _body_float(self):
+        body = self.matrix().body_float()
+        body.flags.writeable = False
+        return body
 
 
 def isometry_residual(N: SuperMatrix, gamma: GammaForm):

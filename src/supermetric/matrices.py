@@ -33,6 +33,7 @@ body makes xi*I - ad invertible for every xi != 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -158,31 +159,32 @@ class SuperMatrix:
                                            other.parity_class))
 
     def __add__(self, other):
-        return self._entrywise(other, Supernumber.__add__)
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        return self._entrywise(other, Supernumber.__sub__)
+        return self._entrywise(other, operator.sub)
 
     def _entrywise(self, other, op):
         """op of each pair of entries; where both are empty, one shared
-        zero."""
+        zero.  ``op`` is an operator, not a ``Supernumber`` method, so that
+        rational entries born in integer form add by their forms."""
         self._check_mate(other)
         cls = (self.parity_class if self.parity_class == other.parity_class
                else "general")
         zero = self.config.zero()
-        rows = [[op(a, b) if a.terms or b.terms else zero
+        rows = [[zero if a.is_zero() and b.is_zero() else op(a, b)
                  for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)]
         return SuperMatrix(self.config, self.shape, rows, cls)
 
     def __neg__(self):
         zero = self.config.zero()
-        rows = [[-e if e.terms else zero for e in r] for r in self.rows]
+        rows = [[zero if e.is_zero() else -e for e in r] for r in self.rows]
         return SuperMatrix(self.config, self.shape, rows, self.parity_class)
 
     def scale(self, scalar):
         zero = self.config.zero()
-        rows = [[e.scale(scalar) if e.terms else zero for e in r]
+        rows = [[zero if e.is_zero() else e.scale(scalar) for e in r]
                 for r in self.rows]
         return SuperMatrix(self.config, self.shape, rows, self.parity_class)
 
@@ -292,19 +294,25 @@ def _mul_rows(config, a, b):
                     raise ConfigMismatch(
                         "matrix entries use different algebra configs")
     # the nonzeros of each row of a as [(t, entry)] and of each column of b
-    # as {t: entry}, each with the bitmask of its t
-    a_rows = []
-    for row in a:
-        nz = [(t, e) for t, e in enumerate(row) if e.terms]
-        a_rows.append((nz, sum(1 << t for t, _ in nz)))
+    # as {t: entry}, each with the bitmask of its t; a rational entry says
+    # it is zero without building its Fractions, a float64 one reads its
+    # terms slot
+    if config.rational:
+        a_nz = [[(t, e) for t, e in enumerate(row) if not e.is_zero()]
+                for row in a]
+        b_nz = [[(j, f) for j, f in enumerate(row) if not f.is_zero()]
+                for row in b]
+    else:
+        a_nz = [[(t, e) for t, e in enumerate(row) if e.terms] for row in a]
+        b_nz = [[(j, f) for j, f in enumerate(row) if f.terms] for row in b]
+    a_rows = [(nz, sum(1 << t for t, _ in nz)) for nz in a_nz]
     r = len(b[0]) if b else 0
     cols = [{} for _ in range(r)]
     col_masks = [0] * r
-    for t, row in enumerate(b):
-        for j, f in enumerate(row):
-            if f.terms:
-                cols[j][t] = f
-                col_masks[j] |= 1 << t
+    for t, nz in enumerate(b_nz):
+        for j, f in nz:
+            cols[j][t] = f
+            col_masks[j] |= 1 << t
     b_cols = list(zip(cols, col_masks))
     zero = config.zero()
     return [[sum_of_products(config, [(e, col[t]) for t, e in nz if t in col])

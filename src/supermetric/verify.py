@@ -26,8 +26,8 @@ from .group import (
     BCHOrderConfig,
     GroupElement,
     NilElement,
+    _conjugate,
     bch_series,
-    conjugate_action,
     diamond,
     embed_isometry,
     semidirect_inverse,
@@ -360,8 +360,8 @@ def _section_semidirect(rng, basis, cases):
         k = gamma.m + gamma.n
         g12 = [[sum(g1[i][s] * g2[s][j] for s in range(k))
                 for j in range(k)] for i in range(k)]
-        lhs_n = conjugate_action(g12, Y)
-        rhs_n = conjugate_action(g1, conjugate_action(g2, Y))
+        lhs_n = _conjugate(g12, Y)
+        rhs_n = _conjugate(g1, _conjugate(g2, Y))
         if not _near_zero(lhs_n.X - rhs_n.X, lhs_n.X.induced_norm()):
             failures.append(f"case {t}: alpha homomorphism")
 

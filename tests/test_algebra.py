@@ -594,9 +594,9 @@ def test_rational_kernel_one_term_and_reused_operands():
             assert _same(sum_of_products(cfg, pairs),
                          _reference_rational_products(cfg, pairs))
     den, form = shared._int_form
-    assert [b for b, _, _ in form] == list(shared.terms)
+    assert [b for b, _ in form] == list(shared.terms)
     assert all(Fraction(n, den) == c
-               for (_, n, _), c in zip(form, shared.terms.values()))
+               for (_, n), c in zip(form, shared.terms.values()))
 
 
 def test_float_supernumbers_never_gain_an_integer_form():
@@ -605,6 +605,121 @@ def test_float_supernumbers_never_gain_an_integer_form():
     for out in (x * y, y * x, sum_of_products(FLT, [(x, y), (y, x)])):
         assert out._int_form is None
     assert x._int_form is None and y._int_form is None
+
+
+def _rebuilt_form(z):
+    """The integer form of a fresh value built from z's Fractions."""
+    return Supernumber(z.config, dict(z.terms))._integer_form()
+
+
+def _check_born(z):
+    """A nonzero rational result is born in its integer form, which equals
+    the form rebuilt from its Fractions: the same D, the same numerators,
+    ascending bits.  A zero result is the empty value."""
+    if z.is_zero():
+        assert type(z) is Supernumber and z.terms == {}
+        return
+    assert type(z) is algebra._IntegerBorn
+    den, items = z._int_form
+    assert z._int_form == _rebuilt_form(z)
+    assert [b for b, _ in items] == sorted(b for b, _ in items)
+    assert all(n for _, n in items) and den >= 1
+
+
+@pytest.mark.parametrize("kind", ["small", "dyadic", "prime"])
+def test_rational_kernel_results_are_born_in_their_integer_form(kind):
+    cfg = AlgebraConfig(generator_count=5, coefficient_mode="rational")
+    rng = make_rng(9002)
+    born = []
+    for _ in range(300):
+        # fresh operands and earlier results, in either slot
+        pool = [_rational_element(rng, cfg, kind) for _ in range(3)] + \
+            born[-3:]
+        pairs = [(pool[int(rng.integers(0, len(pool)))],
+                  pool[int(rng.integers(0, len(pool)))])
+                 for _ in range(int(rng.integers(0, 6)))]
+        cancel = bool(pairs) and bool(rng.integers(0, 2))
+        if cancel:
+            pairs += [(x, -y) for x, y in pairs]
+        out = sum_of_products(cfg, pairs)
+        assert _same(out, _reference_rational_products(cfg, pairs))
+        _check_born(out)
+        if cancel:
+            assert out.is_zero()
+        elif not out.is_zero():
+            born.append(out)
+    assert born
+
+
+def test_rational_kernel_reduces_its_denominator():
+    cfg = AlgebraConfig(generator_count=4, coefficient_mode="rational")
+    z1, z2 = cfg.generator(1), cfg.generator(2)
+    quarter = cfg.term([1], Fraction(1, 4))
+    # 1/4 + 1/4 over D = 4 is 1/2: D falls to 2
+    out = sum_of_products(cfg, [(quarter, z2), (quarter, z2)])
+    assert out._int_form == (2, ((0b11, 1),))
+    # (2/3)(3/2) over D = 6 is 1
+    out = cfg.term([1], Fraction(2, 3)) * cfg.term([2], Fraction(3, 2))
+    assert out._int_form == (1, ((0b11, 1),))
+    # D grows to lcm(4, 9) = 36 across the pairs, then 1/4 + 3/4 leaves 9
+    ninth = cfg.term([3], Fraction(1, 9))
+    out = sum_of_products(cfg, [(quarter, z2), (ninth, z1),
+                                (quarter.scale(3), z2)])
+    assert out._int_form == (9, ((0b11, 9), (0b101, -1)))
+    for z in (out, out.soul(), -out, out.scale(Fraction(9, 2)), out / 3):
+        _check_born(z)
+
+
+def test_integer_form_arithmetic_matches_fraction_arithmetic():
+    cfg = AlgebraConfig(generator_count=5, coefficient_mode="rational")
+    rng = make_rng(4242)
+    one = cfg.one()
+    for i in range(300):
+        kind = ("small", "dyadic", "prime")[i % 3]
+        a = _rational_element(rng, cfg, kind)
+        b = _rational_element(rng, cfg, kind)
+        x, y = a * one, one * b      # born copies of a and b
+        c = Fraction(int(rng.integers(-9, 10)), _denominators(rng, kind))
+        for got, want in ((-x, -a), (x.soul(), a.soul()),
+                          (x + y, a + b), (x + b, a + b), (b + x, b + a),
+                          (x - y, a - b), (x - b, a - b), (b - x, b - a),
+                          (x + 2, a + 2), (2 - x, 2 - a), (x - x, a - a),
+                          (x.scale(c), a.scale(c)), (c * x, c * a),
+                          (x / (c or 1), a / (c or 1))):
+            assert _same(got, want)
+            if not a.is_zero():
+                _check_born(got)
+        assert (x.body(), x.norm(), x.parity(), x.is_zero(), x.is_soul()) \
+            == (a.body(), a.norm(), a.parity(), a.is_zero(), a.is_soul())
+        assert (x == y) == (a == b) and (x == a) and (a == x)
+        assert x == _reference_rational_products(cfg, [(a, one)])
+
+
+def test_series_chains_build_fractions_only_for_their_result(monkeypatch):
+    builds = []
+    view = algebra._IntegerBorn.terms.fget
+
+    def counting(self):
+        if self._terms is None:
+            builds.append(self)
+        return view(self)
+    monkeypatch.setattr(algebra._IntegerBorn, "terms", property(counting))
+    cfg = AlgebraConfig(generator_count=6, coefficient_mode="rational")
+    x = cfg.from_terms({(): 3, (1, 2): Fraction(1, 3), (3, 4): Fraction(2, 5),
+                        (1, 5): Fraction(-4, 7)})
+    y = cfg.one() + cfg.term([5, 6], Fraction(1, 11))
+    z = x * y
+    sigma = (z.soul() * z.soul()).scale(Fraction(1, 13)) + z.soul() * x
+    assert sigma.body() == 0 and sigma.parity() == "even"
+    for chain, check in ((lambda: invert(z), lambda w: w * z == 1),
+                         (lambda: algebra._binomial_soul_series(sigma),
+                          lambda w: w * w * (1 + sigma) == 1)):
+        builds.clear()
+        w = chain()
+        assert builds == [] and type(w) is algebra._IntegerBorn
+        w.terms
+        assert builds == [w]
+        assert check(w)
 
 
 def _prime_metric(cfg, m, n, per_entry, seed):

@@ -391,6 +391,36 @@ def test_conjugation_is_an_automorphism():
     assert (lhs2.X - rhs2.X).entry_norm_max() == 0
 
 
+def test_conjugate_action_refuses_a_non_isometry():
+    basis = basis_for(RAT, 1, 1, 2)
+    Y = random_nil(make_rng(5), basis, terms=3)
+    g = [[2 if i == j == 0 else int(i == j) for j in range(4)]
+         for i in range(4)]
+    # diag(2, 1, 1, 1) scales the first eta direction: g Y g^-1 leaves G0
+    assert violated_conditions(group._conjugate(g, Y).X, basis.gamma)
+    with pytest.raises(NotLieElement):
+        conjugate_action(g, Y)
+    # an isometry passes, and the semi-direct product's trusted
+    # conjugation gives the same element
+    h = random_group_element(make_rng(6), basis)
+    assert conjugate_action(h.g_body, Y).X == \
+        group._conjugate(h.g_body, Y).X
+
+
+def test_group_element_reads_gamma_body_once_and_coerces_to_native():
+    for cfg, native in ((RAT, Fraction), (FLT, float)):
+        gamma = standard_gamma(cfg, 1, 1, 2)
+        body = gamma.body_float()
+        assert body is gamma.body_float() and not body.flags.writeable
+        X = SuperMatrix.zeros(cfg, gamma.shape, "even")
+        eye = [[np.int64(i == j) if i else int(i == j) for j in range(4)]
+               for i in range(4)]
+        h = GroupElement(eye, NilElement(X, gamma))
+        assert all(type(v) is native for row in h.g_body for v in row)
+        assert h.g_body == GroupElement.identity(gamma).g_body
+        assert gamma.body_float() is body
+
+
 def test_action_alpha_zero_is_identity():
     basis = basis_for(RAT, 1, 1, 2)
     rng = make_rng(13)

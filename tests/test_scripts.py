@@ -35,7 +35,12 @@ def test_report_digests_on_group_sparse():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split()[:5] for line in lines] == [
-        ["group-sparse", "requests", "144", "failed", "0"],
-        ["all", "requests", "144", "failed", "0"]]
-    digests = {line.split()[-1] for line in lines}
-    assert len(digests) == 1 and len(digests.pop()) == 64
+        [name, "requests", count, "failed", "0"]
+        for prefix in ("group-sparse", "all")
+        for name, count in ((prefix, "144"),
+                            (f"{prefix}:float64", "72"),
+                            (f"{prefix}:rational", "72"))]
+    digests = [line.split()[-1] for line in lines]
+    assert all(len(d) == 64 for d in digests)
+    # one workload: "all" repeats its lines, and the two modes differ
+    assert digests[:3] == digests[3:] and len(set(digests)) == 3
