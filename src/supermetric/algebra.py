@@ -25,7 +25,10 @@ into a single dict.  The sign of z(I) z(J) for disjoint I, J is the parity
 of popcount(I & mask(J)), where mask(J) marks the generator positions with
 an odd number of J's indices below them (the idea of a per-blade sign table,
 as in the precomputed multiplication tables of pygae/clifford,
-https://github.com/pygae/clifford); masks are memoized within one call.
+https://github.com/pygae/clifford).  The first time a value is the right
+operand of a product it builds its right-operand table, each term with its
+sign mask (in float64 also with its negated coefficient), and keeps it, so
+a k x k matrix product, which uses each right entry k times, builds it once.
 Exactness rule: a rational value is an integer form, one common denominator
 D and an integer numerator per term, every coefficient N / D with D the lcm
 of the coefficients' denominators.  The kernel adds every term product as an
@@ -68,6 +71,8 @@ _MODE_ALIASES = {"float64": FLOAT64, "rational": RATIONAL, "exact-rational": RAT
 
 GENERATOR_CAP = 24
 _DEFAULT_FLOAT_TOLERANCE = 1e-14
+# the zero scalar of each mode, shared (a Fraction is immutable)
+_ZERO = {FLOAT64: 0.0, RATIONAL: Fraction(0)}
 # the one relative gate of the checks that compare floats: entry equality,
 # membership, isometry, body singularity and verify's identities
 GATE = 1e-10
@@ -233,14 +238,20 @@ class Supernumber:
     from a dict gets the form the first time it is an operand of
     ``sum_of_products`` and keeps it.  ``_int_form`` is ``None`` until
     then, and always in float64 mode.
+
+    ``_right`` is the right-operand table the kernel reads, ``None`` until
+    the value is first a right operand: ``((bits, c, -c, sign_mask), ...)``
+    in float64, ``((bits, N, sign_mask), ...)`` over the integer form in
+    rational mode.
     """
 
-    __slots__ = ("config", "terms", "_int_form")
+    __slots__ = ("config", "terms", "_int_form", "_right")
 
     def __init__(self, config: AlgebraConfig, terms: dict):
         self.config = config
         self.terms = dict(sorted(terms.items()))
         self._int_form = None
+        self._right = None
 
     def _integer_form(self):
         """Build and keep the integer form of a rational supernumber."""
@@ -254,6 +265,16 @@ class Supernumber:
             for b, c in self.terms.items()]))
         return self._int_form
 
+    def _right_table(self):
+        """Build and keep the right-operand table (see the class doc)."""
+        if self.config.rational:
+            _, items = self._int_form or self._integer_form()
+            self._right = tuple([(b, n, _sign_mask(b)) for b, n in items])
+        else:
+            self._right = tuple([(b, c, -c, _sign_mask(b))
+                                 for b, c in self.terms.items()])
+        return self._right
+
     # -- inspection ------------------------------------------------------
 
     def items(self):
@@ -261,8 +282,7 @@ class Supernumber:
         return [(_bits_to_indices(b), c) for b, c in self.terms.items()]
 
     def body(self):
-        c = self.terms.get(0)
-        return self.config.coerce(0) if c is None else c
+        return self.terms.get(0, _ZERO[self.config.coefficient_mode])
 
     def soul(self) -> "Supernumber":
         return Supernumber(self.config,
@@ -270,7 +290,7 @@ class Supernumber:
 
     def norm(self):
         """l1 norm; a Fraction in rational mode, float otherwise."""
-        total = self.config.coerce(0)
+        total = _ZERO[self.config.coefficient_mode]
         for c in self.terms.values():
             total += abs(c)
         return total
@@ -382,6 +402,7 @@ class _IntegerBorn(Supernumber):
     def __init__(self, config: AlgebraConfig, form):
         self.config = config
         self._int_form = form
+        self._right = None
         self._terms = None
 
     @property
@@ -395,7 +416,7 @@ class _IntegerBorn(Supernumber):
     def body(self):
         den, items = self._int_form
         bits, n = items[0]
-        return Fraction(0) if bits else Fraction(n, den)
+        return _ZERO[RATIONAL] if bits else Fraction(n, den)
 
     def soul(self) -> Supernumber:
         den, items = self._int_form
@@ -533,7 +554,6 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
     if config.rational:
         return _rational_sum_of_products(config, pairs)
     tol, inf = config.zero_tolerance, math.inf
-    masks = {}
     acc = None
     acc_max = 0     # largest |term| of acc, carried from its last prune
     for x, y in pairs:
@@ -542,14 +562,12 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
             raise ConfigMismatch("operands use different algebra configs")
         if not (x.terms and y.terms):
             continue
-        ys = []
-        for b2, c2 in y.terms.items():
-            mask = masks.get(b2)
-            if mask is None:
-                mask = masks[b2] = _sign_mask(b2)
-            ys.append((b2, c2, -c2, mask))
-        # the product on its own, with its largest term product
+        ys = y._right or y._right_table()
+        # the product on its own, with its largest term product; 0.0 + c is
+        # c except for c = -0.0, which no prune keeps, and a NaN c passes
+        # neither compare, as it fails abs(c) > running
         prod = {}
+        get = prod.get
         running = 0
         for b1, c1 in x.terms.items():
             for b2, c2, neg2, mask in ys:
@@ -557,10 +575,11 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
                     continue
                 c = c1 * (neg2 if (b1 & mask).bit_count() & 1 else c2)
                 key = b1 | b2
-                prod[key] = prod[key] + c if key in prod else c
-                a = abs(c)
-                if a > running:
-                    running = a
+                prod[key] = get(key, 0.0) + c
+                if c > running:
+                    running = c
+                elif -c > running:
+                    running = -c
         if running == inf:
             raise CoefficientOverflow("a float64 term product overflowed")
         # what survives the product's prune goes into acc as by `+`, whose
@@ -604,7 +623,6 @@ def _rational_sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
     result is born in its integer form."""
     acc = {}
     get = acc.get
-    masks = {}
     den = 1
     for x, y in pairs:
         if (x.config is not config and x.config != config) or \
@@ -614,12 +632,7 @@ def _rational_sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
         dy, ys = y._int_form or y._integer_form()
         if not (xs and ys):
             continue
-        ym = []
-        for b2, n2 in ys:
-            mask = masks.get(b2)
-            if mask is None:
-                mask = masks[b2] = _sign_mask(b2)
-            ym.append((b2, n2, mask))
+        ym = y._right or y._right_table()
         d = dx * dy
         scale = 1
         if d != den:

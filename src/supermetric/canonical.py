@@ -45,7 +45,7 @@ from .errors import (
 )
 # standard_symplectic is defined beside GammaForm and importable from here too
 from .isometry import GammaForm, standard_symplectic  # noqa: F401
-from .matrices import SuperMatrix, _body_inverse
+from .matrices import SuperMatrix, _body_inverse, _mul_rows
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,9 @@ def orthogonalize_even(metric: SuperMetric):
 def odd_complement(metric: SuperMetric, P0, d):
     """Extend P0 to the full space and shear away the mixed blocks.
 
-    Returns (P1, G1) with P1 the full (m|n) transition and G1 the updated
-    Gram matrix, whose mixed blocks vanish identically.
+    Returns (P1, B2): P1 is the full (m|n) transition, and B2 the odd-odd
+    block of P1^ST G P1, an (n|0) SuperMatrix; the mixed blocks of that
+    Gram matrix vanish identically and are not formed.
     """
     cfg = metric.config
     m, n = metric.m, metric.n
@@ -252,8 +253,11 @@ def odd_complement(metric: SuperMetric, P0, d):
         I_n,
         "even")
     P1 = P_even @ shear
-    G2 = shear.supertranspose() @ G1 @ shear
-    return P1, G2
+    # rows m.. of shear^ST G1 times the last n columns of shear: each entry
+    # is the fold the full product shear^ST @ G1 @ shear makes for it
+    odd_rows = _mul_rows(cfg, shear.supertranspose().rows[m:], G1.rows)
+    B2 = _mul_rows(cfg, odd_rows, [row[m:] for row in shear.rows])
+    return P1, SuperMatrix(cfg, (n, 0), B2, "even")
 
 
 def symplectic_reduce(B1, cfg):
@@ -271,15 +275,16 @@ def symplectic_reduce(B1, cfg):
     pairs = []
     while remaining:
         u = remaining.pop(0)
-        scores = [abs(float(_bilinear(cfg, B1, u, w).body()))
-                  for w in remaining]
+        pairings = [_bilinear(cfg, B1, u, w) for w in remaining]
+        scores = [abs(float(p.body())) for p in pairings]
         floor = 0.0 if cfg.rational else GATE * bscale
         if not scores or max(scores) <= floor:
             raise DegenerateBody(
                 "no partner with nonzero body pairing remains")
-        w = remaining.pop(scores.index(max(scores)))
-        zval = _bilinear(cfg, B1, u, w)
-        w = [invert(zval) * wi for wi in w]          # now u^T B1 w = 1
+        best = scores.index(max(scores))
+        w = remaining.pop(best)
+        zinv = invert(pairings[best])
+        w = [zinv * wi for wi in w]                  # now u^T B1 w = 1
         for idx, x in enumerate(remaining):
             cu = _bilinear(cfg, B1, x, w)
             cw = _bilinear(cfg, B1, x, u)
@@ -297,8 +302,8 @@ def canonical_form(metric: SuperMetric) -> CanonicalizationResult:
     """Compose the three stages; P^ST G P = diag(eta, J) with eta = diag(d)."""
     cfg = metric.config
     P0, d = orthogonalize_even(metric)
-    P1, G2 = odd_complement(metric, P0, d)
-    Q = symplectic_reduce(G2.block_b(), cfg)
+    P1, B2 = odd_complement(metric, P0, d)
+    Q = symplectic_reduce(B2.rows, cfg)
     I_m = SuperMatrix.identity(cfg, (metric.m, 0)).rows
     P = P1 @ SuperMatrix.from_blocks(cfg, I_m, None, None, Q, "even")
     Gamma = GammaForm(cfg, d, metric.n).matrix()

@@ -438,11 +438,15 @@ def test_kernel_equals_reference_fold_bit_for_bit(mode, tol):
     rng = make_rng(4242)
     for _ in range(1500):
         pairs = _random_pairs(rng, cfg, tiny)
-        got = sum_of_products(cfg, iter(pairs))
-        assert _bitwise_equal(got, _reference_fold(cfg, pairs))
-        x, y = pairs[0]
-        assert _bitwise_equal(x * y, _reference_mul(x, y))
-        assert _bitwise_equal(x + y, _reference_add(x, y))
+        # the first run builds the right operands' tables; the rerun reads
+        # them, and the swapped run builds the left factors' tables, so a
+        # stale table, or one built from the wrong side, fails one of them
+        for case in (pairs, pairs, [(y, x) for x, y in pairs]):
+            got = sum_of_products(cfg, iter(case))
+            assert _bitwise_equal(got, _reference_fold(cfg, case))
+            x, y = case[0]
+            assert _bitwise_equal(x * y, _reference_mul(x, y))
+            assert _bitwise_equal(x + y, _reference_add(x, y))
 
 
 def test_kernel_float_dust_at_the_cut():
@@ -597,6 +601,22 @@ def test_rational_kernel_one_term_and_reused_operands():
     assert [b for b, _ in form] == list(shared.terms)
     assert all(Fraction(n, den) == c
                for (_, n), c in zip(form, shared.terms.values()))
+
+
+def test_body_and_norm_return_the_shared_zero(monkeypatch):
+    calls = []
+    coerce = AlgebraConfig.coerce
+    monkeypatch.setattr(AlgebraConfig, "coerce",
+                        lambda self, v: calls.append(v) or coerce(self, v))
+    for cfg, kind in ((RAT, Fraction), (FLT, float)):
+        soul = cfg.generator(1)
+        born = soul * cfg.generator(2)       # an integer form when rational
+        calls.clear()
+        for z in (soul, born, Supernumber(cfg, {})):
+            assert type(z.body()) is kind and z.body() == 0
+        assert type(cfg.zero().norm()) is kind and cfg.zero().norm() == 0
+        assert calls == []
+        assert soul.norm() == 1 and born.norm() == 1
 
 
 def test_float_supernumbers_never_gain_an_integer_form():

@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from supermetric.algebra import AlgebraConfig
+from supermetric import canonical
+from supermetric.algebra import AlgebraConfig, invert
 from supermetric.canonical import (
     CanonicalizationResult,
     body_reduce,
     canonical_form,
     congruence,
+    odd_complement,
+    orthogonalize_even,
     standard_symplectic,
+    symplectic_reduce,
     validate_metric,
 )
 from supermetric.errors import (
@@ -233,3 +237,53 @@ def test_reduced_result_round_trips_via_congruence():
     signs = [r["sign"] for r in red.reducibility]
     assert signs == sorted(signs, reverse=True)
     assert red.body_reduced
+
+
+def _full_odd_odd_block(metric, P0, d):
+    """The odd-odd block of shear^ST G1 shear formed as the whole product,
+    with G1 and the shear built as odd_complement builds them."""
+    cfg, m, n = metric.config, metric.m, metric.n
+    I_n = SuperMatrix.identity(cfg, (n, 0)).rows
+    P_even = SuperMatrix.from_blocks(cfg, P0.rows, None, None, I_n, "even")
+    G1 = P_even.supertranspose() @ metric.matrix @ P_even
+    Cp = G1.block_c()
+    W = [[invert(d[j]) * Cp[j][a] for a in range(n)] for j in range(m)]
+    shear = SuperMatrix.from_blocks(
+        cfg, SuperMatrix.identity(cfg, (m, 0)).rows,
+        [[-W[i][a] for a in range(n)] for i in range(m)], None, I_n, "even")
+    return (shear.supertranspose() @ G1 @ shear).block_b()
+
+
+@pytest.mark.parametrize("mode", ["float64", "rational"])
+def test_odd_complement_forms_the_odd_odd_block_of_the_full_product(mode):
+    cfg = AlgebraConfig(generator_count=8, coefficient_mode=mode)
+    for seed in (1, 2, 3):
+        metric = validate_metric(random_metric(make_rng(seed), cfg, 3, 4))
+        P0, d = orthogonalize_even(metric)
+        _, B2 = odd_complement(metric, P0, d)
+        assert B2.shape == (4, 0) and B2.parity_class == "even"
+        want = _full_odd_odd_block(metric, P0, d)
+        for got_row, want_row in zip(B2.rows, want):
+            for got, ref in zip(got_row, want_row):
+                # float64 bit for bit: the same terms in the same order
+                assert list(got.terms.items()) == list(ref.terms.items())
+
+
+@pytest.mark.parametrize("cfg", [RAT, FLT])
+def test_symplectic_reduce_inverts_each_pairing_once(monkeypatch, cfg):
+    calls = []
+    monkeypatch.setattr(canonical, "invert",
+                        lambda z: calls.append(z) or invert(z))
+    J = standard_symplectic(cfg, 4)
+    # soul terms in the pairings, so that each inverse has work to do
+    s = cfg.term([1, 2], Fraction(1, 3))
+    B = [[e + s if e.body() > 0 else e - s if e.body() < 0 else e
+          for e in row] for row in J]
+    Q = symplectic_reduce(B, cfg)
+    assert len(calls) == 2
+    M = SuperMatrix(cfg, (4, 0), B, "even")
+    Qm = SuperMatrix(cfg, (4, 0), Q, "even")
+    out = Qm.supertranspose() @ M @ Qm
+    for a in range(4):
+        for b in range(4):
+            assert canonical._entries_equal(out.rows[a][b], J[a][b], 1.0)

@@ -380,6 +380,11 @@ _CANONICALIZE_SHA256 = {
         "17324b42e64e1c3b46d8d26aceab019147daddaaa8cd138fb085213ba31ad7e6",
     (2, 2, 6, 1, "rational"):
         "2f7074e88399979eb4a25c8db9a5ce0f1946b9c52b8ef7d9fe5b250cbda35542",
+    # three rounds of symplectic pairing
+    (2, 6, 6, 1, "float64"):
+        "b9273ea774c8e17de0aed8911fe28ece276d714ce31005d268a65358fe60f9b9",
+    (2, 6, 6, 1, "rational"):
+        "785cee68983f3b0f2618e6cd715cfdadbc2f4e5cbb512df47adadff4c061f1f4",
     (3, 4, 8, 1, "float64"):
         "3e7c9a69b92949caf58d4dd6548f8f83a03761dd2d36059f26df149fa8bc90a4",
     (3, 4, 8, 1, "rational"):

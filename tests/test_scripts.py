@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts, each in a fresh interpreter."""
 
+import json
 import os
 import subprocess
 import sys
@@ -44,3 +45,41 @@ def test_report_digests_on_group_sparse():
     assert all(len(d) == 64 for d in digests)
     # one workload: "all" repeats its lines, and the two modes differ
     assert digests[:3] == digests[3:] and len(set(digests)) == 3
+
+
+def _run_file(path, seed, req_per_s, latency_ms):
+    metrics = {"float64.req_per_s": {"value": req_per_s, "unit": "1/s"},
+               "float64.latency_p50_ms": {"value": latency_ms, "unit": "ms"}}
+    path.write_text(
+        f"perfbench workload=canonicalize-dense seed={seed} seconds=1\n"
+        "float64.req_per_s    1.0 1/s\n"
+        + json.dumps({"correct": True, "attempted": 9, "failed": 0,
+                      "metrics": metrics}) + "\n")
+    return str(path)
+
+
+def test_bench_compare_pairs_runs_and_counts_wins(tmp_path):
+    pairs = []
+    for seed, (before, after) in zip((5, 6), ((10.0, 12.0), (11.0, 10.5))):
+        pairs += ["--pair",
+                  _run_file(tmp_path / f"p{seed}.txt", seed, before, 50.0),
+                  _run_file(tmp_path / f"c{seed}.txt", seed, after, 40.0)]
+    digest_line = "all:rational  requests  4  failed  0  " + "a" * 64 + "\n"
+    (tmp_path / "d.txt").write_text(digest_line)
+    out = tmp_path / "bench.json"
+    proc = _run("bench_compare.py", *pairs, "--out", str(out),
+                "--digests", "31", str(tmp_path / "d.txt"),
+                str(tmp_path / "d.txt"))
+    assert proc.returncode == 0, proc.stderr
+    entry = json.loads(out.read_text())["workloads"]["canonicalize-dense"]
+    assert entry["seeds"] == [5, 6]
+    rate = entry["metrics"]["float64.req_per_s"]
+    assert rate["better"] == "higher" and rate["unit"] == "1/s"
+    assert rate["parent"] == [10.0, 11.0] and rate["change"] == [12.0, 10.5]
+    assert rate["wins"] == 1 and rate["pairs"] == 2
+    assert rate["parent_median"] == 10.5 and rate["change_median"] == 11.25
+    assert rate["parent_iqr"] == 0.5
+    # lower is better for a latency, so both pairs are won
+    assert entry["metrics"]["float64.latency_p50_ms"]["wins"] == 2
+    digests = json.loads(out.read_text())["digests"]["31"]
+    assert digests["all:rational"]["same"] is True
