@@ -10,10 +10,13 @@ listed below its workload's lines).  Each line over both modes is followed
 by one per mode (`group-sparse:float64`, `all:rational`, ...) over that
 mode's requests alone, so a change can show one mode's reports untouched
 while the other's move.  Two checkouts that print the same digests produced
-byte-identical reports.
+byte-identical reports.  With --expect FILE the printed lines are compared
+with a saved run's: each line that differs is printed to standard error
+beside the saved one, and any difference makes the exit status 1.
 
     python scripts/report_digests.py --seed 31
     python scripts/report_digests.py --seed 31 --workload group-sparse
+    python scripts/report_digests.py --seed 31 --expect digests-31.txt
 """
 
 import argparse
@@ -24,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 # one BLAS/OpenMP thread, as in the benchmark, set before numpy is loaded
@@ -32,9 +36,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-from run import ROUNDS  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
 
 from supermetric import cli  # noqa: E402
 
@@ -80,11 +81,10 @@ class Tally:
                 f"failed {self.failed:3d}  {self.sha.hexdigest()}")
 
 
-def digest_workload(name, seed, workdir, totals):
+def digest_workload(wl, totals):
     """Feed every request of the workload into the tallies of ``totals``
     (keyed None for both modes, else by mode) and into its own; returns
     its tallies and its failure lines."""
-    wl = WORKLOADS[name](seed, workdir, rounds=ROUNDS[name])
     own = {key: Tally() for key in (None, *MODES)}
     failures = []
     for request in (r for rnd in wl.rounds for r in rnd):
@@ -100,30 +100,56 @@ def digest_workload(name, seed, workdir, totals):
     return own, failures
 
 
-def print_tallies(name, tallies):
-    print(tallies[None].line(name))
-    for mode in MODES:
-        print(tallies[mode].line(f"{name}:{mode}"))
+def tally_lines(name, tallies):
+    return [tallies[None].line(name)] + [
+        tallies[mode].line(f"{name}:{mode}") for mode in MODES]
+
+
+def differences(expected, lines):
+    """Each line of a run that differs from the saved run's line at its
+    place, as (saved line, new line), with None for a line one run lacks."""
+    return [(want, got) for want, got in zip_longest(expected, lines)
+            if want != got]
 
 
 def main(argv=None):
+    # imported here, so that importing this module for `differences`
+    # leaves the benchmark's modules out
+    from run import ROUNDS
+    from workloads import WORKLOADS
+
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workload", action="append", choices=list(WORKLOADS),
                    help="workload to run (repeatable; default all)")
+    p.add_argument("--expect", metavar="FILE",
+                   help="saved output of a run to compare the lines with")
     args = p.parse_args(argv)
     names = args.workload or list(WORKLOADS)
     totals = {key: Tally() for key in (None, *MODES)}
+    lines = []
+
+    def emit(new):
+        for line in new:
+            print(line)
+        lines.extend(new)
+
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             workdir = Path(tmp) / name
             workdir.mkdir()
-            own, failures = digest_workload(name, args.seed, workdir, totals)
-            print_tallies(name, own)
-            for failure in failures:
-                print(f"  failed {failure}")
-    print_tallies("all", totals)
-    return 0
+            wl = WORKLOADS[name](args.seed, workdir, rounds=ROUNDS[name])
+            own, failures = digest_workload(wl, totals)
+            emit(tally_lines(name, own))
+            emit([f"  failed {failure}" for failure in failures])
+    emit(tally_lines("all", totals))
+    if args.expect is None:
+        return 0
+    diff = differences(Path(args.expect).read_text().splitlines(), lines)
+    for want, got in diff:
+        print(f"expected: {want or '(no line)'}\n"
+              f"     got: {got or '(no line)'}", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

@@ -32,15 +32,17 @@ from .group import embed_isometry, semidirect_multiply
 from .isometry import check_basis_budget, isometry_residual, lie_basis, \
     lie_membership
 from .serialization import (
+    Fragment,
     dumps,
     gamma_from_json,
-    gamma_to_json,
+    gamma_text,
     group_element_from_json,
-    group_element_to_json,
+    group_element_text,
     matrix_from_json,
-    matrix_to_json,
+    matrix_text,
     scalar_to_json,
-    supernumber_to_json,
+    supernumber_text,
+    tags_text,
 )
 from .verify import check_verify_shape, run_verify
 
@@ -138,9 +140,9 @@ def _cmd_canonicalize(args):
     return {
         "command": "canonicalize",
         "mode": cfg.coefficient_mode,
-        "P": matrix_to_json(red.P),
-        "Gamma": matrix_to_json(red.Gamma),
-        "d_raw": [supernumber_to_json(di) for di in raw.d],
+        "P": Fragment(matrix_text, red.P),
+        "Gamma": Fragment(matrix_text, red.Gamma),
+        "d_raw": [Fragment(supernumber_text, di) for di in raw.d],
         "eta": [int(e.body()) for e in red.d],
         "reducibility": [{
             "index": rec["index"],
@@ -148,7 +150,7 @@ def _cmd_canonicalize(args):
             "condition_met": rec["condition_met"],
             "sign": rec["sign"],
             "scale_exact": rec["scale_exact"],
-            "lambda": supernumber_to_json(rec["lambda"]),
+            "lambda": Fragment(supernumber_text, rec["lambda"]),
         } for rec in red.reducibility],
         "body_reducible": raw.body_reducible,
         "residual": scalar_to_json(resid.entry_norm_max(), cfg),
@@ -198,18 +200,14 @@ def _cmd_lie_basis(args):
             f"got {json.dumps(L)}")
     check_basis_budget(gamma.m, gamma.n, L)
     basis = lie_basis(gamma, L)
-    hJ = []
-    for bits, pos in basis.hJ:
-        idx = [i + 1 for i in range(bits.bit_length()) if (bits >> i) & 1]
-        hJ.append({"index": idx, "position": pos})
     return {
         "command": "lie-basis",
         "mode": cfg.coefficient_mode,
-        "gamma": gamma_to_json(gamma),
+        "gamma": Fragment(gamma_text, gamma),
         "dims": basis.dims,
-        "g0": [matrix_to_json(M) for M in basis.g0],
-        "g1": [matrix_to_json(M) for M in basis.g1],
-        "hJ": hJ,
+        "g0": [Fragment(matrix_text, M) for M in basis.g0],
+        "g1": [Fragment(matrix_text, M) for M in basis.g1],
+        "hJ": Fragment(tags_text, basis.hJ),
     }
 
 
@@ -230,8 +228,8 @@ def _cmd_group_op(args):
     return {
         "command": "group-op",
         "mode": cfg.coefficient_mode,
-        "product": group_element_to_json(prod),
-        "embedded": matrix_to_json(image),
+        "product": Fragment(group_element_text, prod),
+        "embedded": Fragment(matrix_text, image),
         "residuals": {
             "isometry": scalar_to_json(iso_resid, cfg),
             "embedding_homomorphism": scalar_to_json(hom_resid, cfg),
@@ -267,6 +265,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report = _COMMANDS[args.command](args)
+        # values write their text here, and a coefficient with too many
+        # digits to write is refused like any other invalid input
+        text = dumps(report)
     except json.JSONDecodeError as exc:
         sys.stderr.write(dumps({
             "error": f"malformed JSON: {exc.msg}",
@@ -297,7 +298,6 @@ def main(argv=None) -> int:
         }))
         return 2
 
-    text = dumps(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

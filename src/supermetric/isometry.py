@@ -237,7 +237,7 @@ def lie_basis(gamma: GammaForm, L: int = None) -> LieBasis:
     g1: for each unit d-block E[alpha,i] the off-diagonal element with
     c = eta^{-1} d^T J (dimension m*n), odd class.
     hJ: g0 tags paired with even-size index sets, g1 tags with odd-size
-    ones, over generators 1..L.
+    ones, over generators 1..L, in ascending (bits, pos) order.
     """
     if not gamma.body_reduced:
         raise NotBodyReduced("basis enumeration needs eta entries +-1")
@@ -294,7 +294,6 @@ def lie_basis(gamma: GammaForm, L: int = None) -> LieBasis:
         hi = len(g0) if even_bits else flat_len
         for pos in range(lo, hi):
             hJ.append((bits, pos))
-    hJ.sort(key=lambda t: (t[0], t[1]))
     return LieBasis(gamma, g0, g1, hJ)
 
 

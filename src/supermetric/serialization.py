@@ -18,11 +18,26 @@ separators, no environment-dependent content.
 `json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2) + "\\n"`,
 errors included, but makes it in two steps.  Python's encoder is written in
 C only for compact output; with `indent` set it falls back to a generator
-in pure Python.  So one C-encoder call writes the compact text with the
-same settings, and one vectorized numpy pass re-indents it: every bracket
+in pure Python.  So it first writes the compact text with the same
+settings, and one vectorized numpy pass re-indents it: every bracket
 and comma outside a string gets a newline and two spaces per nesting level
 after it (openers, commas) or before it (closers), and an empty `[]` or
 `{}` stays as it is.
+
+The compact text of a plain tree comes from one C-encoder call.  A report
+of the CLI also holds `Fragment`s among its top-level values: an algebra
+value with the writer of its own compact text.  `dumps` then joins the
+report's dicts and lists itself, keys sorted, and every other value still
+goes through the C encoder; the fragments write themselves there, when the
+report is written.  Each value writes its text once, straight from its
+terms: a supernumber as `{"coeff": c,"index": [i,j]}` items with `repr`
+floats (a non-finite one by the C encoder, which names it as JSON does) or
+"p/q" strings reduced from the integer form of a rational value (one gcd
+a term, no `Fraction` built), and matrices, Γ, group elements and the
+lie-basis tags as joins of those texts.  The index lists come from one
+table per report, filled as bit masks are met.  `supernumber_to_json` and
+the other tree writers parse these same texts, so one hand-written encoder
+serves the trees of payload writers and the reports alike.
 """
 
 from __future__ import annotations
@@ -32,10 +47,11 @@ import math
 import re
 import sys
 from fractions import Fraction
+from math import gcd, isfinite
 
 import numpy as np
 
-from .algebra import AlgebraConfig, Supernumber
+from .algebra import AlgebraConfig, Supernumber, _bits_to_indices
 from .errors import LengthMismatch, ShapeMismatch, ValidationError
 from .isometry import GammaForm
 from .matrices import BlockShape, SuperMatrix
@@ -45,15 +61,54 @@ _OPEN, _CLOSE, _COMMA, _QUOTE = 1, 2, 3, 4
 _CLASS = bytes(dict(zip(b'[{]},"', (_OPEN, _OPEN, _CLOSE, _CLOSE, _COMMA,
                                     _QUOTE))).get(b, 0) for b in range(256))
 _ESCAPE = re.compile(rb"\\.")
+# the compact settings that dumps re-indents; ensure_ascii (the default)
+# leaves only ASCII bytes
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": "))
+
+
+class Fragment:
+    """A report value that writes its own compact JSON text:
+    `write(value, index)`, with `index` the report's `_IndexText`."""
+
+    __slots__ = ("write", "value")
+
+    def __init__(self, write, value):
+        self.write = write
+        self.value = value
+
+
+class _IndexText(dict):
+    """Bit mask -> compact text of its index list ("[1,3]"), made the first
+    time the mask is met; one table serves one report."""
+
+    def __missing__(self, bits):
+        text = self[bits] = f"[{','.join(map(str, _bits_to_indices(bits)))}]"
+        return text
 
 
 def dumps(obj) -> str:
     """The report text: sorted keys, two-space indent, a final newline."""
-    # ensure_ascii (the default) leaves only ASCII bytes
-    raw = json.dumps(obj, sort_keys=True,
-                     separators=(",", ": ")).encode("ascii")
+    if type(obj) is dict and any(type(v) is Fragment for v in obj.values()):
+        text = _compact(obj, _IndexText())
+    else:
+        text = _COMPACT.encode(obj)
+    raw = text.encode("ascii")
     out = _indent(raw, *_line_breaks(raw))
     return str(memoryview(out), "ascii")
+
+
+def _compact(obj, index) -> str:
+    """Compact text of a report: its dicts and lists joined here, its
+    fragments written by themselves, every other value by the C encoder."""
+    if type(obj) is Fragment:
+        return obj.write(obj.value, index)
+    if type(obj) is dict:
+        return "{" + ",".join([_COMPACT.encode(k) + ": "
+                               + _compact(obj[k], index)
+                               for k in sorted(obj)]) + "}"
+    if type(obj) is list:
+        return "[" + ",".join([_compact(v, index) for v in obj]) + "]"
+    return _COMPACT.encode(obj)
 
 
 def _line_breaks(raw: bytes):
@@ -113,15 +168,17 @@ def _slot_dtype(length: int):
 
 # -- scalars ---------------------------------------------------------------------
 
+# past Python's limit on the digits of an int-to-text conversion
+_TOO_MANY_DIGITS = "a rational coefficient has too many digits to write"
+
+
 def scalar_to_json(value, config: AlgebraConfig):
     if config.rational:
         value = Fraction(value)
         try:
             return str(value)
         except ValueError:
-            # past Python's limit on the digits of an int-to-text conversion
-            raise ValidationError(
-                "a rational coefficient has too many digits to write")
+            raise ValidationError(_TOO_MANY_DIGITS) from None
     return float(value)
 
 
@@ -188,9 +245,50 @@ def _parse_fraction(text: str) -> Fraction:
 # -- supernumbers -----------------------------------------------------------------
 
 def supernumber_to_json(z: Supernumber) -> list:
-    return [{"index": list(indices),
-             "coeff": scalar_to_json(coeff, z.config)}
-            for indices, coeff in z.items()]
+    return json.loads(supernumber_text(z, _IndexText()))
+
+
+def supernumber_text(z: Supernumber, index) -> str:
+    """Compact text of the term list, `index` an `_IndexText`."""
+    write = _rational_text if z.config.rational else _float_text
+    return write(z, index)
+
+
+def _float_text(z: Supernumber, index) -> str:
+    terms = z.terms
+    if not terms:
+        return "[]"
+    values = list(map(float, terms.values()))
+    if all(map(isfinite, values)):
+        coeffs = map(float.__repr__, values)
+    else:
+        # JSON's names for them; no float's text holds a comma
+        coeffs = _COMPACT.encode(values)[1:-1].split(",")
+    return _term_list(coeffs, map(index.__getitem__, terms))
+
+
+def _rational_text(z: Supernumber, index) -> str:
+    """From the integer form (D, ((bits, N), ...)), each N / D reduced with
+    one gcd, as str(Fraction(N, D)) writes it."""
+    if z.is_zero():
+        return "[]"
+    den, items = z._int_form or z._integer_form()
+    coeffs = []
+    try:
+        for _, n in items:
+            g = gcd(n, den)
+            coeffs.append(f'"{n // g}"' if g == den else
+                          f'"{n // g}/{den // g}"')
+    except ValueError:
+        raise ValidationError(_TOO_MANY_DIGITS) from None
+    return _term_list(coeffs, map(index.__getitem__, [b for b, _ in items]))
+
+
+def _term_list(coeffs, indices) -> str:
+    return "[" + ",".join(map(_TERM.__mod__, zip(coeffs, indices))) + "]"
+
+
+_TERM = '{"coeff": %s,"index": %s}'
 
 
 def supernumber_from_json(data, config: AlgebraConfig) -> Supernumber:
@@ -224,11 +322,15 @@ def supernumber_from_json(data, config: AlgebraConfig) -> Supernumber:
 # -- matrices --------------------------------------------------------------------
 
 def matrix_to_json(M: SuperMatrix) -> dict:
-    return {
-        "shape": {"m": M.shape.m, "n": M.shape.n},
-        "parity": M.parity_class,
-        "entries": [supernumber_to_json(e) for row in M.rows for e in row],
-    }
+    return json.loads(matrix_text(M, _IndexText()))
+
+
+def matrix_text(M: SuperMatrix, index) -> str:
+    write = _rational_text if M.config.rational else _float_text
+    entries = ",".join([write(e, index) for row in M.rows for e in row])
+    return '{"entries": [%s],"parity": %s,"shape": %s}' % (
+        entries, _COMPACT.encode(M.parity_class),
+        _COMPACT.encode({"m": M.shape.m, "n": M.shape.n}))
 
 
 def matrix_from_json(data, config: AlgebraConfig) -> SuperMatrix:
@@ -259,13 +361,16 @@ def matrix_from_json(data, config: AlgebraConfig) -> SuperMatrix:
 # -- canonical forms ---------------------------------------------------------------
 
 def gamma_to_json(gamma: GammaForm) -> dict:
-    eta = []
-    for e in gamma.eta:
-        if e.soul().is_zero():
-            eta.append(scalar_to_json(e.body(), gamma.config))
-        else:
-            eta.append(supernumber_to_json(e))
-    return {"eta": eta, "n": gamma.n}
+    return json.loads(gamma_text(gamma, _IndexText()))
+
+
+def gamma_text(gamma: GammaForm, index) -> str:
+    """A soulless eta entry is written as its body scalar."""
+    eta = [_COMPACT.encode(scalar_to_json(e.body(), gamma.config))
+           if e.soul().is_zero() else supernumber_text(e, index)
+           for e in gamma.eta]
+    return '{"eta": [%s],"n": %s}' % (",".join(eta),
+                                      _COMPACT.encode(gamma.n))
 
 
 def gamma_from_json(data, config: AlgebraConfig) -> GammaForm:
@@ -283,12 +388,25 @@ def gamma_from_json(data, config: AlgebraConfig) -> GammaForm:
 # -- group elements ----------------------------------------------------------------
 
 def group_element_to_json(h) -> dict:
+    return json.loads(group_element_text(h, _IndexText()))
+
+
+def group_element_text(h, index) -> str:
     cfg = h.gamma.config
-    return {
-        "g_body": [[scalar_to_json(v, cfg) for v in row]
-                   for row in h.g_body],
-        "n_part": matrix_to_json(h.n_part.X),
-    }
+    body = [[scalar_to_json(v, cfg) for v in row] for row in h.g_body]
+    return '{"g_body": %s,"n_part": %s}' % (
+        _COMPACT.encode(body), matrix_text(h.n_part.X, index))
+
+
+# -- lie-basis tags ----------------------------------------------------------------
+
+def tags_text(tags, index) -> str:
+    """The hJ records [{"index": [...], "position": pos}, ...] of a
+    `LieBasis`'s (bits, pos) tags, from one record head per mask."""
+    heads = {bits: '{"index": ' + index[bits] + ',"position": '
+             for bits in dict.fromkeys([bits for bits, _ in tags])}
+    return "[" + ",".join([heads[bits] + str(pos) + "}"
+                           for bits, pos in tags]) + "]"
 
 
 def group_element_from_json(data, gamma: GammaForm):

@@ -27,6 +27,8 @@ from supermetric.sampling import (
     standard_gamma,
 )
 from supermetric.serialization import (
+    Fragment,
+    _IndexText,
     dumps,
     gamma_to_json,
     group_element_to_json,
@@ -630,6 +632,18 @@ def test_verify_size_budget_refuses_before_any_section(tmp_path, capsys,
         assert flat_family_slots(p + q, n, 4) == r * (r + k * k)
 
 
+def _logical(obj):
+    """The plain tree a report stands for: each Fragment parsed back from
+    its own text."""
+    if isinstance(obj, Fragment):
+        return json.loads(obj.write(obj.value, _IndexText()))
+    if isinstance(obj, dict):
+        return {k: _logical(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_logical(v) for v in obj]
+    return obj
+
+
 def test_every_report_is_indented_json(tmp_path, capsys, monkeypatch):
     written = []
 
@@ -666,9 +680,12 @@ def test_every_report_is_indented_json(tmp_path, capsys, monkeypatch):
         assert _run(capsys, ["lie-basis", _write(tmp_path, "bad.json",
                                                  {"algebra": alg})])[0] == 2
     assert len(written) == 12
+    # canonicalize, lie-basis and group-op in each mode write fragments
+    assert sum(any(isinstance(v, Fragment) for v in obj.values())
+               for obj, _ in written) == 6
     for obj, text in written:
-        assert text == json.dumps(obj, sort_keys=True, separators=(",", ": "),
-                                  indent=2) + "\n"
+        assert text == json.dumps(_logical(obj), sort_keys=True,
+                                  separators=(",", ": "), indent=2) + "\n"
 
 
 def test_verify_float_tie_in_normalized_criterion(tmp_path, capsys):

@@ -95,6 +95,17 @@ def test_basis_dimensions():
         assert dims["hJ"] == (1 << (L - 1)) * (dims["g0"] + dims["g1"])
 
 
+@pytest.mark.parametrize("L", [8, 0])
+def test_basis_tags_come_sorted_and_counted(L):
+    # (4|4): dim g0 = 6 + 10, dim g1 = 16
+    cfg = AlgebraConfig(generator_count=8, coefficient_mode="rational")
+    basis = lie_basis(standard_gamma(cfg, 2, 2, 4), L)
+    assert basis.hJ == sorted(basis.hJ)
+    dims = basis.dims
+    assert (dims["g0"], dims["g1"]) == (16, 16)
+    assert dims["hJ"] == ((1 << (L - 1)) * 32 if L else 16)
+
+
 def test_basis_elements_satisfy_membership():
     basis = basis_for(RAT, 1, 1, 2)
     gamma = basis.gamma

@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts, each in a fresh interpreter."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -45,6 +46,34 @@ def test_report_digests_on_group_sparse():
     assert all(len(d) == 64 for d in digests)
     # one workload: "all" repeats its lines, and the two modes differ
     assert digests[:3] == digests[3:] and len(set(digests)) == 3
+
+
+def _load_script(name, monkeypatch):
+    """The script as a module; what its first lines set in this process's
+    environment and module path is put back after the test."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_digests_expect_lists_each_differing_line(monkeypatch):
+    differences = _load_script("report_digests", monkeypatch).differences
+    saved = [f"{name:<28} requests  144  failed   0  {digest * 64}"
+             for name, digest in (("group-sparse", "a"), ("all", "b"))]
+    assert differences(saved, list(saved)) == []
+    moved = [saved[0], saved[1].replace("b" * 64, "c" * 64)]
+    assert differences(saved, moved) == [(saved[1], moved[1])]
+    # a failure line that one run prints and the other does not shifts
+    # every line after it
+    failing = [saved[0], "  failed lie-basis x.json: exit 3", saved[1]]
+    assert differences(saved, failing) == [
+        (saved[1], failing[1]), (None, failing[2])]
+    assert differences(saved, saved[:1]) == [(saved[1], None)]
 
 
 def _run_file(path, seed, req_per_s, latency_ms):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supermetric import cli
-from supermetric.algebra import AlgebraConfig
+from supermetric.algebra import AlgebraConfig, _IntegerBorn
 from supermetric.errors import LengthMismatch, ShapeMismatch, ValidationError
 from supermetric.isometry import GammaForm
 from supermetric.sampling import (
@@ -21,6 +21,7 @@ from supermetric.sampling import (
     standard_gamma,
 )
 from supermetric.serialization import (
+    _IndexText,
     _slot_dtype,
     dumps,
     gamma_from_json,
@@ -32,6 +33,7 @@ from supermetric.serialization import (
     scalar_from_json,
     scalar_to_json,
     supernumber_from_json,
+    supernumber_text,
     supernumber_to_json,
 )
 
@@ -137,6 +139,49 @@ def test_supernumber_random_round_trips():
                 z = rand_homogeneous(rng, cfg, parity)
                 assert supernumber_from_json(
                     supernumber_to_json(z), cfg) == z
+
+
+_FLOAT_COEFFS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([1e16, 1e-05, 5e-324, -1.5, -0.0, float("inf")]))
+_BIG = 10 ** 40
+_FRACTIONS = st.one_of(st.fractions(), st.builds(
+    Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)))
+
+
+@st.composite
+def _supernumbers(draw):
+    """A value of either mode over up to 24 generators, the empty one
+    included; rational values are drawn built from a dict or born in the
+    kernel (a product with a scalar of large denominator)."""
+    L = draw(st.integers(1, 24))
+    rational = draw(st.booleans())
+    cfg = AlgebraConfig(generator_count=L, coefficient_mode="rational"
+                        if rational else "float64")
+    coeffs = _FRACTIONS if rational else _FLOAT_COEFFS
+    terms = draw(st.dictionaries(st.integers(0, (1 << L) - 1), coeffs,
+                                 max_size=6))
+    z = cfg.from_terms(terms)
+    if rational and not z.is_zero() and draw(st.booleans()):
+        z = z * cfg.scalar(Fraction(draw(st.integers(1, _BIG)),
+                                    draw(st.integers(1, _BIG))))
+        assert isinstance(z, _IntegerBorn)
+    return z
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=_supernumbers())
+def test_supernumber_text_is_the_compact_json_of_its_tree(z):
+    text = supernumber_text(z, _IndexText())
+    tree = supernumber_to_json(z)
+    assert text == json.dumps(tree, sort_keys=True, separators=(",", ": "))
+    if isinstance(z, _IntegerBorn):
+        # written from the integer form, without its Fractions
+        assert z._terms is None
+    rational = z.config.rational
+    assert tree == [{"index": list(indices),
+                     "coeff": str(c) if rational else float(c)}
+                    for indices, c in z.items()]
 
 
 def test_supernumber_accepts_bare_scalars():
