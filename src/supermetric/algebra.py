@@ -39,14 +39,14 @@ nonzero numerators with one gcd divided out.  Values the kernel returns, and
 their negations, scalings and sums, are born in that form, and their
 ``Fraction`` coefficients are a view built the first time ``terms`` is read;
 a value built from a dict of ``Fraction``s gets its integer form the first
-time it is a kernel operand.  In float64 mode the kernel keeps the summation
-order and pruning of the left fold ``x_1*y_1 + x_2*y_2 + ...`` bit for bit:
-each product is summed on its own and pruned against its largest term
-product, then merged into the accumulator, which is pruned against the
-larger of its own largest term and the merged terms.  The prune and merge
-run inline, and the accumulator's largest term is carried from one prune to
-the next.  Matrix products pass only their nonempty pairs (see
-``matrices``), which the fold skips anyway.
+time it is a kernel operand.  In float64 mode the kernel adds every term
+product of every pair into one accumulator, so each key is summed in pair
+order, then in left-term order, and prunes it once, with one relative cut:
+``zero_tolerance`` times the largest |term product|.  A sum of several
+products is thus not the left fold ``x_1*y_1 + x_2*y_2 + ...`` of the
+operators, which prunes each product and each partial sum on its own.
+Matrix products pass only their nonempty pairs (see ``matrices``), which
+the kernel skips anyway.
 """
 
 from __future__ import annotations
@@ -544,18 +544,23 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
 
     Pairs with an empty factor are skipped.  In rational mode the sum is
     exact: integer numerators are added over one common denominator.  In
-    float64 mode the result is bit for bit the left fold
-    ``x_1*y_1 + x_2*y_2 + ...`` of the operators, which starts at the first
-    nonempty product.  Raises ConfigMismatch for any operand outside
-    ``config``, and in float64 mode CoefficientOverflow once a term product
-    or the accumulator's largest term is infinite (the prune cut would then
-    drop every term).
+    float64 mode every term product of every pair goes into one
+    accumulator: each key is summed in pair order, then in left-term
+    order, and the sum is pruned once, dropping each coefficient whose
+    magnitude is at most ``zero_tolerance`` times the largest |term
+    product|.  Raises ConfigMismatch for any operand outside ``config``,
+    and in float64 mode CoefficientOverflow when a term product or a kept
+    sum is infinite (the cut would drop every term or keep inf).
     """
     if config.rational:
         return _rational_sum_of_products(config, pairs)
-    tol, inf = config.zero_tolerance, math.inf
-    acc = None
-    acc_max = 0     # largest |term| of acc, carried from its last prune
+    inf = math.inf
+    # every term product goes into acc, and running is the largest
+    # |term product|; 0.0 + c is c except for c = -0.0, which no prune
+    # keeps, and a NaN c passes neither compare, as it fails abs(c) > cut
+    acc = {}
+    get = acc.get
+    running = 0
     for x, y in pairs:
         if (x.config is not config and x.config != config) or \
                 (y.config is not config and y.config != config):
@@ -563,57 +568,28 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
         if not (x.terms and y.terms):
             continue
         ys = y._right or y._right_table()
-        # the product on its own, with its largest term product; 0.0 + c is
-        # c except for c = -0.0, which no prune keeps, and a NaN c passes
-        # neither compare, as it fails abs(c) > running
-        prod = {}
-        get = prod.get
-        running = 0
         for b1, c1 in x.terms.items():
             for b2, c2, neg2, mask in ys:
                 if b1 & b2:
                     continue
                 c = c1 * (neg2 if (b1 & mask).bit_count() & 1 else c2)
                 key = b1 | b2
-                prod[key] = get(key, 0.0) + c
+                acc[key] = get(key, 0.0) + c
                 if c > running:
                     running = c
                 elif -c > running:
                     running = -c
-        if running == inf:
-            raise CoefficientOverflow("a float64 term product overflowed")
-        # what survives the product's prune goes into acc as by `+`, whose
-        # cut is set by the larger of acc's largest term and the added terms
-        cut = tol * float(running)
-        if acc is None:
-            acc = {}
-            for key, c in prod.items():
-                a = abs(c)
-                if a > cut:
-                    acc[key] = c
-                    if a > acc_max:
-                        acc_max = a
-        else:
-            running = acc_max
-            for key, c in prod.items():
-                a = abs(c)
-                if a > cut:
-                    acc[key] = acc[key] + c if key in acc else c
-                    if a > running:
-                        running = a
-            cut = tol * float(running)
-            kept = {}
-            acc_max = 0
-            for key, c in acc.items():
-                a = abs(c)
-                if a > cut:
-                    kept[key] = c
-                    if a > acc_max:
-                        acc_max = a
-            acc = kept
-        if acc_max == inf:
-            raise CoefficientOverflow("a float64 sum overflowed")
-    return Supernumber(config, acc or {})
+    if running == inf:
+        raise CoefficientOverflow("a float64 term product overflowed")
+    cut = config.zero_tolerance * float(running)
+    kept = {}
+    for key, c in acc.items():
+        a = abs(c)
+        if a > cut:
+            if a == inf:
+                raise CoefficientOverflow("a float64 sum overflowed")
+            kept[key] = c
+    return Supernumber(config, kept)
 
 
 def _rational_sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:

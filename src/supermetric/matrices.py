@@ -8,10 +8,11 @@ A SuperMatrix has an (m|n) block shape and a declared parity class:
 * general: no constraint.
 
 Products visit nonzero entries only: ``@`` (and ``_mul_rows`` on rectangular
-rows) hands each entry's nonempty pairs, in ascending inner index, to the
-Grassmann kernel, so float64 keeps the order and pruning of the operator fold
-from the first nonempty product bit for bit; an entry with no such pair, like
-a sum, negation or scaling of empty entries, is one shared zero.
+rows) hands each entry's nonempty pairs, in ascending inner index, to one
+call of the Grassmann kernel, so in float64 each key of an entry is summed
+in inner-index order, then in left-term order, with one relative cut at the
+largest term product; an entry with no such pair, like a sum, negation or
+scaling of empty entries, is one shared zero.
 
 Inversion goes through the body factorization N = B(I + B^{-1}S): the body
 is inverted as a real matrix autonomously and the soul correction is a
@@ -280,10 +281,11 @@ def _mul_rows(config, a, b):
     """The product of a p x q and a q x r list of supernumber rows, from the
     nonzero entries only.
 
-    Each entry is ``sum_of_products`` over the pairs (a[i][t], b[t][j]) with
-    both factors nonempty, in ascending t, so in float64 it is the fold of
-    the operators from the first nonempty product.  An entry with no such
-    pair is one zero shared by the product, with no kernel call.  Every
+    Each entry is one ``sum_of_products`` over the pairs (a[i][t], b[t][j])
+    with both factors nonempty, in ascending t, so in float64 each key is
+    summed in t order, then in left-term order, and pruned once against
+    the entry's largest term product.  An entry with no such pair is one
+    zero shared by the product, with no kernel call.  Every
     entry of both operands is checked against ``config`` once, so a foreign
     one raises ConfigMismatch, empty or not.
     """
@@ -640,7 +642,7 @@ def ad_operator(X: SuperMatrix, basis, basis_tag="basis") -> AdOperator:
     if any(len(d) != 1 for d in decomps):
         raise BasisDegenerate(
             "basis elements must be real or single-index slices")
-    return _ad_flat(X, decomps, basis_tag)
+    return _ad_flat(X, decomps, [pos for _, pos in tags], basis_tag)
 
 
 def _ad_structure_constants(X, basis, decomps, basis_tag):
@@ -666,22 +668,25 @@ def _ad_structure_constants(X, basis, decomps, basis_tag):
     return AdOperator(X, mat, basis_tag, "grassmann")
 
 
-def _ad_flat(X, decomps, basis_tag):
+def _ad_flat(X, decomps, positions, basis_tag):
+    """The flat operator over single-index slices; slot j's grid is that of
+    basis element ``positions[j]``."""
     cfg = X.config
     r = len(decomps)
     levels = tuple(next(iter(d)) for d in decomps)
-    # group basis slots by index bitmask; levels whose grids are equal share
-    # one solver, so each distinct grid family is factored once
+    # group basis slots by index bitmask; levels that hold the same basis
+    # elements in the same order hold the same grids and share one solver,
+    # so each grid family is factored once.  An untagged basis gives each
+    # element its own position, so no two of its levels share a solver
     groups = {}
     for slot, lv in enumerate(levels):
         groups.setdefault(lv, []).append(slot)
-    families = {}            # grid family -> its number, an index of solvers
+    families = {}            # positions of a family -> its number in solvers
     solvers = []
     family_of = {}
     grid_of = [None] * r     # (family number, place in the family) per slot
     for lv, slots in groups.items():
-        key = tuple(tuple((t, v) for t, v in enumerate(_vec(decomps[s][lv]))
-                          if v) for s in slots)
+        key = tuple([positions[s] for s in slots])
         if key not in families:
             families[key] = len(solvers)
             solvers.append(_SliceSolver(cfg, [decomps[s][lv]

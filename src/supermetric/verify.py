@@ -257,7 +257,42 @@ def _section_ad(rng, basis, cases):
         failures.append("flat ad body nonzero")
     if spectrum_gate(ad, 0) != "singular":
         failures.append("flat gate at zero")
+    failures += [f"flat entry ({s}, {j}) does not raise level "
+                 f"{ad.levels[j]} (row level {ad.levels[s]})"
+                 for s, j in _unraised_entries(ad)]
     return failures
+
+
+def _unraised_entries(ad):
+    """The nonzero entries (s, j) of a flat ad operator where levels[s] is
+    not a strict superset of levels[j].  A zero-body X raises every level,
+    so that the operator is nilpotent, and there are none.
+
+    Most entries are one shared zero, so a row is read entry by entry only
+    where an entry other than that zero lies outside the row's columns at
+    strict submasks of its level.
+    """
+    rows, levels = ad.matrix.rows, ad.levels
+    zero = next((e for row in rows for e in row if e.is_zero()), None)
+    by_level = {}
+    for j, lv in enumerate(levels):
+        by_level.setdefault(lv, []).append(j)
+    found = []
+    for s, row in enumerate(rows):
+        others = len(row) - row.count(zero)
+        S = levels[s]
+        sub = S
+        while others and sub:
+            sub = (sub - 1) & S
+            for j in by_level.get(sub, ()):
+                e = row[j]
+                # as row.count sees it: not that zero, nor equal to it
+                others -= e is not zero and e != zero
+        if others:
+            found += [(s, j) for j, e in enumerate(row)
+                      if (levels[j] & ~S or levels[j] == S)
+                      and not e.is_zero()]
+    return found
 
 
 def _grade_one_nil(rng, basis, terms=2):

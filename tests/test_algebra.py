@@ -22,6 +22,7 @@ from supermetric.algebra import (
 )
 from supermetric.errors import (
     BodyNotInvertible,
+    CoefficientOverflow,
     ConfigMismatch,
     ConvergenceViolation,
     LengthMismatch,
@@ -345,19 +346,26 @@ def _reference_prune(cfg, acc, running):
     return {b: c for b, c in acc.items() if abs(c) > cut}
 
 
-def _reference_mul(x, y):
-    cfg = x.config
+def _reference_sum(cfg, pairs):
+    """sum_t x_t * y_t term by term, as the kernel promises it: every term
+    product goes into one dict, each key summed in pair order, then in
+    left-term order, and one prune against the largest term product."""
     acc, running, zero = {}, 0, cfg.coerce(0)
-    for b1, c1 in x.terms.items():
-        for b2, c2 in y.terms.items():
-            if b1 & b2:
-                continue
-            c = c1 * c2
-            if _merge_inversions(b1, b2) & 1:
-                c = -c
-            acc[b1 | b2] = acc.get(b1 | b2, zero) + c
-            running = max(running, abs(c))
+    for x, y in pairs:
+        for b1, c1 in x.terms.items():
+            for b2, c2 in y.terms.items():
+                if b1 & b2:
+                    continue
+                c = c1 * c2
+                if _merge_inversions(b1, b2) & 1:
+                    c = -c
+                acc[b1 | b2] = acc.get(b1 | b2, zero) + c
+                running = max(running, abs(c))
     return Supernumber(cfg, _reference_prune(cfg, acc, running))
+
+
+def _reference_mul(x, y):
+    return _reference_sum(x.config, [(x, y)])
 
 
 def _reference_add(x, y):
@@ -368,17 +376,6 @@ def _reference_add(x, y):
         acc[b] = acc.get(b, cfg.coerce(0)) + c
         running = max(running, abs(c))
     return Supernumber(cfg, _reference_prune(cfg, acc, running))
-
-
-def _reference_fold(cfg, pairs):
-    """x1*y1 + x2*y2 + ... as the operators computed it, skipping pairs with
-    an empty factor."""
-    acc = None
-    for x, y in pairs:
-        if x.terms and y.terms:
-            p = _reference_mul(x, y)
-            acc = p if acc is None else _reference_add(acc, p)
-    return cfg.zero() if acc is None else acc
 
 
 def _bitwise_equal(a, b):
@@ -443,7 +440,7 @@ def test_kernel_equals_reference_fold_bit_for_bit(mode, tol):
         # stale table, or one built from the wrong side, fails one of them
         for case in (pairs, pairs, [(y, x) for x, y in pairs]):
             got = sum_of_products(cfg, iter(case))
-            assert _bitwise_equal(got, _reference_fold(cfg, case))
+            assert _bitwise_equal(got, _reference_sum(cfg, case))
             x, y = case[0]
             assert _bitwise_equal(x * y, _reference_mul(x, y))
             assert _bitwise_equal(x + y, _reference_add(x, y))
@@ -475,14 +472,59 @@ def test_kernel_empty_and_overlapping_pairs():
 
 
 def test_kernel_checks_every_pair_config():
-    other = AlgebraConfig(generator_count=5, coefficient_mode="rational")
-    for pairs in ([(RAT.one(), other.one())],
-                  [(RAT.one(), RAT.one()), (other.zero(), RAT.one())],
-                  [(RAT.one(), RAT.one()), (other.one(), other.one())]):
-        with pytest.raises(ConfigMismatch):
-            sum_of_products(RAT, pairs)
+    for cfg in (RAT, FLT):
+        other = AlgebraConfig(generator_count=5,
+                              coefficient_mode=cfg.coefficient_mode)
+        z, one = cfg.zero(), cfg.one()
+        # a foreign pair after a nonempty one, or after an empty one
+        for pairs in ([(one, other.one())],
+                      [(one, one), (other.zero(), one)],
+                      [(one, one), (other.one(), other.one())],
+                      [(z, one), (other.one(), one)],
+                      [(one, z), (one, other.generator(5))],
+                      [(z, z), (other.zero(), one)]):
+            with pytest.raises(ConfigMismatch):
+                sum_of_products(cfg, pairs)
     with pytest.raises(ConfigMismatch):
         RAT.one() * FLT.one()
+
+
+@pytest.mark.parametrize("tol", [None, 0.0])
+def test_kernel_float_overflow(tol):
+    cfg = AlgebraConfig(generator_count=4, coefficient_mode="float64",
+                        zero_tolerance=tol)
+    big, one, z1 = cfg.scalar(1e200), cfg.one(), cfg.generator(1)
+    # a term product overflows, though another pair is finite
+    with pytest.raises(CoefficientOverflow, match="term product"):
+        sum_of_products(cfg, [(one, z1), (big, big)])
+    # every term product is finite, but a partial sum overflows to inf; a
+    # later term cannot bring it back, though the exact sum is 1e308
+    top = cfg.scalar(1e308)
+    with pytest.raises(CoefficientOverflow, match="sum overflowed"):
+        sum_of_products(cfg, [(top, one), (one, top), (top, -one)])
+    assert sum_of_products(cfg, [(top, one), (top, -one), (one, top)]) \
+        == top
+
+
+def test_kernel_sum_that_cancels_is_empty():
+    for cfg in (FLT, RAT):
+        x = cfg.one() + cfg.generator(1)
+        y = cfg.generator(2).scale(3) + cfg.term([3, 4], 2)
+        out = sum_of_products(cfg, [(x, y), (-x, y), (y, x), (x, -y),
+                                    (-y, x), (x, y)])
+        assert out.is_zero() and out.config == cfg
+
+
+def test_kernel_zero_tolerance_keeps_every_nonzero_sum():
+    # 1e-20 z1 is under the default cut of 1e-14 times the largest term
+    # product, 1.0; with zero_tolerance=0 only exact zeros drop
+    for tol, kept in ((None, {0: 1.0}), (0.0, {0: 1.0, 1: 1e-20})):
+        cfg = AlgebraConfig(generator_count=4, coefficient_mode="float64",
+                            zero_tolerance=tol)
+        one, z1, z2 = cfg.one(), cfg.generator(1), cfg.generator(2)
+        out = sum_of_products(cfg, [(one, one), (z1.scale(1e-20), one),
+                                    (z2, one), (one, -z2)])
+        assert out.terms == kept
 
 
 # -- the rational kernel against the unreduced (numerator, denominator) path --

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from supermetric import matrices
+from supermetric import matrices, verify
 from supermetric.algebra import AlgebraConfig, Supernumber, \
     sum_of_products
 from supermetric.errors import (
@@ -92,9 +92,8 @@ def _same_bits(x, y):
 
 def test_matmul_is_the_operator_fold_bit_for_bit():
     # each entry of A @ B, and of _mul_rows on a rectangular corner of the
-    # same rows, is A[i][t]*B[t][j] + ... folded with the operators from its
-    # first nonempty product; float dust near the cut and empty entries
-    # included
+    # same rows, is the kernel's sum of A[i][t]*B[t][j] over t (see _fold);
+    # float dust near the cut and empty entries included
     for mode, tol in (("rational", None), ("float64", None),
                       ("float64", 1e-3), ("float64", 0.0)):
         cfg = AlgebraConfig(generator_count=4, coefficient_mode=mode,
@@ -109,13 +108,7 @@ def test_matmul_is_the_operator_fold_bit_for_bit():
             assert len(rect) == p and all(len(row) == r for row in rect)
             for i in range(k):
                 for j in range(k):
-                    first = None
-                    for t in range(k):
-                        e, f = a[i][t], b[t][j]
-                        if e.terms and f.terms:
-                            first = e * f if first is None \
-                                else first + e * f
-                    want = cfg.zero() if first is None else first
+                    want = _fold(cfg, [(a[i][t], b[t][j]) for t in range(k)])
                     assert _same_bits(prod.rows[i][j], want)
                     if i < p and j < r:
                         assert _same_bits(rect[i][j], want)
@@ -135,12 +128,25 @@ def test_matmul_rejects_an_entry_from_another_config():
 
 
 def _fold(cfg, pairs):
-    """The operator fold of the nonempty products, densely over every t."""
-    acc = None
+    """sum_t e_t * f_t term by term, densely over every t, as the kernel
+    promises it: every term product goes into one dict, each key summed in
+    pair order, then in left-term order, and one cut at zero_tolerance
+    times the largest |term product| drops what is at or under it.  The
+    sign of z(I) z(J) counts the pairs i in I, j in J with i > j."""
+    acc, top, zero = {}, 0, cfg.coerce(0)
     for e, f in pairs:
-        if e.terms and f.terms:
-            acc = e * f if acc is None else acc + e * f
-    return cfg.zero() if acc is None else acc
+        for b1, c1 in e.terms.items():
+            for b2, c2 in f.terms.items():
+                if b1 & b2:
+                    continue
+                swaps = sum((b1 >> (j + 1)).bit_count()
+                            for j in range(cfg.generator_count) if b2 >> j & 1)
+                c = c1 * c2 if swaps % 2 == 0 else c1 * -c2
+                acc[b1 | b2] = acc.get(b1 | b2, zero) + c
+                top = max(top, abs(c))
+    cut = cfg.zero_tolerance * top
+    return Supernumber(cfg, {key: c for key, c in acc.items()
+                             if abs(c) > cut})
 
 
 def test_mul_rows_is_the_dense_fold_bit_for_bit():
@@ -649,3 +655,39 @@ def test_spectrum_gate():
     if not ad_bad.has_zero_body():
         with pytest.raises(NonZeroBodyOperator):
             spectrum_gate(ad_bad, 1)
+
+
+@pytest.mark.parametrize("mode", ["float64", "rational"])
+def test_verify_ad_section_fails_where_a_flat_entry_does_not_raise_its_level(
+        monkeypatch, mode):
+    cfg = AlgebraConfig(generator_count=4, coefficient_mode=mode)
+    basis = basis_for(cfg, 1, 0, 2)
+    assert verify._section_ad(make_rng(5), basis, 1) == []
+    exact = verify.ad_operator
+    levels = exact(random_nil(make_rng(5), basis).X, basis).levels
+    top = next(s for s, lv in enumerate(levels) if lv)
+    low = levels.index(0)
+    up = next(s for s, lv in enumerate(levels)
+              if lv & levels[top] == levels[top] and lv != levels[top])
+    one = cfg.scalar(1)
+    # a same-level entry, one lowered to level 0, one raised (allowed), and
+    # a same-level entry beside a zero other than the operator's shared one
+    for changes, failing in (({(top, top): one}, [(top, top)]),
+                             ({(low, top): one}, [(low, top)]),
+                             ({(up, top): one}, []),
+                             ({(top, top): one, (top, low): cfg.zero()},
+                              [(top, top)])):
+        def mutated(X, b, basis_tag):
+            ad = exact(X, b, basis_tag=basis_tag)
+            if basis_tag != "hJ":
+                return ad
+            rows = [list(row) for row in ad.matrix.rows]
+            for (s, j), value in changes.items():
+                rows[s][j] = value
+            return dataclasses.replace(ad, matrix=SuperMatrix(
+                cfg, ad.matrix.shape, rows, "general"))
+
+        monkeypatch.setattr(verify, "ad_operator", mutated)
+        want = [f"flat entry ({s}, {j}) does not raise level {levels[j]} "
+                f"(row level {levels[s]})" for s, j in failing]
+        assert verify._section_ad(make_rng(5), basis, 1) == want

@@ -112,3 +112,52 @@ def test_bench_compare_pairs_runs_and_counts_wins(tmp_path):
     assert entry["metrics"]["float64.latency_p50_ms"]["wins"] == 2
     digests = json.loads(out.read_text())["digests"]["31"]
     assert digests["all:rational"]["same"] is True
+
+
+# bounds of scripts/mode_diff.py's ratios, as README states them beside the
+# gates: a float field's worst coefficient deviation from the exact report,
+# relative to its largest exact coefficient, and a residual (the exact one
+# of the float P, and the reported one), relative to the canonicalize gate
+FIELD_BOUND = 1e-12
+RESIDUAL_SHARE_BOUND = 1e-3
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 4)])
+def test_float_canonical_form_matches_the_exact_one(monkeypatch, m, n):
+    from supermetric.algebra import AlgebraConfig
+    from supermetric.sampling import make_rng, random_metric
+
+    mode_diff = _load_script("mode_diff", monkeypatch)
+    cfg = AlgebraConfig(generator_count=6, coefficient_mode="float64")
+    for seed in range(1, 5):
+        ratios = mode_diff.compare(random_metric(make_rng(seed), cfg, m, n))
+        for field in mode_diff.FIELDS:
+            assert ratios[field] <= FIELD_BOUND, (seed, field, ratios)
+        for share in ("exact", "reported"):
+            assert ratios[share] <= RESIDUAL_SHARE_BOUND, (seed, share,
+                                                           ratios)
+
+
+def test_mode_diff_prints_one_line_per_payload(tmp_path):
+    from supermetric.algebra import AlgebraConfig
+    from supermetric.sampling import make_rng, random_metric
+    from supermetric.serialization import matrix_to_json
+
+    cfg = AlgebraConfig(generator_count=4, coefficient_mode="float64")
+    paths = []
+    for seed in (1, 2):
+        path = tmp_path / f"metric-{seed}.json"
+        path.write_text(json.dumps({
+            "algebra": {"generator_count": 4, "coefficient_mode": "float64"},
+            "metric": matrix_to_json(random_metric(make_rng(seed), cfg, 2,
+                                                   2))}))
+        paths.append(str(path))
+    proc = _run("mode_diff.py", *paths)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["payload", "P", "Gamma", "d_raw", "lambda",
+                                "exact", "reported"]
+    assert [line.split()[0] for line in lines[1:]] == [
+        "metric-1.json", "metric-2.json", "worst"]
+    assert all(float(v) <= RESIDUAL_SHARE_BOUND
+               for line in lines[1:] for v in line.split()[1:])
