@@ -1,10 +1,11 @@
-"""Float64 canonical forms against the exact answer for the same input.
+"""Float64 reports against the exact answer for the same input.
 
-Each float64 `canonicalize` payload is read in float64 and lifted exactly
-to rationals (a binary float is a dyadic rational), and the rational
-pipeline runs on the lift, so its report is the exact answer for the float
-input.  Both reports come from `supermetric.cli.main` in this process.  Per
-payload one line gives, as ratios to a stated scale:
+Each float64 payload is read in float64 and lifted exactly to rationals (a
+binary float is a dyadic rational), and the rational pipeline runs on the
+lift, so its report is the exact answer for the float input.  Both reports
+come from `supermetric.cli.main` in this process.
+
+For a `canonicalize` payload one line gives, as ratios to a stated scale:
 
 * P, Gamma, d_raw, lambda: the float report's worst deviation from the
   exact report, the largest |float coefficient - exact coefficient| over
@@ -15,12 +16,27 @@ payload one line gives, as ratios to a stated scale:
   norm, the largest row sum of entry l1 norms);
 * reported: the float report's own residual, relative to the same gate.
 
-The last line gives the worst ratio of each column.  With --seed the
-payloads are the float64 requests of the benchmark's canonicalize-dense
-workload for that seed; otherwise the payload files named are read.
+For a `group-op` or `isometry-check` payload one line gives:
+
+* product, embedded (group-op only): the worst deviation of the float
+  report's product (its body matrix and zero-body part) and of its
+  embedded isometry, as above;
+* exact: the exact isometry residual max_ij ||(N^ST Gamma N - Gamma)_ij||_1
+  of the float report's embedded N (group-op) or of the lifted input N
+  (isometry-check), relative to the isometry gate 1e-10 (1 + ||N||^2
+  ||Gamma||) of `within_gate`;
+* reported: the float report's own isometry residual, relative to the
+  same gate;
+* verdicts: whether the float report's isometry verdict, and for
+  isometry-check its membership verdicts, equal the exact report's.
+
+The last line of each table gives the worst ratio of each column.  With
+--seed the payloads are the float64 requests of the benchmark's
+canonicalize-dense and group-sparse workloads for that seed; otherwise the
+payload files named are read, each by the verb its keys name.
 
     python scripts/mode_diff.py --seed 31
-    python scripts/mode_diff.py metric.json
+    python scripts/mode_diff.py metric.json group-op.json
 """
 
 import argparse
@@ -41,13 +57,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from supermetric import cli  # noqa: E402
-from supermetric.algebra import AlgebraConfig  # noqa: E402
+from supermetric.algebra import GATE, AlgebraConfig  # noqa: E402
 from supermetric.canonical import congruence  # noqa: E402
+from supermetric.isometry import isometry_residual  # noqa: E402
 from supermetric.matrices import SuperMatrix  # noqa: E402
 from supermetric.serialization import (  # noqa: E402
     dumps,
+    gamma_from_json,
     matrix_from_json,
     matrix_to_json,
+    scalar_from_json,
     supernumber_from_json,
 )
 
@@ -55,23 +74,30 @@ from supermetric.serialization import (  # noqa: E402
 RESIDUAL_GATE = 1e-9
 FIELDS = ("P", "Gamma", "d_raw", "lambda")
 COLUMNS = FIELDS + ("exact", "reported")
+GROUP_VERBS = ("group-op", "isometry-check")
+GROUP_COLUMNS = ("product", "embedded", "exact", "reported")
+
+
+def run_verb(verb, payload, path):
+    """The parsed report of one CLI verb on a payload, written to path."""
+    Path(path).write_text(dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([verb, str(path)])
+    if code != 0:
+        raise RuntimeError(f"{verb} exited {code}: {err.getvalue()}")
+    return json.loads(out.getvalue())
 
 
 def canonicalize(G, directory):
     """The parsed `canonicalize` report of metric G, run through the CLI."""
     cfg = G.config
-    path = Path(directory) / f"metric-{cfg.coefficient_mode}.json"
-    path.write_text(dumps({
+    return run_verb("canonicalize", {
         "algebra": {"generator_count": cfg.generator_count,
                     "coefficient_mode": cfg.coefficient_mode,
                     "zero_tolerance": cfg.zero_tolerance},
-        "metric": matrix_to_json(G)}))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["canonicalize", str(path)])
-    if code != 0:
-        raise RuntimeError(f"canonicalize exited {code}: {err.getvalue()}")
-    return json.loads(out.getvalue())
+        "metric": matrix_to_json(G)},
+        Path(directory) / f"metric-{cfg.coefficient_mode}.json")
 
 
 def lift(M, cfg):
@@ -83,9 +109,14 @@ def lift(M, cfg):
 
 def _entries(report, name, cfg):
     """The supernumbers of one field of a report, in report order."""
-    if name in ("P", "Gamma"):
+    if name in ("P", "Gamma", "embedded", "n_part"):
         return [e for row in matrix_from_json(report[name], cfg).rows
                 for e in row]
+    if name == "product":    # a group element: its body, then its n_part
+        h = report[name]
+        return [cfg.scalar(scalar_from_json(v, cfg))
+                for row in h["g_body"] for v in row] + _entries(
+                    h, "n_part", cfg)
     if name == "d_raw":
         return [supernumber_from_json(d, cfg) for d in report["d_raw"]]
     return [supernumber_from_json(r["lambda"], cfg)
@@ -129,47 +160,134 @@ def compare(G):
     return out
 
 
+def lift_json(value):
+    """A payload value with each float coefficient lifted exactly, written
+    as the text of its dyadic fraction."""
+    if isinstance(value, float):
+        return str(Fraction(value))
+    if isinstance(value, list):
+        return [lift_json(v) for v in value]
+    if isinstance(value, dict):
+        return {key: lift_json(v) for key, v in value.items()}
+    return value
+
+
+def _verdicts(report):
+    return report["isometry"], report.get("lie_membership")
+
+
+def compare_group(verb, payload, directory):
+    """{column: ratio} and "verdicts" for one float64 group-op or
+    isometry-check payload (see the module doc); product and embedded are
+    None for isometry-check."""
+    L = payload["algebra"]["generator_count"]
+    cfg = AlgebraConfig(generator_count=L, coefficient_mode="float64")
+    exact_cfg = AlgebraConfig(generator_count=L, coefficient_mode="rational")
+    lifted = dict(lift_json(payload), algebra={
+        "generator_count": L, "coefficient_mode": "rational"})
+    got = run_verb(verb, dict(payload, algebra={
+        **payload["algebra"], "coefficient_mode": "float64"}),
+        Path(directory) / "group-float64.json")
+    want = run_verb(verb, lifted, Path(directory) / "group-rational.json")
+    if verb == "group-op":
+        out = {name: deviation(_entries(got, name, cfg),
+                               _entries(want, name, exact_cfg))
+               for name in ("product", "embedded")}
+        N = lift(matrix_from_json(got["embedded"], cfg), exact_cfg)
+        reported = got["residuals"]["isometry"]
+    else:
+        out = {"product": None, "embedded": None}
+        N = matrix_from_json(lifted["N"], exact_cfg)
+        reported = got["residual"]
+    residual, scale = isometry_residual(
+        N, gamma_from_json(lifted["gamma"], exact_cfg))
+    gate = GATE * (1.0 + float(scale))
+    out["exact"] = float(residual) / gate
+    out["reported"] = float(reported) / gate
+    out["verdicts"] = _verdicts(got) == _verdicts(want)
+    return out
+
+
+def _verb(payload):
+    """The verb a payload is for, by its keys."""
+    if "h1" in payload:
+        return "group-op"
+    return "isometry-check" if "N" in payload else "canonicalize"
+
+
+def _metric(payload):
+    """The float64 metric of a canonicalize payload (or a bare matrix)."""
+    cfg = AlgebraConfig(**{**payload.get("algebra", {}),
+                           "coefficient_mode": "float64"})
+    return matrix_from_json(payload.get("metric", payload), cfg)
+
+
 def _payloads(args, tmp):
-    """(name, float64 metric) of each payload to compare."""
+    """(name, verb, payload) of each float64 payload to compare."""
     if args.seed is None:
         for name in args.files:
             payload = json.loads(Path(name).read_text())
-            cfg = AlgebraConfig(**{**payload.get("algebra", {}),
-                                   "coefficient_mode": "float64"})
-            yield Path(name).name, matrix_from_json(
-                payload.get("metric", payload), cfg)
+            yield Path(name).name, _verb(payload), payload
         return
     from run import ROUNDS
-    from workloads import canonicalize_dense
+    from workloads import WORKLOADS
 
-    wl = canonicalize_dense(args.seed, Path(tmp),
-                            rounds=ROUNDS["canonicalize-dense"])
-    for request in (r for rnd in wl.rounds for r in rnd):
-        if request.mode == "float64":
-            path = Path(request.argv[-1])
-            payload = json.loads(path.read_text())
-            cfg = AlgebraConfig(**payload["algebra"])
-            yield path.stem, matrix_from_json(payload["metric"], cfg)
+    for workload, verbs in (("canonicalize-dense", ("canonicalize",)),
+                            ("group-sparse", GROUP_VERBS)):
+        workdir = Path(tmp) / workload
+        workdir.mkdir()
+        wl = WORKLOADS[workload](args.seed, workdir,
+                                 rounds=ROUNDS[workload])
+        for request in (r for rnd in wl.rounds for r in rnd):
+            if request.mode == "float64" and request.argv[0] in verbs:
+                path = Path(request.argv[-1])
+                yield path.stem, request.argv[0], json.loads(
+                    path.read_text())
+
+
+def _print_table(columns, rows, width):
+    """One line per (name, ratios) row and a last line of the worst ratio
+    of each column; a ratio of None prints as "-", and a "verdicts" column
+    as same or DIFFER."""
+    def cell(column, value):
+        if column == "verdicts":
+            return f"{'same' if value else 'DIFFER':>11}"
+        return f"{'-':>11}" if value is None else f"{value:>11.3e}"
+
+    print(f"{'payload':<{width}}" + "".join(f"{c:>11}" for c in columns))
+    for name, ratios in rows:
+        print(f"{name:<{width}}" + "".join(cell(c, ratios[c])
+                                           for c in columns))
+    worst = {c: max((r[c] for _, r in rows if r[c] is not None),
+                    default=None) for c in columns if c != "verdicts"}
+    if "verdicts" in columns:
+        worst["verdicts"] = all(r["verdicts"] for _, r in rows)
+    print(f"{'worst':<{width}}" + "".join(cell(c, worst[c])
+                                          for c in columns))
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("files", nargs="*", help="float64 canonicalize payloads")
+    p.add_argument("files", nargs="*",
+                   help="float64 canonicalize, group-op or isometry-check "
+                        "payloads")
     p.add_argument("--seed", type=int,
-                   help="compare the canonicalize-dense payloads of a seed")
+                   help="compare the canonicalize-dense and group-sparse "
+                        "payloads of a seed")
     args = p.parse_args(argv)
     if (args.seed is None) == (not args.files):
         p.error("give either --seed or payload files")
-    print(f"{'payload':<16}" + "".join(f"{c:>11}" for c in COLUMNS))
-    worst = dict.fromkeys(COLUMNS, 0.0)
+    dense, group = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, G in _payloads(args, tmp):
-            ratios = compare(G)
-            print(f"{name:<16}" + "".join(f"{ratios[c]:>11.3e}"
-                                          for c in COLUMNS))
-            for c in COLUMNS:
-                worst[c] = max(worst[c], ratios[c])
-    print(f"{'worst':<16}" + "".join(f"{worst[c]:>11.3e}" for c in COLUMNS))
+        for name, verb, payload in _payloads(args, tmp):
+            if verb == "canonicalize":
+                dense.append((name, compare(_metric(payload))))
+            else:
+                group.append((name, compare_group(verb, payload, tmp)))
+    if dense:
+        _print_table(COLUMNS, dense, 16)
+    if group:
+        _print_table(GROUP_COLUMNS + ("verdicts",), group, 28)
     return 0
 
 

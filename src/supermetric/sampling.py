@@ -175,40 +175,6 @@ def random_nil(rng, basis: LieBasis, terms=3, amp=1):
     return NilElement._trusted(X, basis.gamma)
 
 
-def _rand_float(rng, amp=1.0):
-    return float(rng.integers(-12, 13)) / float(rng.integers(1, 7)) * amp
-
-
-def random_g0_real(rng, gamma: GammaForm, amp=1.0):
-    """Random real matrix satisfying the linearized conditions: skew against
-    eta on the even block, symplectic-symmetric on the odd block."""
-    m, n = gamma.m, gamma.n
-    k = m + n
-    eta = [1.0 if e.body() > 0 else -1.0 for e in gamma.eta]
-    rows = [[0.0] * k for _ in range(k)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            t = _rand_float(rng, amp)
-            rows[i][j] += eta[i] * t
-            rows[j][i] += -eta[j] * t
-    if n:
-        J = np.zeros((n, n))
-        for p in range(0, n, 2):
-            J[p, p + 1] = 1.0
-            J[p + 1, p] = -1.0
-        T = np.zeros((n, n))
-        for al in range(n):
-            for ga in range(al, n):
-                t = _rand_float(rng, amp)
-                T[al, ga] = t
-                T[ga, al] = t
-        JT = J @ T
-        for al in range(n):
-            for ga in range(n):
-                rows[m + al][m + ga] = float(JT[al, ga])
-    return rows
-
-
 # rational points on the isometry groups: (c, s) with c^2 + s^2 = 1 for
 # definite eta pairs, c^2 - s^2 = 1 for mixed ones
 _CIRCLE = [(Fraction(3, 5), Fraction(4, 5)),
@@ -222,22 +188,13 @@ _HYPERBOLA = [(Fraction(5, 4), Fraction(3, 4)),
 def random_body_isometry(rng, gamma: GammaForm, factors=3):
     """Real matrix preserving the body of Gamma, block diagonal.
 
-    Rational mode composes exact factors (Pythagorean rotations, rational
-    hyperbolic boosts, unit-determinant pair maps); float mode exponentiates
-    a random linearized element.
+    A product of exact factors (Pythagorean rotations, rational hyperbolic
+    boosts, unit-determinant pair maps), drawn the same way in both modes;
+    each entry is then brought into the mode by ``config.coerce``, so a
+    float64 body is the rational one rounded entry by entry.
     """
     m, n = gamma.m, gamma.n
     k = m + n
-    if not gamma.config.rational:
-        from scipy.linalg import expm
-
-        A = np.array(random_g0_real(rng, gamma, amp=0.5))
-        # keep the exponent small: large hyperbolic directions give badly
-        # conditioned bodies whose conjugation amplifies rounding noise
-        peak = float(np.max(np.abs(A))) if A.size else 0.0
-        g = expm(A / (1.0 + peak))
-        return [[float(v) for v in row] for row in g.tolist()]
-
     eta = [1 if e.body() > 0 else -1 for e in gamma.eta]
     out = [[Fraction(1 if i == j else 0) for j in range(k)]
            for i in range(k)]
@@ -275,7 +232,8 @@ def random_body_isometry(rng, gamma: GammaForm, factors=3):
                 u = Fraction(int(rng.integers(1, 4)),
                              int(rng.integers(1, 4)))
                 apply([[u, Fraction(0)], [Fraction(0), 1 / u]], p, p + 1)
-    return [list(r) for r in out]
+    coerce = gamma.config.coerce
+    return [[coerce(v) for v in row] for row in out]
 
 
 def random_group_element(rng, basis: LieBasis, terms=2, amp=Fraction(1, 2)):

@@ -1,6 +1,8 @@
 """Composition series, the zero-body group, and the semi-direct product."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from scipy.linalg import expm, logm
 
 from supermetric import group, verify
-from supermetric.algebra import AlgebraConfig
+from supermetric.algebra import AlgebraConfig, within_gate
 from supermetric.errors import (
     ConfigMismatch,
     NonZeroBody,
@@ -466,6 +468,29 @@ def test_body_exponential_produces_isometries():
         SuperMatrix.zeros(FLT, gamma.shape, "even"), gamma))
     N = embed_isometry(h)
     assert is_isometry(N, gamma)
+
+
+def test_body_exponential_matches_expm():
+    # scipy's expm is a reference only; the package sums its own series
+    basis = basis_for(FLT, 2, 1, 2)      # eta = (1, 1, -1) and one J pair
+    # a rotation, two boosts and three symplectic directions, then their
+    # sum at a norm well above 1, so that the squaring steps run
+    directions = [np.array(M.body()) for M in basis.g0]
+    cases = [0.7 * d for d in directions] + [3.0 * sum(directions)]
+    assert np.linalg.norm(cases[-1], 1) > 4
+    for X0 in cases:
+        got = np.array(body_exponential(X0.tolist(), basis.gamma))
+        want = expm(X0)
+        assert within_gate(np.max(np.abs(got - want)), np.max(np.abs(want)))
+
+
+def test_package_import_leaves_scipy_out():
+    code = ("import sys, supermetric; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_semidirect_group_axioms():

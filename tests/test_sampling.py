@@ -1,4 +1,5 @@
-"""Seeded sampling at degenerate shapes, from Python and through the CLI."""
+"""Seeded sampling at degenerate shapes, from Python and through the CLI,
+and the one body-isometry sampler of both modes."""
 
 import json
 
@@ -12,13 +13,31 @@ from supermetric.sampling import (
     basis_for,
     make_rng,
     rand_homogeneous,
+    random_body_isometry,
     random_member,
     random_metric,
     random_nil,
+    standard_gamma,
 )
 from supermetric.verify import run_verify
 
 RAT = AlgebraConfig(generator_count=2, coefficient_mode="rational")
+FLT = AlgebraConfig(generator_count=2, coefficient_mode="float64")
+
+
+@pytest.mark.parametrize("p, q, n", [(2, 0, 0), (1, 1, 2), (2, 1, 2),
+                                     (2, 2, 4), (0, 0, 4)])
+def test_float_body_isometry_is_the_rational_one_rounded(p, q, n):
+    # one sampler: the same draws in both modes, float64 rounding each
+    # exact entry once, and the rng stream left at the same place
+    for seed in range(1, 6):
+        exact_rng, float_rng = make_rng(seed), make_rng(seed)
+        exact = random_body_isometry(exact_rng, standard_gamma(RAT, p, q, n))
+        rounded = random_body_isometry(float_rng,
+                                       standard_gamma(FLT, p, q, n))
+        assert rounded == [[float(v) for v in row] for row in exact]
+        assert all(type(v) is float for row in rounded for v in row)
+        assert exact_rng.integers(0, 2 ** 62) == float_rng.integers(0, 2 ** 62)
 
 
 def test_random_metric_with_an_empty_block():

@@ -117,7 +117,7 @@ def test_bench_compare_pairs_runs_and_counts_wins(tmp_path):
 # bounds of scripts/mode_diff.py's ratios, as README states them beside the
 # gates: a float field's worst coefficient deviation from the exact report,
 # relative to its largest exact coefficient, and a residual (the exact one
-# of the float P, and the reported one), relative to the canonicalize gate
+# of the float answer, and the reported one), relative to the verb's gate
 FIELD_BOUND = 1e-12
 RESIDUAL_SHARE_BOUND = 1e-3
 
@@ -136,6 +136,63 @@ def test_float_canonical_form_matches_the_exact_one(monkeypatch, m, n):
         for share in ("exact", "reported"):
             assert ratios[share] <= RESIDUAL_SHARE_BOUND, (seed, share,
                                                            ratios)
+
+
+def _group_payloads(L, p, q, n, seed):
+    """float64 group-op and isometry-check payloads built as the
+    group-sparse benchmark builds them."""
+    from supermetric.algebra import AlgebraConfig
+    from supermetric.group import embed_isometry
+    from supermetric.sampling import basis_for, make_rng, random_group_element
+    from supermetric.serialization import (
+        gamma_to_json,
+        group_element_to_json,
+        matrix_to_json,
+    )
+
+    cfg = AlgebraConfig(generator_count=L, coefficient_mode="float64")
+    basis = basis_for(cfg, p, q, n)
+    rng = make_rng(seed)
+    head = {"algebra": {"generator_count": L, "coefficient_mode": "float64"},
+            "gamma": gamma_to_json(basis.gamma)}
+    h1 = random_group_element(rng, basis)
+    h2 = random_group_element(rng, basis)
+    N = embed_isometry(random_group_element(rng, basis))
+    return {"group-op": dict(head, h1=group_element_to_json(h1),
+                             h2=group_element_to_json(h2)),
+            "isometry-check": dict(head, N=matrix_to_json(N))}
+
+
+def test_float_group_verbs_match_the_exact_ones(monkeypatch, tmp_path):
+    mode_diff = _load_script("mode_diff", monkeypatch)
+    for seed in range(1, 5):
+        for verb, payload in _group_payloads(6, 1, 1, 2, seed).items():
+            ratios = mode_diff.compare_group(verb, payload, tmp_path)
+            assert ratios["verdicts"] is True, (seed, verb, ratios)
+            for field in ("product", "embedded"):
+                assert (ratios[field] is None) == (verb != "group-op")
+                assert (ratios[field] or 0.0) <= FIELD_BOUND, (seed, verb,
+                                                               ratios)
+            for share in ("exact", "reported"):
+                assert ratios[share] <= RESIDUAL_SHARE_BOUND, (seed, verb,
+                                                               ratios)
+
+
+def test_mode_diff_reads_group_payloads_by_their_keys(tmp_path):
+    paths = []
+    for verb, payload in _group_payloads(4, 1, 1, 2, 1).items():
+        path = tmp_path / f"{verb}.json"
+        path.write_text(json.dumps(payload))
+        paths.append(str(path))
+    proc = _run("mode_diff.py", *paths)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["payload", "product", "embedded", "exact",
+                                "reported", "verdicts"]
+    assert [line.split()[0] for line in lines[1:]] == [
+        "group-op.json", "isometry-check.json", "worst"]
+    assert lines[2].split()[1:3] == ["-", "-"]
+    assert all(line.split()[-1] == "same" for line in lines[1:])
 
 
 def test_mode_diff_prints_one_line_per_payload(tmp_path):
