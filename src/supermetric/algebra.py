@@ -140,11 +140,11 @@ class AlgebraConfig:
     # -- constructors ----------------------------------------------------
 
     def zero(self) -> "Supernumber":
-        return Supernumber(self, {})
+        return _ordered(self, {})
 
     def scalar(self, value) -> "Supernumber":
         c = self.coerce(value)
-        return Supernumber(self, {} if c == 0 else {0: c})
+        return _ordered(self, {} if c == 0 else {0: c})
 
     def one(self) -> "Supernumber":
         return self.scalar(1)
@@ -154,7 +154,7 @@ class AlgebraConfig:
         if not (1 <= i <= self.generator_count):
             raise ConfigMismatch(
                 f"generator index {i} outside 1..{self.generator_count}")
-        return Supernumber(self, {1 << (i - 1): self.coerce(1)})
+        return _ordered(self, {1 << (i - 1): self.coerce(1)})
 
     def term(self, indices, coeff=1) -> "Supernumber":
         """coeff * z(i1)...z(ik) for strictly increasing indices."""
@@ -168,7 +168,7 @@ class AlgebraConfig:
             bits |= 1 << (i - 1)
             prev = i
         c = self.coerce(coeff)
-        return Supernumber(self, {} if c == 0 else {bits: c})
+        return _ordered(self, {} if c == 0 else {bits: c})
 
     def from_terms(self, mapping) -> "Supernumber":
         """Build from {indices-tuple-or-bitmask: coeff}; zero coefficients drop."""
@@ -228,7 +228,9 @@ class Supernumber:
 
     ``terms`` maps bitmask -> nonzero coefficient and is kept in ascending
     bitmask order.  Do not mutate; construct through AlgebraConfig or the
-    arithmetic operators.
+    arithmetic operators.  This constructor sorts the dict it is given;
+    results built inside, whose keys are ascending already, come from
+    ``_ordered``, which keeps the dict as it is.
 
     A rational value's own representation is its integer form
     ``(D, ((bits, N), ...))``, bits ascending, where D is the lcm of the
@@ -285,8 +287,8 @@ class Supernumber:
         return self.terms.get(0, _ZERO[self.config.coefficient_mode])
 
     def soul(self) -> "Supernumber":
-        return Supernumber(self.config,
-                           {b: c for b, c in self.terms.items() if b})
+        return _ordered(self.config,
+                        {b: c for b, c in self.terms.items() if b})
 
     def norm(self):
         """l1 norm; a Fraction in rational mode, float otherwise."""
@@ -321,14 +323,14 @@ class Supernumber:
         if not isinstance(other, Supernumber):
             other = self.config.scalar(other)
         self._check_mate(other)
-        return Supernumber(self.config,
-                           _merge(self.config, dict(self.terms), other.terms))
+        return _ordered(self.config, _ascending(
+            _merge(self.config, dict(self.terms), other.terms)))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Supernumber(self.config, {b: -c for b, c in self.terms.items()})
+        return _ordered(self.config, {b: -c for b, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Supernumber):
@@ -351,9 +353,9 @@ class Supernumber:
         c0 = self.config.coerce(scalar)
         if c0 == 0:
             return self.config.zero()
-        return Supernumber(self.config,
-                           {b: p for b, c in self.terms.items()
-                            if (p := c * c0) != 0})
+        return _ordered(self.config,
+                        {b: p for b, c in self.terms.items()
+                         if (p := c * c0) != 0})
 
     def __truediv__(self, scalar):
         c0 = self.config.coerce(scalar)
@@ -384,6 +386,23 @@ class Supernumber:
                 idx = ",".join(str(i) for i in _bits_to_indices(b))
                 parts.append(f"{c}*z({idx})")
         return "Supernumber(" + " + ".join(parts) + ")"
+
+
+def _ordered(config: AlgebraConfig, terms: dict) -> Supernumber:
+    """A value over ``terms`` itself, with no copy and no sort: the
+    constructor of results built inside, whose keys are already ascending.
+    ``Supernumber(config, terms)`` sorts whatever it is given."""
+    z = object.__new__(Supernumber)
+    z.config = config
+    z.terms = terms
+    z._int_form = None
+    z._right = None
+    return z
+
+
+def _ascending(terms: dict) -> dict:
+    """``terms`` with its keys in ascending order, sorted only past one."""
+    return dict(sorted(terms.items())) if len(terms) > 1 else terms
 
 
 class _IntegerBorn(Supernumber):
@@ -487,7 +506,7 @@ def _born(config: AlgebraConfig, den: int, items) -> Supernumber:
     den / gcd(den, N_1, ..., N_k), so den becomes the lcm of the reduced
     denominators."""
     if not items:
-        return Supernumber(config, {})
+        return _ordered(config, {})
     g = math.gcd(den, *[n for _, n in items])
     if g != 1:
         den //= g
@@ -589,7 +608,7 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
             if a == inf:
                 raise CoefficientOverflow("a float64 sum overflowed")
             kept[key] = c
-    return Supernumber(config, kept)
+    return _ordered(config, _ascending(kept))
 
 
 def _rational_sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:

@@ -20,7 +20,8 @@ call keeps every bracket it has formed by suffix and forms each one once
 entries are cross-validated against the exact route in the tests.
 
 A zero-body element keeps its exponential once it has been formed, so the
-group law and the embedding exponentiate each operand once.
+group law and the embedding exponentiate each operand once, and the group
+law's result keeps the product exp X exp Y it took the logarithm of.
 
 The group built here is the semi-direct product of body-level isometries
 with the zero-body group: (g1, n1) o (g2, n2) = (g1 g2, n1 <> alpha(g1) n2)
@@ -41,6 +42,7 @@ import numpy as np
 
 from .algebra import within_gate
 from .errors import (
+    CoefficientOverflow,
     ConfigMismatch,
     DegenerateBody,
     NonZeroBody,
@@ -180,10 +182,13 @@ class NilElement:
                 f"membership conditions violated: {violated}")
 
     @classmethod
-    def _trusted(cls, X: SuperMatrix, gamma: GammaForm):
-        """An element whose X is a member by construction, unchecked."""
+    def _trusted(cls, X: SuperMatrix, gamma: GammaForm, exp=None):
+        """An element whose X is a member by construction, unchecked; an
+        ``exp`` given is kept as its exponential."""
         element = object.__new__(cls)
         element.__dict__.update(X=X, gamma=gamma)
+        if exp is not None:
+            element.__dict__["exp"] = exp
         return element
 
     def __neg__(self):
@@ -196,15 +201,18 @@ class NilElement:
 
 
 def diamond(X: NilElement, Y: NilElement) -> NilElement:
-    """Exact group law log(exp X exp Y) on zero-body elements."""
+    """Exact group law log(exp X exp Y) on zero-body elements.  The result
+    keeps U = exp X exp Y as its exponential: exp(log U) is U exactly in
+    rational mode, and in float64 U is one rounding closer to the operands."""
     if X.gamma != Y.gamma:
         raise ShapeMismatch("operands live over different canonical forms")
+    U = X.exp @ Y.exp
     try:
-        Z = log_unipotent(X.exp @ Y.exp)
+        Z = log_unipotent(U)
     except NotUnipotent:    # souls past 1 / zero_tolerance pruned it
         raise DegenerateBody("the group law lost its identity body to "
                              "float64 pruning") from None
-    return NilElement._trusted(Z, X.gamma)
+    return NilElement._trusted(Z, X.gamma, exp=U)
 
 
 # -- body group and the semi-direct product ----------------------------------------
@@ -323,15 +331,21 @@ def action_alpha(X0, Y: NilElement) -> NilElement:
 def _expm(A):
     """exp(A) for a small square float array, by scaling and squaring: the
     Taylor series of B = A / 2^s, where s makes ||B||_1 <= 1/2, so the terms
-    past degree 14 sum to under 3e-17; then s squarings."""
-    s = max(0, math.frexp(np.linalg.norm(A, 1))[1] + 1)
-    B = A / 2.0 ** s
-    term = out = np.eye(len(A))
-    for j in range(1, 15):
-        term = term @ B / j
-        out = out + term
-    for _ in range(s):
-        out = out @ out
+    past degree 14 sum to under 3e-17; then s squarings.  CoefficientOverflow
+    when an entry of the series or of a squaring is not finite: an infinity
+    or a NaN stays in every later squaring, so the result shows it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = max(0, math.frexp(np.linalg.norm(A, 1))[1] + 1)
+        B = A / 2.0 ** s
+        term = out = np.eye(len(A))
+        for j in range(1, 15):
+            term = term @ B / j
+            out = out + term
+        for _ in range(s):
+            out = out @ out
+    if not np.isfinite(out).all():
+        raise CoefficientOverflow(
+            "the body exponential overflows the float64 range")
     return out
 
 

@@ -72,7 +72,11 @@ def _compose_parity(p: str, q: str) -> str:
 
 
 class SuperMatrix:
-    """Immutable square matrix of supernumbers with a declared parity class."""
+    """Immutable square matrix of supernumbers with a declared parity class.
+
+    The public constructors check the shape and the parity class and copy
+    the rows into tuples; results built inside come from ``_trusted``.
+    """
 
     __slots__ = ("config", "shape", "parity_class", "rows")
 
@@ -88,6 +92,17 @@ class SuperMatrix:
         self.shape = shape
         self.rows = tuple(tuple(r) for r in rows)
         self.parity_class = parity_class
+
+    @classmethod
+    def _trusted(cls, config, shape, rows, parity_class):
+        """A matrix whose ``rows`` are a tuple of k tuples of k entries for
+        the BlockShape ``shape``, taken as they are, unchecked."""
+        M = object.__new__(cls)
+        M.config = config
+        M.shape = shape
+        M.rows = rows
+        M.parity_class = parity_class
+        return M
 
     # -- constructors ----------------------------------------------------
 
@@ -155,9 +170,9 @@ class SuperMatrix:
     def __matmul__(self, other):
         self._check_mate(other)
         rows = _mul_rows(self.config, self.rows, other.rows)
-        return SuperMatrix(self.config, self.shape, rows,
-                           _compose_parity(self.parity_class,
-                                           other.parity_class))
+        return SuperMatrix._trusted(self.config, self.shape, rows,
+                                    _compose_parity(self.parity_class,
+                                                    other.parity_class))
 
     def __add__(self, other):
         return self._entrywise(other, operator.add)
@@ -173,21 +188,25 @@ class SuperMatrix:
         cls = (self.parity_class if self.parity_class == other.parity_class
                else "general")
         zero = self.config.zero()
-        rows = [[zero if a.is_zero() and b.is_zero() else op(a, b)
-                 for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)]
-        return SuperMatrix(self.config, self.shape, rows, cls)
+        rows = tuple([tuple([zero if a.is_zero() and b.is_zero() else op(a, b)
+                             for a, b in zip(ra, rb)])
+                      for ra, rb in zip(self.rows, other.rows)])
+        return SuperMatrix._trusted(self.config, self.shape, rows, cls)
 
     def __neg__(self):
         zero = self.config.zero()
-        rows = [[zero if e.is_zero() else -e for e in r] for r in self.rows]
-        return SuperMatrix(self.config, self.shape, rows, self.parity_class)
+        rows = tuple([tuple([zero if e.is_zero() else -e for e in r])
+                      for r in self.rows])
+        return SuperMatrix._trusted(self.config, self.shape, rows,
+                                    self.parity_class)
 
     def scale(self, scalar):
         zero = self.config.zero()
-        rows = [[zero if e.is_zero() else e.scale(scalar) for e in r]
-                for r in self.rows]
-        return SuperMatrix(self.config, self.shape, rows, self.parity_class)
+        rows = tuple([tuple([zero if e.is_zero() else e.scale(scalar)
+                             for e in r])
+                      for r in self.rows])
+        return SuperMatrix._trusted(self.config, self.shape, rows,
+                                    self.parity_class)
 
     # -- graded structure --------------------------------------------------
 
@@ -215,8 +234,9 @@ class SuperMatrix:
                         dtype=float)
 
     def soul_matrix(self):
-        rows = [[e.soul() for e in r] for r in self.rows]
-        return SuperMatrix(self.config, self.shape, rows, self.parity_class)
+        rows = tuple([tuple([e.soul() for e in r]) for r in self.rows])
+        return SuperMatrix._trusted(self.config, self.shape, rows,
+                                    self.parity_class)
 
     def has_zero_body(self) -> bool:
         return all(e.body() == 0 for r in self.rows for e in r)
@@ -279,7 +299,7 @@ class SuperMatrix:
 
 def _mul_rows(config, a, b):
     """The product of a p x q and a q x r list of supernumber rows, from the
-    nonzero entries only.
+    nonzero entries only, as a tuple of tuple rows.
 
     Each entry is one ``sum_of_products`` over the pairs (a[i][t], b[t][j])
     with both factors nonempty, in ascending t, so in float64 each key is
@@ -317,10 +337,11 @@ def _mul_rows(config, a, b):
             col_masks[j] |= 1 << t
     b_cols = list(zip(cols, col_masks))
     zero = config.zero()
-    return [[sum_of_products(config, [(e, col[t]) for t, e in nz if t in col])
-             if mask & col_mask else zero
-             for col, col_mask in b_cols]
-            for nz, mask in a_rows]
+    return tuple([tuple([sum_of_products(config, [(e, col[t]) for t, e in nz
+                                                  if t in col])
+                         if mask & col_mask else zero
+                         for col, col_mask in b_cols])
+                  for nz, mask in a_rows])
 
 
 # -- real/rational matrix helpers ----------------------------------------------
@@ -389,7 +410,7 @@ def invert_matrix(N: SuperMatrix) -> SuperMatrix:
         acc = acc + term
     out = acc @ lift_binv
     cls = "even" if N.parity_class == "even" else "general"
-    return SuperMatrix(cfg, N.shape, out.rows, cls)
+    return SuperMatrix._trusted(cfg, N.shape, out.rows, cls)
 
 
 def exp_zero_body(X: SuperMatrix) -> SuperMatrix:
@@ -404,8 +425,9 @@ def exp_zero_body(X: SuperMatrix) -> SuperMatrix:
         if term.is_zero():
             break
         acc = acc + term
-    return SuperMatrix(cfg, X.shape, acc.rows,
-                       "even" if X.parity_class == "even" else "general")
+    return SuperMatrix._trusted(
+        cfg, X.shape, acc.rows,
+        "even" if X.parity_class == "even" else "general")
 
 
 def log_unipotent(U: SuperMatrix) -> SuperMatrix:
@@ -426,8 +448,9 @@ def log_unipotent(U: SuperMatrix) -> SuperMatrix:
         sign = 1 if step % 2 == 1 else -1
         acc = acc + power.scale(Fraction(sign, step) if cfg.rational
                                 else sign / step)
-    return SuperMatrix(cfg, U.shape, acc.rows,
-                       "even" if U.parity_class == "even" else "general")
+    return SuperMatrix._trusted(
+        cfg, U.shape, acc.rows,
+        "even" if U.parity_class == "even" else "general")
 
 
 # -- adjoint operators -----------------------------------------------------------
@@ -724,7 +747,8 @@ def _ad_flat(X, decomps, positions, basis_tag):
             for s, c in zip(groups[level], memo[key]):
                 if c != 0:
                     rows[s][j] = cfg.scalar(-c if flip else c)
-    mat = SuperMatrix(cfg, BlockShape(r, 0), rows, "general")
+    mat = SuperMatrix._trusted(cfg, BlockShape(r, 0),
+                               tuple(map(tuple, rows)), "general")
     return AdOperator(X, mat, basis_tag, "real", levels)
 
 

@@ -77,6 +77,49 @@ def test_constructors_and_term_ordering():
         RAT.generator(5)
 
 
+def _ascending_keys(z):
+    keys = list(z.terms)
+    return keys == sorted(keys)
+
+
+@pytest.mark.parametrize("cfg", [RAT, FLT], ids=["rational", "float64"])
+def test_internal_results_keep_ascending_keys(cfg):
+    # results are built with the order-keeping constructor, which takes its
+    # dict as it is; each one must still list its terms in ascending order.
+    # Every operand is built by the public constructor from a descending
+    # dict, so a plain (dict-built) rational value goes through the same
+    # paths as a float64 one
+    def built(mapping):
+        return Supernumber(cfg, {b: cfg.coerce(c) for b, c in
+                                 sorted(mapping.items(), reverse=True)})
+
+    x = built({0: 2, 0b1000: 1, 0b0110: -3})
+    y = built({0b0001: 5, 0b1100: Fraction(1, 3), 0: -1})
+    w = built({0b0101: 7, 0b0010: 2})
+    assert list(x.terms) == [0, 0b0110, 0b1000]
+    # x + y merges y's keys 1 and 12 after x's own, out of order
+    values = [x + y, y + x, x - y, y - x, -x, x * y, y * x, x * w,
+              x.scale(3), (x * y).scale(Fraction(1, 7)), x.soul(),
+              (x * y).soul(), (x + y) * (x - y), (x * y) + (y * w)]
+    # a multi-pair sum whose accumulator first meets key 12, then keys 1
+    # and 5 below it
+    z = [cfg.generator(i) for i in range(1, 5)]
+    values.append(sum_of_products(cfg, [(z[2], z[3]), (built({0: 1}), z[0]),
+                                        (z[0], z[2]), (x, y)]))
+    values.append(sum_of_products(cfg, [(y, w), (w, x), (x, y)]))
+    assert len(values[-2].terms) > 2
+    for v in values:
+        assert _ascending_keys(v), v.terms
+
+
+def test_public_constructor_still_sorts():
+    z = Supernumber(FLT, {5: 1.0, 1: 2.0})
+    assert list(z.terms) == [1, 5]
+    r = Supernumber(RAT, {5: Fraction(1), 1: Fraction(2), 3: Fraction(1)})
+    assert list(r.terms) == [1, 3, 5]
+    assert z == Supernumber(FLT, {1: 2.0, 5: 1.0})
+
+
 def test_generator_anticommutation():
     for cfg in (RAT, FLT):
         for i in range(1, 5):

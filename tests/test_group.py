@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.linalg import expm, logm
 from supermetric import group, verify
 from supermetric.algebra import AlgebraConfig, within_gate
 from supermetric.errors import (
+    CoefficientOverflow,
     ConfigMismatch,
     NonZeroBody,
     NormBoundViolation,
@@ -338,9 +340,30 @@ def test_diamond_exponentiates_each_operand_once(monkeypatch):
         Z = random_nil(rng, basis, terms=3)
         diamond(diamond(X, Z), Z)
         diamond(Z, Y)
-        # Z once, and diamond(X, Z) once; X and Y were formed above
-        assert len(calls) == 2
+        # Z once; diamond(X, Z) keeps the product it took the logarithm
+        # of, and X and Y were formed above
+        assert len(calls) == 1
         monkeypatch.undo()
+
+
+def test_diamond_result_carries_its_exponential():
+    # the kept product exp X exp Y is exp(log U) exactly in rational mode
+    # and within the gate in float64; chained, as verify's associativity
+    # check chains them
+    for cfg in (RAT, FLT):
+        for p, q, n, seed in ((1, 1, 2, 5), (2, 1, 2, 6), (1, 0, 4, 7)):
+            basis = basis_for(cfg, p, q, n)
+            rng = make_rng(seed)
+            X, Y, W = (random_nil(rng, basis, terms=4) for _ in range(3))
+            for D in (diamond(X, Y), diamond(diamond(X, Y), W),
+                      diamond(W, diamond(X, -Y))):
+                formed = exp_zero_body(D.X)
+                if cfg.rational:
+                    assert D.exp == formed
+                else:
+                    gap = (D.exp - formed).entry_norm_max()
+                    assert within_gate(gap, formed.entry_norm_max())
+                assert D.exp.parity_class == formed.parity_class == "even"
 
 
 def test_diamond_rejects_mismatched_forms():
@@ -482,6 +505,22 @@ def test_body_exponential_matches_expm():
         got = np.array(body_exponential(X0.tolist(), basis.gamma))
         want = expm(X0)
         assert within_gate(np.max(np.abs(got - want)), np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("cfg", [RAT, FLT], ids=["rational", "float64"])
+def test_body_exponential_past_the_float_range_is_a_coefficient_overflow(cfg):
+    gamma = standard_gamma(cfg, 1, 1, 2)          # eta = (1, -1)
+
+    def boost(t):
+        return [[0, t, 0, 0], [t, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")            # no numpy overflow warning
+        with pytest.raises(CoefficientOverflow):
+            body_exponential(boost(800), gamma)   # cosh 800 is about 1e347
+        # cosh 700 is about 5e303, inside the range
+        g = body_exponential(boost(700), gamma)
+    assert math.isfinite(float(g[0][0])) and float(g[0][0]) > 1e303
 
 
 def test_package_import_leaves_scipy_out():

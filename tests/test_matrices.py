@@ -63,6 +63,48 @@ def test_shape_and_parity_checks():
         M @ _sample_even(FLT)
 
 
+def test_public_constructors_keep_their_checks():
+    z = RAT.zero()
+    with pytest.raises(ShapeMismatch):
+        SuperMatrix(RAT, (1, 1), [[z, z], [z]])
+    with pytest.raises(ShapeMismatch):
+        SuperMatrix(RAT, (1, 1), [[z, z]])
+    with pytest.raises(ParityMismatch):
+        SuperMatrix(RAT, (1, 1), [[z, z], [z, z]], "strange")
+    with pytest.raises(ShapeMismatch):
+        SuperMatrix.from_real(RAT, [[1, 0], [0]], (1, 1))
+    with pytest.raises(ParityMismatch):
+        SuperMatrix.from_real(RAT, [[1, 0], [0, 1]], (1, 1), "strange")
+    with pytest.raises(ShapeMismatch):
+        SuperMatrix.from_blocks(RAT, [[z]], [[z, z]], None, [[z]])
+    # list rows are copied into tuples
+    rows = [[z, z], [z, z]]
+    M = SuperMatrix(RAT, (1, 1), rows)
+    rows[0][0] = RAT.one()
+    assert M.rows == ((z, z), (z, z))
+
+
+@pytest.mark.parametrize("cfg", [RAT, FLT], ids=["rational", "float64"])
+def test_trusted_results_have_tuple_rows_of_ascending_entries(cfg):
+    M = _sample_even(cfg)
+    N = M.soul_matrix()
+    X = random_member(make_rng(3), basis_for(cfg, 1, 0, 2), terms=4,
+                      soul_only=True)
+    results = [M @ M, M @ N, M + N, M - N, -M, M.scale(3), N, M.scale(0),
+               invert_matrix(M), exp_zero_body(X), log_unipotent(
+                   exp_zero_body(X))]
+    for R in results:
+        k = R.shape.total
+        assert type(R.rows) is tuple and len(R.rows) == k
+        for row in R.rows:
+            assert type(row) is tuple and len(row) == k
+            for e in row:
+                assert list(e.terms) == sorted(e.terms)
+        # a trusted result equals its public rebuild
+        assert R == SuperMatrix(cfg, R.shape, [list(r) for r in R.rows],
+                                R.parity_class)
+
+
 def _dusty_matrix(rng, cfg, k):
     """k x k entries of up to four terms, each coefficient near 1 or near the
     prune tolerance, so that products straddle the prune cut."""

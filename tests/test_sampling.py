@@ -10,6 +10,7 @@ from supermetric.canonical import validate_metric
 from supermetric.cli import main
 from supermetric.errors import ValidationError
 from supermetric.sampling import (
+    _pick,
     basis_for,
     make_rng,
     rand_homogeneous,
@@ -38,6 +39,17 @@ def test_float_body_isometry_is_the_rational_one_rounded(p, q, n):
         assert rounded == [[float(v) for v in row] for row in exact]
         assert all(type(v) is float for row in rounded for v in row)
         assert exact_rng.integers(0, 2 ** 62) == float_rng.integers(0, 2 ** 62)
+
+
+@pytest.mark.parametrize("grades", [[1, 3], [2, 4], [0, 2, 4]])
+def test_grade_draws_are_the_choice_stream(grades):
+    # _pick stands in for rng.choice(grades): the same grades from the same
+    # stream, which it leaves where choice leaves it
+    for seed in range(5):
+        a, b = make_rng(seed), make_rng(seed)
+        for _ in range(2000):
+            assert _pick(a, grades) == int(b.choice(grades))
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_random_metric_with_an_empty_block():
