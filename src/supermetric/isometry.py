@@ -208,18 +208,6 @@ class LieBasis:
     def elements(self):
         return list(self.g0) + list(self.g1)
 
-    def hJ_matrices(self):
-        """Materialize z(J) * X for each tagged pair; ad_operator reads the
-        tags directly and needs no such list."""
-        cfg = self.gamma.config
-        flat = self.elements()
-        out = []
-        for bits, pos in self.hJ:
-            zJ = Supernumber(cfg, {bits: cfg.coerce(1)})
-            out.append(flat[pos].scale(1) if bits == 0 else
-                       _scale_by_supernumber(flat[pos], zJ))
-        return out
-
 
 def _scale_by_supernumber(M: SuperMatrix, s: Supernumber) -> SuperMatrix:
     rows = [[s * e for e in r] for r in M.rows]

@@ -71,6 +71,12 @@ def _compose_parity(p: str, q: str) -> str:
     return "general"
 
 
+def _known_class(parity_class: str) -> str:
+    if parity_class not in ("even", "odd", "general"):
+        raise ParityMismatch(f"unknown parity class {parity_class!r}")
+    return parity_class
+
+
 class SuperMatrix:
     """Immutable square matrix of supernumbers with a declared parity class.
 
@@ -86,12 +92,10 @@ class SuperMatrix:
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ShapeMismatch(
                 f"expected {k}x{k} entries for shape ({shape.m}|{shape.n})")
-        if parity_class not in ("even", "odd", "general"):
-            raise ParityMismatch(f"unknown parity class {parity_class!r}")
         self.config = config
         self.shape = shape
         self.rows = tuple(tuple(r) for r in rows)
-        self.parity_class = parity_class
+        self.parity_class = _known_class(parity_class)
 
     @classmethod
     def _trusted(cls, config, shape, rows, parity_class):
@@ -109,17 +113,18 @@ class SuperMatrix:
     @classmethod
     def zeros(cls, config, shape, parity_class="even"):
         shape = BlockShape(*shape)
-        z = config.zero()
         k = shape.total
-        return cls(config, shape, [[z] * k for _ in range(k)], parity_class)
+        return cls._trusted(config, shape, ((config.zero(),) * k,) * k,
+                            _known_class(parity_class))
 
     @classmethod
     def identity(cls, config, shape):
         shape = BlockShape(*shape)
         z, one = config.zero(), config.one()
         k = shape.total
-        rows = [[one if i == j else z for j in range(k)] for i in range(k)]
-        return cls(config, shape, rows, "even")
+        rows = tuple([tuple([one if i == j else z for j in range(k)])
+                      for i in range(k)])
+        return cls._trusted(config, shape, rows, "even")
 
     @classmethod
     def from_real(cls, config, array, shape, parity_class="general"):
@@ -721,11 +726,12 @@ def _ad_flat(X, decomps, positions, basis_tag):
     slices = _flatten_slices(X)
     negated = {K: [[-v for v in row] for row in XK]
                for K, XK in slices.items()}
-    # the operator is sparse: entries start as one shared (immutable) zero
-    # and only nonzero coordinates are lifted; K -> K | J is one to one, so
-    # a column gets each of its entries written at most once
+    # the operator is sparse: a row's entries start as one shared
+    # (immutable) zero when its first nonzero coordinate is lifted, and a
+    # row that gets none is one shared zero row; K -> K | J is one to one,
+    # so a column gets each of its entries written at most once
     zero = cfg.zero()
-    rows = [[zero] * r for _ in range(r)]
+    rows = {}    # row number -> its entries, for rows holding a nonzero
     memo = {}    # coordinates by (K, grid of B, sign, family of the level)
     for j, J in enumerate(levels):
         B = decomps[j][J]
@@ -746,9 +752,15 @@ def _ad_flat(X, decomps, positions, basis_tag):
             flip = (K & mask).bit_count() & 1       # sigma(K, J) = -1
             for s, c in zip(groups[level], memo[key]):
                 if c != 0:
-                    rows[s][j] = cfg.scalar(-c if flip else c)
-    mat = SuperMatrix._trusted(cfg, BlockShape(r, 0),
-                               tuple(map(tuple, rows)), "general")
+                    row = rows.get(s)
+                    if row is None:
+                        row = rows[s] = [zero] * r
+                    row[j] = cfg.scalar(-c if flip else c)
+    empty = (zero,) * r
+    mat = SuperMatrix._trusted(
+        cfg, BlockShape(r, 0),
+        tuple([tuple(rows[s]) if s in rows else empty for s in range(r)]),
+        "general")
     return AdOperator(X, mat, basis_tag, "real", levels)
 
 

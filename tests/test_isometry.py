@@ -30,6 +30,8 @@ from supermetric.sampling import (
     standard_gamma,
 )
 
+from hj_family import hJ_matrices
+
 RAT = AlgebraConfig(generator_count=4, coefficient_mode="rational")
 FLT = AlgebraConfig(generator_count=4, coefficient_mode="float64")
 
@@ -125,7 +127,7 @@ def test_basis_elements_satisfy_membership():
 def test_index_tagged_family_members():
     basis = basis_for(RAT, 1, 1, 2)
     gamma = basis.gamma
-    mats = basis.hJ_matrices()
+    mats = hJ_matrices(basis)
     assert len(mats) == basis.dims["hJ"]
     for M in mats:
         rep = lie_membership(M, gamma)

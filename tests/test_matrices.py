@@ -35,6 +35,8 @@ from supermetric.matrices import (
 from supermetric.sampling import basis_for, make_rng, random_member, \
     random_nil
 
+from hj_family import hJ_matrices
+
 RAT = AlgebraConfig(generator_count=4, coefficient_mode="rational")
 FLT = AlgebraConfig(generator_count=4, coefficient_mode="float64")
 
@@ -92,7 +94,8 @@ def test_trusted_results_have_tuple_rows_of_ascending_entries(cfg):
                       soul_only=True)
     results = [M @ M, M @ N, M + N, M - N, -M, M.scale(3), N, M.scale(0),
                invert_matrix(M), exp_zero_body(X), log_unipotent(
-                   exp_zero_body(X))]
+                   exp_zero_body(X)), SuperMatrix.zeros(cfg, (1, 2), "odd"),
+               SuperMatrix.identity(cfg, (1, 2))]
     for R in results:
         k = R.shape.total
         assert type(R.rows) is tuple and len(R.rows) == k
@@ -475,7 +478,7 @@ def test_ad_dependent_basis_is_refused_for_a_zero_x():
         basis = basis_for(cfg, 1, 1, 2)
         zero = SuperMatrix.zeros(cfg, basis.gamma.shape, "even")
         flat = basis.elements()
-        family = basis.hJ_matrices()
+        family = hJ_matrices(basis)
         for dependent in ([flat[0], flat[0]],
                           flat + [flat[0].scale(2) + flat[1]],
                           family + [family[-1].scale(3)]):
@@ -516,7 +519,7 @@ def test_ad_flat_route_levels_and_nilpotence():
         basis = basis_for(cfg, 1, 1, 2)
         rng = make_rng(17)
         X = random_nil(rng, basis, terms=2)
-        family = basis.hJ_matrices()
+        family = hJ_matrices(basis)
         ad = ad_operator(X.X, family, basis_tag="hJ")
         assert ad.coordinate_field == "real"
         assert len(ad.levels) == len(family)
@@ -569,7 +572,7 @@ def test_ad_flat_matches_entrywise_reference():
             cfg = AlgebraConfig(generator_count=L, coefficient_mode=mode)
             basis = basis_for(cfg, p, q, 2)
             X = random_nil(make_rng(29), basis, terms=2)
-            family = basis.hJ_matrices()
+            family = hJ_matrices(basis)
             ad = ad_operator(X.X, family, basis_tag="hJ")
             assert not ad.matrix.is_zero()
             assert ad.matrix == _flat_reference(X.X, family)
@@ -584,7 +587,7 @@ def test_ad_from_lie_basis_tags_matches_the_family():
             basis = basis_for(cfg, p, q, 2)
             X = random_nil(make_rng(37), basis, terms=2)
             ad = ad_operator(X.X, basis, basis_tag="hJ")
-            ref = ad_operator(X.X, basis.hJ_matrices(), basis_tag="hJ")
+            ref = ad_operator(X.X, hJ_matrices(basis), basis_tag="hJ")
             assert ad.coordinate_field == ref.coordinate_field == "real"
             assert ad.levels == ref.levels
             assert ad.matrix == ref.matrix and not ad.matrix.is_zero()
@@ -615,7 +618,7 @@ def test_ad_from_lie_basis_tags_raises_as_the_family_does():
          ShapeMismatch),
     ]
     for tagged, error in cases:
-        family = tagged.hJ_matrices()
+        family = hJ_matrices(tagged)
         with pytest.raises(error):
             ad_operator(X.X, family, basis_tag="hJ")
         with pytest.raises(error):
@@ -624,7 +627,7 @@ def test_ad_from_lie_basis_tags_raises_as_the_family_does():
     # member is the element itself
     assert basis.hJ[0] == (0, 0)
     with pytest.raises(ConfigMismatch):
-        ad_operator(X.X, [other] + basis.hJ_matrices()[1:], basis_tag="hJ")
+        ad_operator(X.X, [other] + hJ_matrices(basis)[1:], basis_tag="hJ")
     with pytest.raises(ConfigMismatch):
         ad_operator(X.X, dataclasses.replace(basis, g0=[other] + basis.g0[1:]),
                     basis_tag="hJ")
@@ -634,7 +637,7 @@ def test_ad_flat_rejects_brackets_outside_the_slices():
     for cfg in (RAT, FLT):
         basis = basis_for(cfg, 1, 0, 2)
         X = random_nil(make_rng(31), basis, terms=2)
-        family = basis.hJ_matrices()
+        family = hJ_matrices(basis)
         # only index sets {} and {1}: the soul of X raises brackets to
         # levels the family does not have
         low = [M for (bits, _), M in zip(basis.hJ, family) if bits <= 1]
@@ -650,19 +653,41 @@ def test_ad_flat_rejects_brackets_outside_the_slices():
 
 def test_ad_flat_allocation_follows_nonzeros():
     # (1|2) at L=8: r = 640, so 409,600 entries of which a few hundred are
-    # nonzero; lifting every entry separately peaked at about 54 MiB
+    # nonzero; lifting every entry separately peaked at about 54 MiB and
+    # building every row at 6.6 (tags) or 7.2 MiB (family), while sharing
+    # one tuple among the rows without a nonzero stays under 4 MiB
     cfg = AlgebraConfig(generator_count=8, coefficient_mode="float64")
     basis = basis_for(cfg, 1, 0, 2)
     X = random_nil(make_rng(3), basis, terms=2)
-    family = basis.hJ_matrices()
-    tracemalloc.start()
-    try:
-        ad = ad_operator(X.X, family, basis_tag="hJ")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(ad.matrix.rows) == len(family) == 640
-    assert peak <= 16 * 2 ** 20
+    family = hJ_matrices(basis)
+    for source in (basis, family):
+        ad_operator(X.X, source, basis_tag="hJ")
+        tracemalloc.start()
+        try:
+            ad = ad_operator(X.X, source, basis_tag="hJ")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ad.matrix.rows) == len(family) == 640
+        assert peak <= 4.5 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("mode", ["float64", "rational"])
+def test_ad_flat_shares_one_zero_row(mode):
+    # (1|2) at L=8: r = 640 rows, of which only those that receive a
+    # nonzero coordinate are built; every other row is one shared tuple
+    cfg = AlgebraConfig(generator_count=8, coefficient_mode=mode)
+    basis = basis_for(cfg, 1, 0, 2)
+    X = random_nil(make_rng(3), basis, terms=2)
+    for source in (basis, hJ_matrices(basis)):
+        rows = ad_operator(X.X, source, basis_tag="hJ").matrix.rows
+        assert type(rows) is tuple and len(rows) == 640
+        assert all(type(row) is tuple and len(row) == 640 for row in rows)
+        empty = [row for row in rows if all(e.is_zero() for e in row)]
+        held = len(rows) - len(empty)
+        assert empty and held
+        assert all(row is empty[0] for row in empty)
+        assert len({id(row) for row in rows}) <= 1 + held
 
 
 def test_ad_rejects_bad_bases():
@@ -733,3 +758,4 @@ def test_verify_ad_section_fails_where_a_flat_entry_does_not_raise_its_level(
         want = [f"flat entry ({s}, {j}) does not raise level {levels[j]} "
                 f"(row level {levels[s]})" for s, j in failing]
         assert verify._section_ad(make_rng(5), basis, 1) == want
+
