@@ -14,7 +14,13 @@ For a `canonicalize` payload one line gives, as ratios to a stated scale:
   float report's P and Gamma, lifted exactly, relative to the
   canonicalize gate 1e-9 (1 + ||G||) of the benchmark (||G|| the induced
   norm, the largest row sum of entry l1 norms);
-* reported: the float report's own residual, relative to the same gate.
+* reported: the float report's own residual, relative to the same gate;
+* P_norm: the induced norm ||P|| of the float report's P;
+* eps_PG: the exact residual relative to eps ||P|| ||G||, eps = 2^-53 the
+  float64 unit round-off: the size that rounding the entries of a frame
+  P of that norm gives the congruence, whatever the metric.  The gate
+  share of `exact` grows with ||P||, which a near-singular even body
+  direction makes large; this one does not.
 
 For a `group-op` or `isometry-check` payload one line gives:
 
@@ -72,8 +78,10 @@ from supermetric.serialization import (  # noqa: E402
 
 # the benchmark's canonicalize gate, relative to 1 + ||G||
 RESIDUAL_GATE = 1e-9
+# the float64 unit round-off
+EPS = 2.0 ** -53
 FIELDS = ("P", "Gamma", "d_raw", "lambda")
-COLUMNS = FIELDS + ("exact", "reported")
+COLUMNS = FIELDS + ("exact", "reported", "P_norm", "eps_PG")
 GROUP_VERBS = ("group-op", "isometry-check")
 GROUP_COLUMNS = ("product", "embedded", "exact", "reported")
 
@@ -154,9 +162,12 @@ def compare(G):
     P = lift(matrix_from_json(got["P"], cfg), exact_cfg)
     Gamma = lift(matrix_from_json(got["Gamma"], cfg), exact_cfg)
     residual = (congruence(P, G_exact) - Gamma).entry_norm_max()
-    gate = RESIDUAL_GATE * (1.0 + float(G.induced_norm()))
+    norm_G = float(G.induced_norm())
+    gate = RESIDUAL_GATE * (1.0 + norm_G)
     out["exact"] = float(residual) / gate
     out["reported"] = float(got["residual"]) / gate
+    out["P_norm"] = float(P.induced_norm())
+    out["eps_PG"] = float(residual) / (EPS * out["P_norm"] * norm_G)
     return out
 
 

@@ -61,7 +61,6 @@ from .errors import (
     CoefficientOverflow,
     ConfigMismatch,
     ConvergenceViolation,
-    LengthMismatch,
     ParityMismatch,
 )
 
@@ -309,9 +308,6 @@ class Supernumber:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_soul(self) -> bool:
-        return 0 not in self.terms
 
     # -- arithmetic ------------------------------------------------------
 
@@ -651,50 +647,6 @@ def _rational_sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
                 else:
                     acc[key] = get(key, 0) + n1 * n2
     return _born(config, den, [(b, n) for b, n in sorted(acc.items()) if n])
-
-
-# -- module-level operation surface -------------------------------------------
-
-def multiply(x: Supernumber, y: Supernumber) -> Supernumber:
-    """Bilinear product; z(I)z(J) vanishes on overlap, otherwise picks up the
-    sign of the merge permutation."""
-    return x * y
-
-
-def linear_combine(coeffs, terms) -> Supernumber:
-    """sum_i coeffs[i] * terms[i], pruned and overflow-checked as by `+`."""
-    if len(coeffs) != len(terms):
-        raise LengthMismatch(
-            f"{len(coeffs)} coefficients vs {len(terms)} terms")
-    if not terms:
-        raise LengthMismatch("linear_combine needs at least one term")
-    cfg = terms[0].config
-    acc = {}
-    running = 0
-    zero = cfg.coerce(0)
-    for c0, z in zip(coeffs, terms):
-        if z.config != cfg:
-            raise ConfigMismatch("operands use different algebra configs")
-        c0 = cfg.coerce(c0)
-        for b, c in z.terms.items():
-            v = c0 * c
-            acc[b] = acc.get(b, zero) + v
-            a = abs(v)
-            if a > running:
-                running = a
-    return Supernumber(cfg, _prune(cfg, acc, running))
-
-
-def ell1_norm(z: Supernumber):
-    return z.norm()
-
-
-def body_soul(z: Supernumber):
-    return z.body(), z.soul()
-
-
-def parity(z: Supernumber) -> str:
-    return z.parity()
 
 
 def invert(z: Supernumber) -> Supernumber:

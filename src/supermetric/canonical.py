@@ -43,8 +43,7 @@ from .errors import (
     OddDimensionOdd,
     ValidationError,
 )
-# standard_symplectic is defined beside GammaForm and importable from here too
-from .isometry import GammaForm, standard_symplectic  # noqa: F401
+from .isometry import GammaForm
 from .matrices import SuperMatrix, _body_inverse, _mul_rows
 
 
@@ -113,7 +112,10 @@ CANONICAL_BUDGET = canonical_term_pairs(4, 4, 8)
 
 def check_canonical_budget(G: SuperMatrix) -> None:
     """Refuse a metric past CANONICAL_BUDGET before any work on it; k is
-    the number of generators in the union of all term bitmasks of G."""
+    the number of generators in the union of all term bitmasks of G.  In
+    rational mode each term pair is charged w^2, w the 64-bit words of the
+    largest numerator or denominator of G, as a product of two such
+    coefficients costs that many word products."""
     used = 0
     for row in G.rows:
         for entry in row:
@@ -121,12 +123,19 @@ def check_canonical_budget(G: SuperMatrix) -> None:
                 used |= bits
     m, n = G.shape
     k = used.bit_count()
-    pairs = canonical_term_pairs(m, n, k)
+    words = 1
+    if G.config.rational:
+        big = max((max(abs(c.numerator), c.denominator)
+                   for row in G.rows for entry in row
+                   for c in entry.terms.values()), default=0)
+        words = max(1, -(-big.bit_length() // 64))
+    pairs = canonical_term_pairs(m, n, k) * words ** 2
     if pairs > CANONICAL_BUDGET:
         raise ValidationError(
-            f"canonicalize at ({m}|{n}) over {k} generators in use needs "
-            f"{pairs} term pairs, over the budget of {CANONICAL_BUDGET} "
-            f"((4|4) over 8 generators)")
+            f"canonicalize at ({m}|{n}) over {k} generators in use, with "
+            f"coefficients of up to {words} 64-bit words, needs {pairs} "
+            f"word-weighted term pairs, over the budget of "
+            f"{CANONICAL_BUDGET} ((4|4) over 8 generators)")
 
 
 def validate_metric(G: SuperMatrix) -> SuperMetric:

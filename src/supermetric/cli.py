@@ -20,7 +20,6 @@ import sys
 
 from .algebra import AlgebraConfig, within_gate
 from .canonical import (
-    SuperMetric,
     body_reduce,
     canonical_form,
     check_canonical_budget,

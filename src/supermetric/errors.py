@@ -67,10 +67,6 @@ class NonZeroBodyOperator(ValidationError):
     """The adjoint operator must have zero body for the spectrum gate."""
 
 
-class NotInG0(ValidationError):
-    """A real matrix expected in the body Lie algebra fails its conditions."""
-
-
 class NotLieElement(ValidationError):
     """The matrix does not satisfy the linearized isometry conditions."""
 

@@ -42,13 +42,11 @@ import numpy as np
 
 from .algebra import within_gate
 from .errors import (
-    CoefficientOverflow,
     ConfigMismatch,
     DegenerateBody,
     NonZeroBody,
     NormBoundViolation,
     NotBodyIsometry,
-    NotInG0,
     NotLieElement,
     NotUnipotent,
     ShapeMismatch,
@@ -226,29 +224,6 @@ def _real_block_diag_ok(M, m, n, scale):
     return True
 
 
-def _check_g0(X0, gamma: GammaForm):
-    """Real matrix conditions for the linearized body group: block diagonal,
-    skew against eta, symplectic-symmetric against J."""
-    m, n = gamma.m, gamma.n
-    X0 = [[x for x in row] for row in X0]
-    if len(X0) != m + n or any(len(r) != m + n for r in X0):
-        raise ShapeMismatch("wrong real matrix size")
-    scale = max((abs(float(v)) for r in X0 for v in r), default=0.0)
-    if not _real_block_diag_ok(X0, m, n, scale):
-        raise NotInG0("off-diagonal blocks must vanish for a real element")
-    eta = [1.0 if e.body() > 0 else -1.0 for e in gamma.eta]
-    for i in range(m):
-        for j in range(m):
-            if not within_gate(abs(float(X0[j][i]) * eta[j]
-                                   + eta[i] * float(X0[i][j])), scale):
-                raise NotInG0("even block fails a^T eta + eta a = 0")
-    Jb = gamma.body_float()[m:, m:]
-    b = np.array([[float(X0[m + a][m + g]) for g in range(n)]
-                  for a in range(n)], dtype=float)
-    if n and not within_gate(np.max(np.abs(b.T @ Jb + Jb @ b)), scale):
-        raise NotInG0("odd block fails b^T J + J b = 0")
-
-
 def _real_inverse(rows, rational):
     if rational:
         inv = exact_inverse(rows)
@@ -320,43 +295,6 @@ def conjugate_action(g_rows, Y: NilElement) -> NilElement:
     when the conjugate is not a member, as when g is no body isometry.  The
     rows of g may be Python numbers or a numpy array."""
     return NilElement(_conjugate(g_rows, Y).X, Y.gamma)
-
-
-def action_alpha(X0, Y: NilElement) -> NilElement:
-    """The action of exp(X0) for a real linearized element X0: conjugation
-    by its body exponential."""
-    return conjugate_action(body_exponential(X0, Y.gamma), Y)
-
-
-def _expm(A):
-    """exp(A) for a small square float array, by scaling and squaring: the
-    Taylor series of B = A / 2^s, where s makes ||B||_1 <= 1/2, so the terms
-    past degree 14 sum to under 3e-17; then s squarings.  CoefficientOverflow
-    when an entry of the series or of a squaring is not finite: an infinity
-    or a NaN stays in every later squaring, so the result shows it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = max(0, math.frexp(np.linalg.norm(A, 1))[1] + 1)
-        B = A / 2.0 ** s
-        term = out = np.eye(len(A))
-        for j in range(1, 15):
-            term = term @ B / j
-            out = out + term
-        for _ in range(s):
-            out = out @ out
-    if not np.isfinite(out).all():
-        raise CoefficientOverflow(
-            "the body exponential overflows the float64 range")
-    return out
-
-
-def body_exponential(X0, gamma: GammaForm):
-    """Matrix exponential of a checked real linearized element; the body
-    coordinate of a group element."""
-    _check_g0(X0, gamma)
-    g = _expm(np.array([[float(v) for v in row] for row in X0], dtype=float))
-    # in rational mode each float lifts exactly, as the dyadic it is
-    coerce = gamma.config.coerce
-    return tuple(tuple(coerce(v) for v in row) for row in g.tolist())
 
 
 def semidirect_multiply(h1: GroupElement, h2: GroupElement) -> GroupElement:

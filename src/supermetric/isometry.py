@@ -31,7 +31,6 @@ import numpy as np
 from .algebra import AlgebraConfig, Supernumber, within_gate
 from .errors import (
     DegenerateBody,
-    LengthMismatch,
     NotBodyReduced,
     ParityMismatch,
     ShapeMismatch,
@@ -78,13 +77,6 @@ class GammaForm:
     def body_reduced(self) -> bool:
         return all(e.soul().is_zero() and abs(e.body()) == 1
                    for e in self.eta)
-
-    def signature(self):
-        """(p, q) counts of +1 and -1 entries; body-reduced forms only."""
-        if not self.body_reduced:
-            raise NotBodyReduced("signature needs +-1 eta entries")
-        p = sum(1 for e in self.eta if e.body() > 0)
-        return p, len(self.eta) - p
 
     def matrix(self) -> SuperMatrix:
         cfg = self.config
@@ -307,27 +299,3 @@ def check_basis_budget(m: int, n: int, L: int) -> None:
             f"lie-basis at ({m}|{n}) with L={L} needs {slots} records and "
             f"entry slots, over the budget of {BASIS_BUDGET} ((4|4) at L=8)")
 
-
-def body_project(ell: SuperMatrix, gamma: GammaForm):
-    """Bodies of the diagonal blocks; the off blocks of an even-class
-    element are odd so they vanish under the body map."""
-    if ell.shape != gamma.shape:
-        raise ShapeMismatch(f"{ell.shape} vs {gamma.shape}")
-    m, n = gamma.m, gamma.n
-    k = m + n
-    body = ell.body()
-    zero = ell.config.coerce(0)
-    return [[body[i][j] if (i < m) == (j < m) else zero for j in range(k)]
-            for i in range(k)]
-
-
-def u_norm(coords, basis_norms):
-    """Norm of a coordinate vector over a declared basis:
-    sum_i ||y^i|| * ||X_i||."""
-    if len(coords) != len(basis_norms):
-        raise LengthMismatch(
-            f"{len(coords)} coordinates vs {len(basis_norms)} basis norms")
-    total = 0
-    for y, w in zip(coords, basis_norms):
-        total = total + y.norm() * y.config.coerce(w)
-    return total

@@ -14,22 +14,21 @@ in inner-index order, then in left-term order, with one relative cut at the
 largest term product; an entry with no such pair, like a sum, negation or
 scaling of empty entries, is one shared zero.
 
-Inversion goes through the body factorization N = B(I + B^{-1}S): the body
-is inverted as a real matrix autonomously and the soul correction is a
-terminating Neumann sum, mirroring the fact that a matrix over the algebra
-is invertible exactly when its body is.  exp/log are provided only for
-zero-body and unipotent matrices, where the series are finite.
+A matrix over the algebra is invertible exactly when its body is, and the
+body is checked as a real matrix (``_body_inverse``, which metric
+validation uses).  exp/log are provided only for zero-body and unipotent
+matrices, where the series are finite.
 
 The adjoint operator of an even-class element with respect to a basis comes
-in two forms: supernumber coordinates over a real Lie-algebra basis, or a
-flat real matrix over a basis of single-index slices z(J) * X_i, given as
-matrices or read from the (J, i) tags of a LieBasis.  Both rest
-on one bracket core.  The algebra is the Grassmann algebra tensored with a
-real one, so with X = sum_K z(K) X_K over real slices X_K every bracket
-with a basis element is a Grassmann sign times a real bracket X_K B -+ B X_K
-of two real grids, whose coordinates come from one solver per grid family,
-factored once per call.  Both forms expose the same spectrum gate: a zero
-body makes xi*I - ad invertible for every xi != 0.
+in two forms: supernumber coordinates over a list of real Lie-algebra
+elements, or a flat real matrix over the single-index slices z(J) * X_i
+read from the (J, i) tags of a LieBasis.  Both rest on one bracket core.
+The algebra is the Grassmann algebra tensored with a real one, so with
+X = sum_K z(K) X_K over real slices X_K every bracket with a basis element
+is a Grassmann sign times a real bracket X_K B -+ B X_K of two real grids,
+whose coordinates come from one solver per grid family, factored once per
+call.  Both forms expose the same spectrum gate: a zero body makes
+xi*I - ad invertible for every xi != 0.
 """
 
 from __future__ import annotations
@@ -397,27 +396,6 @@ def _body_inverse(N: SuperMatrix):
     return np.linalg.inv(bf)
 
 
-def invert_matrix(N: SuperMatrix) -> SuperMatrix:
-    """Exact inverse through the body factorization N = B(I + B^{-1}S)."""
-    cfg = N.config
-    binv = _body_inverse(N)
-    lift_binv = SuperMatrix.from_real(
-        cfg, binv, N.shape,
-        "even" if N.parity_class == "even" else "general")
-    S = N.soul_matrix()
-    T = lift_binv @ S
-    acc = SuperMatrix.identity(cfg, N.shape)
-    term = acc
-    for _ in range(cfg.generator_count + 1):
-        term = term @ (-T)
-        if term.is_zero():
-            break
-        acc = acc + term
-    out = acc @ lift_binv
-    cls = "even" if N.parity_class == "even" else "general"
-    return SuperMatrix._trusted(cfg, N.shape, out.rows, cls)
-
-
 def exp_zero_body(X: SuperMatrix) -> SuperMatrix:
     """Finite exponential sum for a zero-body matrix; the result is unipotent."""
     if not X.has_zero_body():
@@ -464,15 +442,19 @@ def log_unipotent(U: SuperMatrix) -> SuperMatrix:
 class AdOperator:
     """The map Y -> [X, Y] in coordinates over a declared basis.
 
-    coordinate_field is "grassmann" (supernumber entries over a real basis,
-    acting on supernumber coordinates from the left) or "real" (flat matrix
-    over single-index slices; levels[i] records each slice's index bitmask).
+    Over a list of real matrices the entries are supernumbers acting on
+    supernumber coordinates from the left, and levels is None; over the
+    tagged family of a LieBasis the matrix is flat and real, and levels[i]
+    records each slot's index bitmask.
     """
     source: SuperMatrix
     matrix: SuperMatrix
-    basis_tag: str
-    coordinate_field: str
     levels: tuple = None
+
+    @property
+    def coordinate_field(self) -> str:
+        """"grassmann" over a real basis, "real" over a tagged family."""
+        return "grassmann" if self.levels is None else "real"
 
     def body_matrix(self):
         """The induced operator on body coordinates.
@@ -616,67 +598,59 @@ def _element_block_kind(M: SuperMatrix) -> str:
     return "odd" if off else "even"
 
 
-def ad_operator(X: SuperMatrix, basis, basis_tag="basis") -> AdOperator:
-    """Adjoint operator of X over the given basis: a list of matrices, or a
-    LieBasis, whose tagged family z(J) X_i is read from its (J, i) tags.
+def ad_operator(X: SuperMatrix, basis) -> AdOperator:
+    """Adjoint operator of X over a list of real matrices, or over the
+    tagged family z(J) X_i of a LieBasis, read from its (J, i) tags.
 
     Both routes write X = sum_K z(K) X_K with real slices X_K and take only
     real brackets X_K B - B X~ of those slices with real grids B, solved
     over one factored solver per grid family.
 
-    All-real basis B_j: the operator carries supernumber entries M[k][j] =
-    sum_K z(K) c_k(K, j), with c(K, j) the coordinates of X_K B_j - B_j X~.
-    X~ = X_K, except that against an odd-kind B_j (off blocks only) the
-    odd-kind part of X_K changes sign, which makes the bracket of two
-    odd-kind elements their anticommutator; composition then matches
-    operator products for even-class arguments.
+    A list of real matrices B_j: the operator carries supernumber entries
+    M[k][j] = sum_K z(K) c_k(K, j), with c(K, j) the coordinates of
+    X_K B_j - B_j X~.  X~ = X_K, except that against an odd-kind B_j (off
+    blocks only) the odd-kind part of X_K changes sign, which makes the
+    bracket of two odd-kind elements their anticommutator; composition then
+    matches operator products for even-class arguments.
 
-    Single-index basis z(J) B: the bracket with X has one slice per K
-    disjoint from J, sigma(K, J) (X_K B - (-1)^(|J||K|) B X_K) at level
-    K | J, where sigma is the sign of z(K) z(J).  The flat real coordinate
-    matrix is returned, with level tags recorded.  A LieBasis takes this
-    route without forming its family: slot j with tag (J, i) is the real
-    grid of element i at level J, which is what z(J) X_i flattens to.
+    A LieBasis: slot j with tag (J, i) is the real grid of element i at
+    level J, which is what z(J) X_i flattens to, and the family is not
+    formed.  The bracket with X has one slice per K disjoint from J,
+    sigma(K, J) (X_K B - (-1)^(|J||K|) B X_K) at level K | J, where sigma
+    is the sign of z(K) z(J).  The flat real coordinate matrix is returned,
+    with level tags recorded.
     """
     from .isometry import LieBasis
 
     tagged = isinstance(basis, LieBasis)
     elements = basis.elements() if tagged else basis
-    tags = basis.hJ if tagged else [(0, pos) for pos in range(len(basis))]
-    if not tags:
+    positions = [pos for _, pos in basis.hJ] if tagged \
+        else range(len(basis))
+    if not positions:
         raise BasisDegenerate("empty basis")
     cfg = X.config
-    grids = {}     # slices of each element in use, by position
-    for _, pos in tags:
+    grids = {}     # the real grid of each element in use, by position
+    for pos in positions:
         if pos not in grids:
             b = elements[pos]
             if b.config != cfg:
                 raise ConfigMismatch("basis element uses a different config")
             if b.shape != X.shape:
                 raise ShapeMismatch("basis element shape differs from X")
-            grids[pos] = _flatten_slices(b)
-    if any(len(d) == 0 for d in grids.values()):
-        raise BasisDegenerate("zero basis element")
+            slices = _flatten_slices(b)
+            if not slices:
+                raise BasisDegenerate("zero basis element")
+            if set(slices) != {0}:
+                raise BasisDegenerate("basis elements must be real")
+            grids[pos] = slices[0]
     if tagged:
-        if any(set(d) != {0} for d in grids.values()):
-            raise BasisDegenerate("tagged basis elements must be real")
-        # z(J) X_i flattens to the real grid of X_i at level J
-        decomps = [{J: grids[pos][0]} for J, pos in tags]
-    else:
-        decomps = [grids[pos] for _, pos in tags]
-    if all(set(d) == {0} for d in decomps):
-        members = [elements[pos] for _, pos in tags]
-        return _ad_structure_constants(X, members, decomps, basis_tag)
-    if any(len(d) != 1 for d in decomps):
-        raise BasisDegenerate(
-            "basis elements must be real or single-index slices")
-    return _ad_flat(X, decomps, [pos for _, pos in tags], basis_tag)
+        return _ad_flat(X, basis.hJ, grids)
+    return _ad_structure_constants(X, basis, [grids[pos] for pos in positions])
 
 
-def _ad_structure_constants(X, basis, decomps, basis_tag):
+def _ad_structure_constants(X, basis, grids):
     cfg = X.config
     r = len(basis)
-    grids = [d[0] for d in decomps]
     solver = _SliceSolver(cfg, grids)
     odd = [_element_block_kind(b) == "odd" for b in basis]
     terms = [[{} for _ in range(r)] for _ in range(r)]
@@ -693,19 +667,18 @@ def _ad_structure_constants(X, basis, decomps, basis_tag):
                     terms[k][j][K] = c
     rows = [[Supernumber(cfg, t) for t in row] for row in terms]
     mat = SuperMatrix(cfg, BlockShape(r, 0), rows, "general")
-    return AdOperator(X, mat, basis_tag, "grassmann")
+    return AdOperator(X, mat)
 
 
-def _ad_flat(X, decomps, positions, basis_tag):
-    """The flat operator over single-index slices; slot j's grid is that of
-    basis element ``positions[j]``."""
+def _ad_flat(X, tags, grids):
+    """The flat operator over the tagged family; slot j with tag (J, i)
+    has the grid ``grids[i]`` at level J."""
     cfg = X.config
-    r = len(decomps)
-    levels = tuple(next(iter(d)) for d in decomps)
+    r = len(tags)
+    levels = tuple(J for J, _ in tags)
     # group basis slots by index bitmask; levels that hold the same basis
     # elements in the same order hold the same grids and share one solver,
-    # so each grid family is factored once.  An untagged basis gives each
-    # element its own position, so no two of its levels share a solver
+    # so each grid family is factored once
     groups = {}
     for slot, lv in enumerate(levels):
         groups.setdefault(lv, []).append(slot)
@@ -714,11 +687,10 @@ def _ad_flat(X, decomps, positions, basis_tag):
     family_of = {}
     grid_of = [None] * r     # (family number, place in the family) per slot
     for lv, slots in groups.items():
-        key = tuple([positions[s] for s in slots])
+        key = tuple([tags[s][1] for s in slots])
         if key not in families:
             families[key] = len(solvers)
-            solvers.append(_SliceSolver(cfg, [decomps[s][lv]
-                                              for s in slots]))
+            solvers.append(_SliceSolver(cfg, [grids[pos] for pos in key]))
         family_of[lv] = families[key]
         for place, s in enumerate(slots):
             grid_of[s] = (families[key], place)
@@ -733,8 +705,8 @@ def _ad_flat(X, decomps, positions, basis_tag):
     zero = cfg.zero()
     rows = {}    # row number -> its entries, for rows holding a nonzero
     memo = {}    # coordinates by (K, grid of B, sign, family of the level)
-    for j, J in enumerate(levels):
-        B = decomps[j][J]
+    for j, (J, pos) in enumerate(tags):
+        B = grids[pos]
         mask = _sign_mask(J)
         for K, XK in slices.items():
             if K & J:
@@ -761,7 +733,7 @@ def _ad_flat(X, decomps, positions, basis_tag):
         cfg, BlockShape(r, 0),
         tuple([tuple(rows[s]) if s in rows else empty for s in range(r)]),
         "general")
-    return AdOperator(X, mat, basis_tag, "real", levels)
+    return AdOperator(X, mat, levels)
 
 
 def spectrum_gate(ad: AdOperator, xi) -> str:

@@ -17,7 +17,6 @@ from .algebra import (
     AlgebraConfig,
     binomial_inverse_sqrt,
     invert,
-    multiply,
     within_gate,
 )
 from .canonical import SuperMetric, body_reduce, canonical_form, congruence
@@ -85,7 +84,7 @@ def _section_ring(rng, cfg, cases):
             failures.append(f"case {t}: associativity")
         if not _sn_near(x * (y + z), x * y + x * z):
             failures.append(f"case {t}: distributivity")
-        if not _sn_near(multiply(x, one), x):
+        if not _sn_near(x * one, x):
             failures.append(f"case {t}: unit")
         nxy = float((x * y).norm())
         bound = float(x.norm()) * float(y.norm())
@@ -241,7 +240,7 @@ def _section_ad(rng, basis, cases):
     real_basis = basis.elements()
     for t in range(cases):
         X = random_nil(rng, basis, terms=2)
-        ad = ad_operator(X.X, real_basis, basis_tag="g0+g1")
+        ad = ad_operator(X.X, real_basis)
         if not ad.has_zero_body():
             failures.append(f"case {t}: ad body nonzero")
         if spectrum_gate(ad, 0) != "singular":
@@ -252,7 +251,7 @@ def _section_ad(rng, basis, cases):
                 failures.append(f"case {t}: gate at xi={xi}")
     # one flat run over the index-tagged family, read from its tags
     X = random_nil(rng, basis, terms=2)
-    ad = ad_operator(X.X, basis, basis_tag="hJ")
+    ad = ad_operator(X.X, basis)
     if not ad.has_zero_body():
         failures.append("flat ad body nonzero")
     if spectrum_gate(ad, 0) != "singular":

@@ -21,7 +21,6 @@ from supermetric.canonical import (
     body_reduce,
     canonical_form,
     congruence,
-    standard_symplectic,
     validate_metric,
 )
 from supermetric.group import (
@@ -35,7 +34,11 @@ from supermetric.group import (
     semidirect_inverse,
     semidirect_multiply,
 )
-from supermetric.isometry import is_isometry, lie_basis, lie_membership
+from supermetric.isometry import (
+    is_isometry,
+    lie_membership,
+    standard_symplectic,
+)
 from supermetric.matrices import (
     SuperMatrix,
     _grid_mul,
@@ -342,7 +345,7 @@ def test_criterion_6_spectral_gates(acceptance):
             for _ in range(count):
                 total += 1
                 X = random_nil(rng, basis, terms=2)
-                ad = ad_operator(X.X, flat, basis_tag="real")
+                ad = ad_operator(X.X, flat)
                 if not ad.has_zero_body():
                     failures += 1
                 if spectrum_gate(ad, 0) != "singular":

@@ -13,7 +13,6 @@ from supermetric.canonical import (
     congruence,
     odd_complement,
     orthogonalize_even,
-    standard_symplectic,
     symplectic_reduce,
     validate_metric,
 )
@@ -24,6 +23,7 @@ from supermetric.errors import (
     NotGradedSymmetric,
     OddDimensionOdd,
 )
+from supermetric.isometry import standard_symplectic
 from supermetric.matrices import SuperMatrix
 from supermetric.sampling import make_rng, random_metric
 

@@ -545,6 +545,39 @@ def test_canonicalize_budget_refuses_before_any_work(tmp_path, capsys,
         check_canonical_budget(random_metric(make_rng(seed), cfg, m, n))
 
 
+def test_canonicalize_budget_charges_rational_coefficient_words(
+        tmp_path, capsys, monkeypatch):
+    # (1|0) over 12 generators charges 4^11 term pairs, half the budget:
+    # a rational coefficient of one 64-bit word is admitted, one of two
+    # words quadruples the charge and is refused, and float64 coefficients
+    # are one word whatever their value
+    def reached(*args, **kwargs):
+        raise _Reached
+    monkeypatch.setattr("supermetric.cli.validate_metric", reached)
+
+    def metric(mode, body):
+        return _write(tmp_path, "metric.json", {
+            "algebra": {"generator_count": 12, "coefficient_mode": mode},
+            "metric": {"shape": {"m": 1, "n": 0}, "parity": "even",
+                       "entries": [[{"index": [], "coeff": body}] + [
+                           {"index": [i, 12], "coeff": 1}
+                           for i in range(1, 12)]]}})
+
+    assert canonical_term_pairs(1, 0, 12) * 2 == CANONICAL_BUDGET
+    for mode, body in (("rational", f"1/{2 ** 64 - 1}"),
+                       ("rational", str(-(2 ** 64 - 1))),
+                       ("float64", 2.0 ** -64)):
+        with pytest.raises(_Reached):
+            main(["canonicalize", metric(mode, body)])
+    for body in (f"1/{2 ** 64}", str(2 ** 64)):
+        code, out, err = _run(capsys, ["canonicalize",
+                                       metric("rational", body)])
+        assert code == 2 and out == ""
+        blob = json.loads(err)
+        assert blob["kind"] == "ValidationError"
+        assert "2 64-bit words" in blob["error"]
+
+
 def test_verify_config_file_sets_shape(tmp_path, capsys):
     cfg_path = _write(tmp_path, "cfg.json",
                       {"generator_count": 4, "coefficient_mode": "rational",

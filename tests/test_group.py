@@ -1,9 +1,7 @@
 """Composition series, the zero-body group, and the semi-direct product."""
 
-import math
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,12 +11,10 @@ from scipy.linalg import expm, logm
 from supermetric import group, verify
 from supermetric.algebra import AlgebraConfig, within_gate
 from supermetric.errors import (
-    CoefficientOverflow,
     ConfigMismatch,
     NonZeroBody,
     NormBoundViolation,
     NotBodyIsometry,
-    NotInG0,
     NotLieElement,
     ShapeMismatch,
 )
@@ -28,9 +24,7 @@ from supermetric.group import (
     NilElement,
     _nested_bracket,
     _word_table,
-    action_alpha,
     bch_series,
-    body_exponential,
     conjugate_action,
     diamond,
     embed_isometry,
@@ -444,83 +438,6 @@ def test_group_element_reads_gamma_body_once_and_coerces_to_native():
         assert all(type(v) is native for row in h.g_body for v in row)
         assert h.g_body == GroupElement.identity(gamma).g_body
         assert gamma.body_float() is body
-
-
-def test_action_alpha_zero_is_identity():
-    basis = basis_for(RAT, 1, 1, 2)
-    rng = make_rng(13)
-    Y = random_nil(rng, basis, terms=3)
-    k = basis.gamma.m + basis.gamma.n
-    zero = [[0.0] * k for _ in range(k)]
-    out = action_alpha(zero, Y)
-    assert (out.X - Y.X).entry_norm_max() == 0
-    assert out.X.has_zero_body()
-
-
-def test_action_alpha_rejects_bad_real_elements():
-    gamma = standard_gamma(RAT, 1, 1, 2)
-    Y = NilElement(SuperMatrix.zeros(RAT, gamma.shape, "even"), gamma)
-    k = gamma.m + gamma.n
-    off = [[0.0] * k for _ in range(k)]
-    off[0][k - 1] = 1.0
-    with pytest.raises(NotInG0):
-        action_alpha(off, Y)
-    diag = [[0.0] * k for _ in range(k)]
-    diag[0][0] = 1.0   # fails a^T eta + eta a = 0
-    with pytest.raises(NotInG0):
-        action_alpha(diag, Y)
-    bad_b = [[0.0] * k for _ in range(k)]
-    bad_b[gamma.m][gamma.m] = 1.0      # b = I gives b^T J + J b = 2J
-    bad_b[gamma.m + 1][gamma.m + 1] = 1.0
-    with pytest.raises(NotInG0):
-        action_alpha(bad_b, Y)
-    with pytest.raises(ShapeMismatch):
-        action_alpha([[0.0]], Y)
-
-
-def test_body_exponential_produces_isometries():
-    gamma = standard_gamma(FLT, 1, 1, 2)
-    k = gamma.m + gamma.n
-    X0 = [[0.0] * k for _ in range(k)]
-    X0[0][1] = 0.3    # eta = (1, -1): symmetric pair is eta-skew
-    X0[1][0] = 0.3
-    X0[2][3] = 0.25   # symplectic direction
-    X0[3][2] = 0.25
-    rows = body_exponential(X0, gamma)
-    h = GroupElement(rows, NilElement(
-        SuperMatrix.zeros(FLT, gamma.shape, "even"), gamma))
-    N = embed_isometry(h)
-    assert is_isometry(N, gamma)
-
-
-def test_body_exponential_matches_expm():
-    # scipy's expm is a reference only; the package sums its own series
-    basis = basis_for(FLT, 2, 1, 2)      # eta = (1, 1, -1) and one J pair
-    # a rotation, two boosts and three symplectic directions, then their
-    # sum at a norm well above 1, so that the squaring steps run
-    directions = [np.array(M.body()) for M in basis.g0]
-    cases = [0.7 * d for d in directions] + [3.0 * sum(directions)]
-    assert np.linalg.norm(cases[-1], 1) > 4
-    for X0 in cases:
-        got = np.array(body_exponential(X0.tolist(), basis.gamma))
-        want = expm(X0)
-        assert within_gate(np.max(np.abs(got - want)), np.max(np.abs(want)))
-
-
-@pytest.mark.parametrize("cfg", [RAT, FLT], ids=["rational", "float64"])
-def test_body_exponential_past_the_float_range_is_a_coefficient_overflow(cfg):
-    gamma = standard_gamma(cfg, 1, 1, 2)          # eta = (1, -1)
-
-    def boost(t):
-        return [[0, t, 0, 0], [t, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")            # no numpy overflow warning
-        with pytest.raises(CoefficientOverflow):
-            body_exponential(boost(800), gamma)   # cosh 800 is about 1e347
-        # cosh 700 is about 5e303, inside the range
-        g = body_exponential(boost(700), gamma)
-    assert math.isfinite(float(g[0][0])) and float(g[0][0]) > 1e303
 
 
 def test_package_import_leaves_scipy_out():

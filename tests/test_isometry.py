@@ -7,18 +7,15 @@ import pytest
 from supermetric.algebra import AlgebraConfig
 from supermetric.errors import (
     DegenerateBody,
-    LengthMismatch,
     NotBodyReduced,
     ParityMismatch,
     ShapeMismatch,
 )
 from supermetric.isometry import (
     GammaForm,
-    body_project,
     is_isometry,
     lie_basis,
     lie_membership,
-    u_norm,
     violated_conditions,
 )
 from supermetric.matrices import SuperMatrix, exp_zero_body
@@ -43,7 +40,6 @@ def test_gamma_form_validation():
         GammaForm(RAT, (1,), 1)
     g = GammaForm(RAT, (1, -1), 2)
     assert g.body_reduced
-    assert g.signature() == (1, 1)
     assert g.shape == (2, 2)
     # integer entries are coerced to supernumbers
     assert g.eta[0] == RAT.one()
@@ -53,8 +49,6 @@ def test_gamma_form_with_soul_is_not_reduced():
     e = RAT.one() + RAT.term([1, 2], Fraction(1, 2))
     g = GammaForm(RAT, (e,), 2)
     assert not g.body_reduced
-    with pytest.raises(NotBodyReduced):
-        g.signature()
     with pytest.raises(NotBodyReduced):
         lie_basis(g)
 
@@ -218,29 +212,3 @@ def test_body_isometries_preserve_gamma():
             if cfg.rational:
                 G = gamma.matrix()
                 assert (N.supertranspose() @ G @ N - G).entry_norm_max() == 0
-
-
-def test_body_project_kills_off_blocks():
-    basis = basis_for(RAT, 1, 1, 2)
-    rng = make_rng(3)
-    X = random_member(rng, basis, terms=4)
-    proj = body_project(X, basis.gamma)
-    m = basis.gamma.m
-    k = m + basis.gamma.n
-    full = X.body()
-    for i in range(k):
-        for j in range(k):
-            if (i < m) == (j < m):
-                assert proj[i][j] == full[i][j]
-            else:
-                assert proj[i][j] == 0
-    with pytest.raises(ShapeMismatch):
-        body_project(SuperMatrix.identity(RAT, (1, 0)), basis.gamma)
-
-
-def test_u_norm_weighted_sum():
-    y = [RAT.scalar(2) + RAT.term([1], 1), RAT.term([2, 3], Fraction(1, 2))]
-    norms = [Fraction(3), Fraction(4)]
-    assert u_norm(y, norms) == RAT.coerce(3 * 3 + 2)
-    with pytest.raises(LengthMismatch):
-        u_norm(y, [1])

@@ -12,17 +12,11 @@ from supermetric.algebra import (
     GATE,
     AlgebraConfig,
     Supernumber,
-    linear_combine,
     within_gate,
 )
 from supermetric.cli import main
 from supermetric.errors import CoefficientOverflow, NumericalGateError
-from supermetric.group import (
-    action_alpha,
-    body_exponential,
-    conjugate_action,
-    embed_isometry,
-)
+from supermetric.group import conjugate_action, embed_isometry
 from supermetric.isometry import is_isometry, isometry_residual
 from supermetric.matrices import SuperMatrix
 from supermetric.sampling import (
@@ -74,11 +68,7 @@ def test_float_sums_that_overflow_raise(tol):
     M = SuperMatrix(cfg, (1, 0), [[big]])
     with pytest.raises(CoefficientOverflow):
         M + M + M
-    with pytest.raises(CoefficientOverflow):
-        linear_combine([1e308, 1e308], [one, one])
-    # an infinite term product, and an infinite operand term
-    with pytest.raises(CoefficientOverflow):
-        linear_combine([1e308], [cfg.scalar(10.0)])
+    # an infinite operand term
     with pytest.raises(CoefficientOverflow):
         Supernumber(cfg, {0: math.inf}) + one
     assert (big + (-big)).is_zero() and (big + one).body() == 1e308
@@ -136,18 +126,6 @@ def test_conjugate_action_takes_an_integer_ndarray():
         warnings.simplefilter("error")
         got = conjugate_action(g, Y)
     assert got.X == conjugate_action(g.tolist(), Y).X
-
-
-@pytest.mark.parametrize("mode", ["rational", "float64"])
-def test_action_alpha_is_conjugation_by_the_body_exponential(mode):
-    cfg = AlgebraConfig(generator_count=2, coefficient_mode=mode)
-    basis = basis_for(cfg, 1, 1, 2)
-    Y = random_nil(make_rng(9), basis, terms=2)
-    k = basis.gamma.m + basis.gamma.n
-    X0 = [[0.0] * k for _ in range(k)]
-    X0[2][2], X0[3][3] = 0.25, -0.25     # b = diag(t, -t): J b symmetric
-    g = body_exponential(X0, basis.gamma)
-    assert action_alpha(X0, Y).X == conjugate_action(g, Y).X
 
 
 @pytest.mark.parametrize("mode", ["rational", "float64"])

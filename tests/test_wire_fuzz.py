@@ -152,6 +152,17 @@ _REPROS = [
         "entries": [[{"index": [], "coeff": 1}] + [
             {"index": [i, j], "coeff": 1}
             for i in range(1, 25) for j in range(i + 1, 25)]]}}),
+    # (1|0) over 12 generators, every one of its 2048 even terms over a
+    # 1000-digit denominator: inside the term budget, once 173 s of
+    # Fraction arithmetic
+    ("canonicalize", {"algebra": {"generator_count": 12,
+                                  "coefficient_mode": "rational"},
+                      "metric": {
+        "shape": {"m": 1, "n": 0}, "parity": "even",
+        "entries": [[{"index": [i + 1 for i in range(12) if bits >> i & 1],
+                      "coeff": f"1/{10 ** 999 + bits}"}
+                     for bits in range(4096)
+                     if bits.bit_count() % 2 == 0]]}}),
 ]
 
 
