@@ -151,14 +151,20 @@ def main(argv=None):
                             for name, runs in by_workload.items()}}
     if args.digests:
         report["digests"] = compare_digests(args.digests)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    write_report(report, args.out)
+    return 0
+
+
+def write_report(report, out):
+    """Write the report as JSON and print each throughput's medians and
+    wins."""
+    Path(out).write_text(json.dumps(report, indent=2) + "\n")
     for name, entry in report["workloads"].items():
         for metric, m in entry["metrics"].items():
             if metric.endswith("req_per_s"):
                 print(f"{name} {metric}: parent {m['parent_median']:.4g} "
                       f"change {m['change_median']:.4g} "
                       f"wins {m['wins']}/{m['pairs']}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,9 @@ For a `canonicalize` payload one line gives, as ratios to a stated scale:
   float64 unit round-off: the size that rounding the entries of a frame
   P of that norm gives the congruence, whatever the metric.  The gate
   share of `exact` grows with ||P||, which a near-singular even body
-  direction makes large; this one does not.
+  direction makes large; this one does not;
+* pivot: the largest ||soul|| / |body| over the exact report's pivots d,
+  which is large where such a direction makes 1/d a long series.
 
 For a `group-op` or `isometry-check` payload one line gives:
 
@@ -81,7 +83,7 @@ RESIDUAL_GATE = 1e-9
 # the float64 unit round-off
 EPS = 2.0 ** -53
 FIELDS = ("P", "Gamma", "d_raw", "lambda")
-COLUMNS = FIELDS + ("exact", "reported", "P_norm", "eps_PG")
+COLUMNS = FIELDS + ("exact", "reported", "P_norm", "eps_PG", "pivot")
 GROUP_VERBS = ("group-op", "isometry-check")
 GROUP_COLUMNS = ("product", "embedded", "exact", "reported")
 
@@ -168,6 +170,8 @@ def compare(G):
     out["reported"] = float(got["residual"]) / gate
     out["P_norm"] = float(P.induced_norm())
     out["eps_PG"] = float(residual) / (EPS * out["P_norm"] * norm_G)
+    out["pivot"] = max(float(d.soul().norm() / abs(d.body()))
+                       for d in _entries(want, "d_raw", exact_cfg))
     return out
 
 

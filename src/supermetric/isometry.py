@@ -202,11 +202,11 @@ class LieBasis:
 
 
 def _scale_by_supernumber(M: SuperMatrix, s: Supernumber) -> SuperMatrix:
-    rows = [[s * e for e in r] for r in M.rows]
+    rows = tuple([tuple([s * e for e in r]) for r in M.rows])
     cls = "even" if (M.parity_class == "odd" and s.parity() == "odd") else \
           ("even" if M.parity_class == "even" and s.parity() == "even"
            else "general")
-    return SuperMatrix(M.config, M.shape, rows, cls)
+    return SuperMatrix._trusted(M.config, M.shape, rows, cls)
 
 
 def lie_basis(gamma: GammaForm, L: int = None) -> LieBasis:

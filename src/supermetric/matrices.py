@@ -7,17 +7,24 @@ A SuperMatrix has an (m|n) block shape and a declared parity class:
 * odd class: the parities are flipped blockwise;
 * general: no constraint.
 
+The public constructors, ``from_real`` and ``from_blocks`` among them, check
+the shape and the parity class and copy the rows, which is free for the tuple
+rows those two assemble; results built inside are taken as they are
+(``_trusted``).
+
 Products visit nonzero entries only: ``@`` (and ``_mul_rows`` on rectangular
-rows) hands each entry's nonempty pairs, in ascending inner index, to one
-call of the Grassmann kernel, so in float64 each key of an entry is summed
-in inner-index order, then in left-term order, with one relative cut at the
-largest term product; an entry with no such pair, like a sum, negation or
-scaling of empty entries, is one shared zero.
+rows) indexes each operand in one pass, which also checks every entry's
+config, and hands each entry's nonempty pairs, in ascending inner index, to
+one call of the Grassmann kernel, so in float64 each key of an entry is
+summed in inner-index order, then in left-term order, with one relative cut
+at the largest term product; an entry with no such pair, like a sum,
+negation or scaling of empty entries, is one shared zero.
 
 A matrix over the algebra is invertible exactly when its body is, and the
 body is checked as a real matrix (``_body_inverse``, which metric
 validation uses).  exp/log are provided only for zero-body and unipotent
-matrices, where the series are finite.
+matrices, where the series are finite; each starts from its first power,
+so neither multiplies by the identity.
 
 The adjoint operator of an even-class element with respect to a basis comes
 in two forms: supernumber coordinates over a list of real Lie-algebra
@@ -80,7 +87,9 @@ class SuperMatrix:
     """Immutable square matrix of supernumbers with a declared parity class.
 
     The public constructors check the shape and the parity class and copy
-    the rows into tuples; results built inside come from ``_trusted``.
+    the rows into tuples, which costs nothing for rows that are tuples
+    already, as ``from_real`` and ``from_blocks`` build them; results built
+    inside come from ``_trusted``.
     """
 
     __slots__ = ("config", "shape", "parity_class", "rows")
@@ -128,7 +137,7 @@ class SuperMatrix:
     @classmethod
     def from_real(cls, config, array, shape, parity_class="general"):
         """Lift a real (or Fraction) square array entrywise."""
-        rows = [[config.scalar(v) for v in row] for row in array]
+        rows = [tuple([config.scalar(v) for v in row]) for row in array]
         return cls(config, shape, rows, parity_class)
 
     @classmethod
@@ -137,12 +146,10 @@ class SuperMatrix:
         a C or D given as None (or empty) is a zero block."""
         m, n = len(A), len(B)
         z = config.zero()
-        A = A or []
-        rows = []
-        for i in range(m):
-            rows.append(list(A[i]) + list(C[i] if C else [z] * n))
-        for a in range(n):
-            rows.append(list(D[a] if D else [z] * m) + list(B[a]))
+        rows = ([tuple(A[i]) + (tuple(C[i]) if C else (z,) * n)
+                 for i in range(m)]
+                + [(tuple(D[a]) if D else (z,) * m) + tuple(B[a])
+                   for a in range(n)])
         return cls(config, BlockShape(m, n), rows, parity_class)
 
     # -- block access ----------------------------------------------------
@@ -313,38 +320,41 @@ def _mul_rows(config, a, b):
     entry of both operands is checked against ``config`` once, so a foreign
     one raises ConfigMismatch, empty or not.
     """
-    for rows in (a, b):
-        for row in rows:
-            for e in row:
-                if e.config is not config and e.config != config:
-                    raise ConfigMismatch(
-                        "matrix entries use different algebra configs")
-    # the nonzeros of each row of a as [(t, entry)] and of each column of b
-    # as {t: entry}, each with the bitmask of its t; a rational entry says
-    # it is zero without building its Fractions, a float64 one reads its
+    # one pass over each operand checks its entries and indexes its
+    # nonzeros: each row of a as [(t, entry)] and each column of b as
+    # {t: entry}, each with the bitmask of its t; a rational entry says it
+    # is zero without building its Fractions, a float64 one reads its
     # terms slot
-    if config.rational:
-        a_nz = [[(t, e) for t, e in enumerate(row) if not e.is_zero()]
-                for row in a]
-        b_nz = [[(j, f) for j, f in enumerate(row) if not f.is_zero()]
-                for row in b]
-    else:
-        a_nz = [[(t, e) for t, e in enumerate(row) if e.terms] for row in a]
-        b_nz = [[(j, f) for j, f in enumerate(row) if f.terms] for row in b]
-    a_rows = [(nz, sum(1 << t for t, _ in nz)) for nz in a_nz]
+    rational = config.rational
+    a_rows = []
+    for row in a:
+        nz = []
+        mask = 0
+        for t, e in enumerate(row):
+            if e.config is not config and e.config != config:
+                raise ConfigMismatch(
+                    "matrix entries use different algebra configs")
+            if (not e.is_zero()) if rational else e.terms:
+                nz.append((t, e))
+                mask |= 1 << t
+        a_rows.append((nz, mask))
     r = len(b[0]) if b else 0
     cols = [{} for _ in range(r)]
     col_masks = [0] * r
-    for t, nz in enumerate(b_nz):
-        for j, f in nz:
-            cols[j][t] = f
-            col_masks[j] |= 1 << t
-    b_cols = list(zip(cols, col_masks))
+    for t, row in enumerate(b):
+        bit = 1 << t
+        for j, f in enumerate(row):
+            if f.config is not config and f.config != config:
+                raise ConfigMismatch(
+                    "matrix entries use different algebra configs")
+            if (not f.is_zero()) if rational else f.terms:
+                cols[j][t] = f
+                col_masks[j] |= bit
     zero = config.zero()
     return tuple([tuple([sum_of_products(config, [(e, col[t]) for t, e in nz
                                                   if t in col])
                          if mask & col_mask else zero
-                         for col, col_mask in b_cols])
+                         for col, col_mask in zip(cols, col_masks)])
                   for nz, mask in a_rows])
 
 
@@ -397,13 +407,18 @@ def _body_inverse(N: SuperMatrix):
 
 
 def exp_zero_body(X: SuperMatrix) -> SuperMatrix:
-    """Finite exponential sum for a zero-body matrix; the result is unipotent."""
+    """Finite exponential sum for a zero-body matrix; the result is unipotent.
+
+    The sum starts as I + X and term k is X^k / k!, formed from term k - 1
+    for k >= 2; it stops at the first zero term, or after L + 1 terms.  A
+    zero X makes no product."""
     if not X.has_zero_body():
         raise NonZeroBody("exponential input must have zero body")
     cfg = X.config
-    acc = SuperMatrix.identity(cfg, X.shape)
-    term = acc
-    for k in range(1, cfg.generator_count + 2):
+    acc = SuperMatrix.identity(cfg, X.shape) + X
+    term = X
+    last = cfg.generator_count + 1 if not X.is_zero() else 1
+    for k in range(2, last + 1):
         term = (term @ X).scale(Fraction(1, k) if cfg.rational else 1.0 / k)
         if term.is_zero():
             break
@@ -414,7 +429,11 @@ def exp_zero_body(X: SuperMatrix) -> SuperMatrix:
 
 
 def log_unipotent(U: SuperMatrix) -> SuperMatrix:
-    """Finite logarithm for a matrix whose body is exactly the identity."""
+    """Finite logarithm for a matrix whose body is exactly the identity.
+
+    With S = U - I the sum starts as S and step k adds (-1)^(k+1) S^k / k,
+    from k = 2 on, until S^k is zero or k passes L + 1; a zero S makes no
+    product."""
     cfg = U.config
     k = U.shape.total
     for i in range(k):
@@ -422,9 +441,9 @@ def log_unipotent(U: SuperMatrix) -> SuperMatrix:
             if U.rows[i][j].body() != (1 if i == j else 0):
                 raise NotUnipotent("matrix body must equal the identity")
     S = U - SuperMatrix.identity(cfg, U.shape)
-    acc = SuperMatrix.zeros(cfg, U.shape, "general")
-    power = SuperMatrix.identity(cfg, U.shape)
-    for step in range(1, cfg.generator_count + 2):
+    acc = power = S
+    last = cfg.generator_count + 1 if not S.is_zero() else 1
+    for step in range(2, last + 1):
         power = power @ S
         if power.is_zero():
             break
@@ -444,12 +463,14 @@ class AdOperator:
 
     Over a list of real matrices the entries are supernumbers acting on
     supernumber coordinates from the left, and levels is None; over the
-    tagged family of a LieBasis the matrix is flat and real, and levels[i]
-    records each slot's index bitmask.
+    tagged family of a LieBasis the matrix is flat and real, levels[i]
+    records each slot's index bitmask, and written lists the (row, column)
+    of every entry that was set; every other entry is zero.
     """
     source: SuperMatrix
     matrix: SuperMatrix
     levels: tuple = None
+    written: list = None
 
     @property
     def coordinate_field(self) -> str:
@@ -704,6 +725,7 @@ def _ad_flat(X, tags, grids):
     # so a column gets each of its entries written at most once
     zero = cfg.zero()
     rows = {}    # row number -> its entries, for rows holding a nonzero
+    written = []     # (row, column) of each entry set, in write order
     memo = {}    # coordinates by (K, grid of B, sign, family of the level)
     for j, (J, pos) in enumerate(tags):
         B = grids[pos]
@@ -728,12 +750,13 @@ def _ad_flat(X, tags, grids):
                     if row is None:
                         row = rows[s] = [zero] * r
                     row[j] = cfg.scalar(-c if flip else c)
+                    written.append((s, j))
     empty = (zero,) * r
     mat = SuperMatrix._trusted(
         cfg, BlockShape(r, 0),
         tuple([tuple(rows[s]) if s in rows else empty for s in range(r)]),
         "general")
-    return AdOperator(X, mat, levels)
+    return AdOperator(X, mat, levels, written)
 
 
 def spectrum_gate(ad: AdOperator, xi) -> str:

@@ -259,38 +259,69 @@ def _section_ad(rng, basis, cases):
     failures += [f"flat entry ({s}, {j}) does not raise level "
                  f"{ad.levels[j]} (row level {ad.levels[s]})"
                  for s, j in _unraised_entries(ad)]
+    failures += [f"flat column {j} (level {J}, element {pos}) does not "
+                 f"rebuild its bracket"
+                 for j, J, pos in _unrebuilt_columns(ad, basis)]
     return failures
 
 
 def _unraised_entries(ad):
     """The nonzero entries (s, j) of a flat ad operator where levels[s] is
-    not a strict superset of levels[j].  A zero-body X raises every level,
-    so that the operator is nilpotent, and there are none.
+    not a strict superset of levels[j], in row order.  A zero-body X raises
+    every level, so that the operator is nilpotent, and there are none.
 
-    Most entries are one shared zero, so a row is read entry by entry only
-    where an entry other than that zero lies outside the row's columns at
-    strict submasks of its level.
+    A row is read at the entries the operator lists as written, once its
+    count of entries other than the shared zero shows that those are all
+    its nonzeros; any other row is read entry by entry, so an unlisted
+    nonzero is found too.
     """
     rows, levels = ad.matrix.rows, ad.levels
     zero = next((e for row in rows for e in row if e.is_zero()), None)
-    by_level = {}
-    for j, lv in enumerate(levels):
-        by_level.setdefault(lv, []).append(j)
+    listed = {}
+    for s, j in set(ad.written):
+        if not rows[s][j].is_zero():
+            listed.setdefault(s, []).append(j)
     found = []
     for s, row in enumerate(rows):
-        others = len(row) - row.count(zero)
+        cols = listed.get(s, [])
+        if len(row) - row.count(zero) != len(cols):
+            cols = [j for j, e in enumerate(row) if not e.is_zero()]
         S = levels[s]
-        sub = S
-        while others and sub:
-            sub = (sub - 1) & S
-            for j in by_level.get(sub, ()):
-                e = row[j]
-                # as row.count sees it: not that zero, nor equal to it
-                others -= e is not zero and e != zero
-        if others:
-            found += [(s, j) for j, e in enumerate(row)
-                      if (levels[j] & ~S or levels[j] == S)
-                      and not e.is_zero()]
+        found += [(s, j) for j in sorted(cols)
+                  if levels[j] & ~S or levels[j] == S]
+    return found
+
+
+def _unrebuilt_columns(ad, basis):
+    """(j, J, pos) of each checked column of a flat ad operator whose
+    entries do not rebuild the bracket they stand for.
+
+    Column j, with tag (J, pos), holds the coordinates of X B - B X for
+    B = z(J) X_pos over the tagged family, so the sum over s of
+    ad[s][j] z(levels[s]) X_pos(s) must give that bracket.  The checked
+    columns are fixed, so the run draws nothing: the last slot of each of
+    the first 8 levels.
+    """
+    X = ad.source
+    cfg = X.config
+    elements = basis.elements()
+    rows = ad.matrix.rows
+    last = {}       # level -> its last slot, in the order of the levels
+    for j, (J, _) in enumerate(basis.hJ):
+        last[J] = j
+    found = []
+    for j in list(last.values())[:8]:
+        J, pos = basis.hJ[j]
+        B = _scale_by_supernumber(elements[pos], cfg.from_terms({J: 1}))
+        want = X @ B - B @ X
+        got = SuperMatrix.zeros(cfg, X.shape, "general")
+        for (S, q), row in zip(basis.hJ, rows):
+            c = row[j]
+            if not c.is_zero():
+                got = got + _scale_by_supernumber(
+                    elements[q], cfg.from_terms({S: c.body()}))
+        if not _near_zero(got - want, want.induced_norm()):
+            found.append((j, J, pos))
     return found
 
 

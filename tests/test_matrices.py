@@ -1,6 +1,7 @@
 """Block matrices: graded transpose, inversion, exp/log, adjoint operators."""
 
 import dataclasses
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from supermetric.errors import (
     ParityMismatch,
     ShapeMismatch,
 )
+from supermetric.isometry import _scale_by_supernumber
 from supermetric.matrices import (
     BlockShape,
     SuperMatrix,
@@ -93,7 +95,10 @@ def test_trusted_results_have_tuple_rows_of_ascending_entries(cfg):
     results = [M @ M, M @ N, M + N, M - N, -M, M.scale(3), N, M.scale(0),
                exp_zero_body(X), log_unipotent(exp_zero_body(X)),
                SuperMatrix.zeros(cfg, (1, 2), "odd"),
-               SuperMatrix.identity(cfg, (1, 2))]
+               SuperMatrix.identity(cfg, (1, 2)),
+               M, SuperMatrix.from_real(cfg, [[1, 0, 2], [0, 3, 0],
+                                              [-1, 0, 1]], (1, 2), "even"),
+               _scale_by_supernumber(M, cfg.generator(2))]
     for R in results:
         k = R.shape.total
         assert type(R.rows) is tuple and len(R.rows) == k
@@ -324,6 +329,122 @@ def test_exp_log_round_trip():
         else:
             assert float(resid) < 1e-12
             assert float(inv_resid) < 1e-12
+
+
+def _exp_from_identity(X):
+    """The exponential as first written: the sum and the first term start
+    at the identity, and every term is one product."""
+    cfg = X.config
+    acc = SuperMatrix.identity(cfg, X.shape)
+    term = acc
+    for k in range(1, cfg.generator_count + 2):
+        term = (term @ X).scale(Fraction(1, k) if cfg.rational else 1.0 / k)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc
+
+
+def _log_from_identity(U):
+    """The logarithm as first written: the sum starts at zero and the
+    first power at the identity."""
+    cfg = U.config
+    S = U - SuperMatrix.identity(cfg, U.shape)
+    acc = SuperMatrix.zeros(cfg, U.shape, "general")
+    power = SuperMatrix.identity(cfg, U.shape)
+    for step in range(1, cfg.generator_count + 2):
+        power = power @ S
+        if power.is_zero():
+            break
+        sign = 1 if step % 2 == 1 else -1
+        acc = acc + power.scale(Fraction(sign, step) if cfg.rational
+                                else sign / step)
+    return acc
+
+
+def _bits(M):
+    """Entries as (index set, exact value or float hex) lists, in order."""
+    return [[[(k, v.hex() if isinstance(v, float) else v)
+              for k, v in e.terms.items()] for e in row] for row in M.rows]
+
+
+def _nil_samples(mode):
+    """Zero-body elements of (1|2) at L=8 and (3|4) at L=6: sampled nil
+    elements of two and four terms."""
+    for (p, q, n), L in (((1, 0, 2), 8), ((2, 1, 4), 6)):
+        cfg = AlgebraConfig(generator_count=L, coefficient_mode=mode)
+        basis = basis_for(cfg, p, q, n)
+        rng = make_rng(7 + L)
+        for t in range(3):
+            yield random_nil(rng, basis, terms=2 + 2 * (t % 2)).X
+
+
+@pytest.mark.parametrize("mode", ["float64", "rational"])
+def test_series_from_the_first_power_match_the_identity_start(mode):
+    # equal in rational mode, bit for bit in float64: I @ X is X itself
+    # once each entry of X is pruned against its largest term, as every
+    # sampled, summed or multiplied entry already is, and S = U - I is a
+    # difference, so starting from X (and from S) only drops that product
+    for X in _nil_samples(mode):
+        U = exp_zero_body(X)
+        assert _bits(U) == _bits(_exp_from_identity(X))
+        V = U @ exp_zero_body(X.scale(-2))
+        for W in (U, V):
+            assert _bits(log_unipotent(W)) == _bits(_log_from_identity(W))
+
+
+def test_exp_keeps_a_small_term_the_identity_start_pruned():
+    # a float64 X built with a term at most zero_tolerance times its
+    # entry's largest, as a wire payload may be: I @ X dropped that term
+    # before it reached X^2, while X^2 now keeps it where it is the only
+    # product; the two results differ by that term alone, inside the cut
+    cfg = AlgebraConfig(generator_count=6, coefficient_mode="float64")
+    small = 0.25 * cfg.zero_tolerance * 3.0
+    rows = [[cfg.zero()] * 3 for _ in range(3)]
+    rows[0][1] = Supernumber(cfg, {0b11: 3.0, 0b11000: small})
+    rows[1][2] = Supernumber(cfg, {0b110: 2.0})
+    X = SuperMatrix(cfg, BlockShape(1, 2), rows, "general")
+    U, old = exp_zero_body(X), _exp_from_identity(X)
+    assert U.rows[0][2].terms == {0b11110: small}
+    assert old.rows[0][2].is_zero()
+    assert [[e.terms for e in row] for row in (U - old).rows] == [
+        [{}, {}, {0b11110: small}], [{}, {}, {}], [{}, {}, {}]]
+    assert _bits(log_unipotent(U)) == _bits(_log_from_identity(U))
+
+
+def _is_identity(rows):
+    return all(e == (1 if i == j else 0)
+               for i, row in enumerate(rows) for j, e in enumerate(row))
+
+
+@pytest.mark.parametrize("mode", ["float64", "rational"])
+def test_series_make_no_identity_product(monkeypatch, mode):
+    # with X^0 = I counted, each series makes one product fewer than the
+    # number of nonzero powers, and none of them has an identity left
+    # factor; a zero X, or U = I, makes none
+    lefts = []
+
+    def counted(config, a, b):
+        lefts.append(a)
+        return _mul_rows(config, a, b)
+
+    monkeypatch.setattr(matrices, "_mul_rows", counted)
+    for X in _nil_samples(mode):
+        I = SuperMatrix.identity(X.config, X.shape)
+        U = exp_zero_body(X)
+        for M, series in ((X, lambda: exp_zero_body(X)),
+                          (U - I, lambda: log_unipotent(U))):
+            powers = [I]
+            while not powers[-1].is_zero():
+                powers.append(powers[-1] @ M)
+            del lefts[:]
+            series()
+            assert len(lefts) == len(powers) - 2
+            assert not any(_is_identity(a) for a in lefts)
+    del lefts[:]
+    exp_zero_body(SuperMatrix.zeros(X.config, X.shape))
+    log_unipotent(I)
+    assert lefts == []
 
 
 def test_exp_rejects_nonzero_body():
@@ -709,12 +830,15 @@ def test_verify_ad_section_fails_where_a_flat_entry_does_not_raise_its_level(
               if lv & levels[top] == levels[top] and lv != levels[top])
     one = cfg.scalar(1)
     # a same-level entry, one lowered to level 0, one raised (allowed), and
-    # a same-level entry beside a zero other than the operator's shared one
-    for changes, failing in (({(top, top): one}, [(top, top)]),
-                             ({(low, top): one}, [(low, top)]),
-                             ({(up, top): one}, []),
-                             ({(top, top): one, (top, low): cfg.zero()},
-                              [(top, top)])):
+    # a same-level entry beside a zero other than the operator's shared one;
+    # each planted unlisted, as a stray write would be, and listed, as
+    # _ad_flat records a write
+    for (changes, failing), listed in itertools.product(
+            (({(top, top): one}, [(top, top)]),
+             ({(low, top): one}, [(low, top)]),
+             ({(up, top): one}, []),
+             ({(top, top): one, (top, low): cfg.zero()}, [(top, top)])),
+            (False, True)):
         def mutated(X, b):
             ad = exact(X, b)
             if ad.levels is None:
@@ -723,10 +847,45 @@ def test_verify_ad_section_fails_where_a_flat_entry_does_not_raise_its_level(
             for (s, j), value in changes.items():
                 rows[s][j] = value
             return dataclasses.replace(ad, matrix=SuperMatrix(
-                cfg, ad.matrix.shape, rows, "general"))
+                cfg, ad.matrix.shape, rows, "general"),
+                written=ad.written + list(changes) * listed)
 
         monkeypatch.setattr(verify, "ad_operator", mutated)
         want = [f"flat entry ({s}, {j}) does not raise level {levels[j]} "
                 f"(row level {levels[s]})" for s, j in failing]
         assert verify._section_ad(make_rng(5), basis, 1) == want
 
+
+@pytest.mark.parametrize("mode", ["float64", "rational"])
+def test_ad_flat_lists_every_entry_it_writes(mode):
+    cfg = AlgebraConfig(generator_count=6, coefficient_mode=mode)
+    basis = basis_for(cfg, 2, 0, 2)
+    ad = ad_operator(random_nil(make_rng(4), basis, terms=3).X, basis)
+    nonzero = {(s, j) for s, row in enumerate(ad.matrix.rows)
+               for j, e in enumerate(row) if not e.is_zero()}
+    assert nonzero and len(set(ad.written)) == len(ad.written)
+    assert set(ad.written) == nonzero
+    assert ad_operator(random_nil(make_rng(4), basis).X,
+                       basis.elements()).written is None
+
+
+@pytest.mark.parametrize("mode", ["float64", "rational"])
+def test_verify_sees_a_sign_flip_in_the_flat_operator(monkeypatch, mode):
+    # every flat entry negated keeps the levels, the zero body and the
+    # spectrum gate, so only the rebuilt brackets of the checked columns
+    # can tell
+    cfg = AlgebraConfig(generator_count=4, coefficient_mode=mode)
+    assert verify.run_verify(cfg, 1, 1, 2)["status"] == "pass"
+    exact = matrices._ad_flat
+
+    def flipped(*args):
+        ad = exact(*args)
+        return dataclasses.replace(ad, matrix=-ad.matrix)
+
+    monkeypatch.setattr(matrices, "_ad_flat", flipped)
+    report = verify.run_verify(cfg, 1, 1, 2)
+    assert report["status"] == "fail"
+    ad = next(s for s in report["sections"] if s["name"] == "ad_spectrum")
+    assert ad["failures"] and all(
+        line.startswith("flat column ") and line.endswith(
+            "does not rebuild its bracket") for line in ad["failures"])

@@ -117,6 +117,76 @@ def test_bench_compare_pairs_runs_and_counts_wins(tmp_path):
     assert digests["all:rational"]["same"] is True
 
 
+_STUB_RUN = """\
+import argparse, json
+from pathlib import Path
+p = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds"):
+    p.add_argument(flag)
+args = p.parse_args()
+here = Path(__file__).resolve().parent.parent
+with open(here.parent / "order.txt", "a") as log:
+    log.write(f"{here.name} {args.workload} {args.seed}\\n")
+rate = {"parent": 10.0, "change": 11.0}[here.name] + int(args.seed)
+print(f"perfbench workload={args.workload} seed={args.seed} "
+      f"seconds={args.seconds}")
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
+    "float64.req_per_s": {"value": rate, "unit": "1/s"},
+    "setup_s": {"value": 1.0, "unit": "s"}}}))
+"""
+
+_STUB_DIGESTS = """\
+import sys
+from pathlib import Path
+side = Path(__file__).resolve().parent.parent.name
+digest = ("a" if side == "parent" or sys.argv[2] == "1" else "b") * 64
+print(f"all  requests  4  failed  0  {digest}")
+"""
+
+
+def test_bench_ab_alternates_the_sides_and_compares_the_pairs(tmp_path):
+    for side in ("parent", "change"):
+        for script, text in (("perfbench/run.py", _STUB_RUN),
+                             ("scripts/report_digests.py", _STUB_DIGESTS)):
+            (tmp_path / side / script).parent.mkdir(parents=True,
+                                                    exist_ok=True)
+            (tmp_path / side / script).write_text(text)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec["run_seconds"] = 3
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    out = tmp_path / "bench.json"
+    proc = _run("bench_ab.py", str(tmp_path / "parent"),
+                str(tmp_path / "change"), "--workload", "verify-ad",
+                "--workload", "group-sparse", "--seeds", "1", "2",
+                "--digests", "1", "2", "--runs", str(tmp_path / "runs"),
+                "--benchmark", str(tmp_path / "BENCHMARK.json"),
+                "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    # each side's own run file, the first side alternating pair by pair
+    assert (tmp_path / "order.txt").read_text().splitlines() == [
+        "parent verify-ad 1", "change verify-ad 1",
+        "change verify-ad 2", "parent verify-ad 2",
+        "parent group-sparse 1", "change group-sparse 1",
+        "change group-sparse 2", "parent group-sparse 2"]
+    assert len(list((tmp_path / "runs").iterdir())) == 12
+    # each run lasts the benchmark's run_seconds
+    assert (tmp_path / "runs" / "change-group-sparse-2.txt").read_text() \
+        .startswith("perfbench workload=group-sparse seed=2 seconds=3\n")
+    report = json.loads(out.read_text())
+    for name in ("verify-ad", "group-sparse"):
+        entry = report["workloads"][name]
+        assert entry["seeds"] == [1, 2]
+        assert entry["first"] == ["parent", "change"]
+        rate = entry["metrics"]["float64.req_per_s"]
+        assert rate["parent"] == [11.0, 12.0]
+        assert rate["change"] == [12.0, 13.0]
+        assert rate["wins"] == 2 and rate["better"] == "higher"
+        assert entry["metrics"]["setup_s"]["wins"] == 0
+    assert report["digests"]["1"]["all"]["same"] is True
+    assert report["digests"]["2"]["all"] == {
+        "parent": "a" * 64, "change": "b" * 64, "same": False}
+
+
 # bounds of scripts/mode_diff.py's ratios, as README states them beside the
 # gates: a float field's worst coefficient deviation from the exact report,
 # relative to its largest exact coefficient, and a residual (the exact one
@@ -181,8 +251,10 @@ def test_float_canonical_residual_follows_the_frame_norm(monkeypatch):
     mode_diff = _load_script("mode_diff", monkeypatch)
     G = _near_singular_metric()
     pivots = canonical_form(validate_metric(G)).d
-    assert max(float(d.soul().norm()) / abs(d.body()) for d in pivots) > 500
+    worst = max(float(d.soul().norm()) / abs(d.body()) for d in pivots)
+    assert worst > 500
     ratios = mode_diff.compare(G)
+    assert ratios["pivot"] == pytest.approx(worst, rel=1e-9)
     assert ratios["P_norm"] > 1e5, ratios
     assert ratios["exact"] > RESIDUAL_SHARE_BOUND, ratios
     assert ratios["eps_PG"] <= EPS_SHARE_BOUND, ratios
@@ -263,10 +335,12 @@ def test_mode_diff_prints_one_line_per_payload(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["payload", "P", "Gamma", "d_raw", "lambda",
-                                "exact", "reported", "P_norm", "eps_PG"]
+                                "exact", "reported", "P_norm", "eps_PG",
+                                "pivot"]
     assert [line.split()[0] for line in lines[1:]] == [
         "metric-1.json", "metric-2.json", "worst"]
     for line in lines[1:]:
         ratios = [float(v) for v in line.split()[1:]]
         assert all(v <= RESIDUAL_SHARE_BOUND for v in ratios[:6])
         assert ratios[6] >= 1 and ratios[7] <= EPS_SHARE_BOUND
+        assert ratios[8] >= 0
