@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from supermetric import (
     AlgebraConfig,
-    BCHOrderConfig,
     NilElement,
     SuperMatrix,
     basis_for,
@@ -68,7 +67,7 @@ def main():
                             X.gamma)
             Ys = NilElement(Y.X.scale(t if cfg.rational else float(t)),
                             Y.gamma)
-            series = bch_series(Xs.X, Ys.X, BCHOrderConfig(order))
+            series = bch_series(Xs.X, Ys.X, order)
             resid = (series - diamond(Xs, Ys).X).entry_norm_max()
             line = f"  t = {str(t):>7}: residual = {float(resid):.6e}"
             if prev is not None and resid != 0:

@@ -60,7 +60,7 @@ from .errors import (
     BodyNotInvertible,
     CoefficientOverflow,
     ConfigMismatch,
-    ConvergenceViolation,
+    NonZeroBody,
     ParityMismatch,
 )
 
@@ -157,15 +157,7 @@ class AlgebraConfig:
 
     def term(self, indices, coeff=1) -> "Supernumber":
         """coeff * z(i1)...z(ik) for strictly increasing indices."""
-        bits = 0
-        prev = 0
-        for i in indices:
-            if not (prev < i <= self.generator_count):
-                raise ConfigMismatch(
-                    f"indices must be strictly increasing in "
-                    f"1..{self.generator_count}, got {list(indices)}")
-            bits |= 1 << (i - 1)
-            prev = i
+        bits = _indices_to_bits(self, indices)
         c = self.coerce(coeff)
         return _ordered(self, {} if c == 0 else {bits: c})
 
@@ -192,7 +184,9 @@ def _indices_to_bits(cfg, indices):
     prev = 0
     for i in indices:
         if not (prev < i <= cfg.generator_count):
-            raise ConfigMismatch(f"bad index tuple {tuple(indices)}")
+            raise ConfigMismatch(
+                f"indices must be strictly increasing in "
+                f"1..{cfg.generator_count}, got {tuple(indices)}")
         bits |= 1 << (i - 1)
         prev = i
     return bits
@@ -238,7 +232,12 @@ class Supernumber:
     ``_IntegerBorn``) and build ``terms`` on first read; a value built here
     from a dict gets the form the first time it is an operand of
     ``sum_of_products`` and keeps it.  ``_int_form`` is ``None`` until
-    then, and always in float64 mode.
+    then, and always in float64 mode.  Values read from the wire are such
+    dicts of ``Fraction``s on purpose: their common denominator is the lcm
+    of every term's, and building it at construction would run before the
+    verbs' work budgets can refuse the payload (2048 terms over
+    1000-digit denominators take minutes to bring to one denominator,
+    while ``check_canonical_budget`` refuses them at once).
 
     ``_right`` is the right-operand table the kernel reads, ``None`` until
     the value is first a right operand: ``((bits, c, -c, sign_mask), ...)``
@@ -520,10 +519,9 @@ def _running_max(values):
 
 
 def _prune(cfg: AlgebraConfig, acc: dict, running_max) -> dict:
-    """In float64 mode, CoefficientOverflow where the largest operand term
-    or a kept sum is infinite: the cut would drop every term or keep inf."""
-    if cfg.rational:
-        return {b: c for b, c in acc.items() if c != 0}
+    """The float64 cut of ``acc``; CoefficientOverflow where the largest
+    operand term or a kept sum is infinite: the cut would drop every term
+    or keep inf."""
     if running_max == math.inf:
         raise CoefficientOverflow("a float64 term is infinite")
     cut = cfg.zero_tolerance * float(running_max)
@@ -673,8 +671,6 @@ def invert(z: Supernumber) -> Supernumber:
 
 def _rational_sqrt(value: Fraction):
     """Exact square root of a non-negative Fraction, or None."""
-    if value < 0:
-        return None
     num, den = value.numerator, value.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
@@ -682,14 +678,21 @@ def _rational_sqrt(value: Fraction):
     return None
 
 
-def _binomial_soul_series(sigma: Supernumber) -> Supernumber:
-    """(1 + sigma)^{-1/2} for a pure-soul even sigma; terminates exactly."""
-    cfg = sigma.config
+def binomial_inverse_sqrt(mu: Supernumber) -> Supernumber:
+    """w = (1 + mu)^{-1/2} with w*w*(1 + mu) = 1, for an even pure-soul mu;
+    the binomial series terminates exactly.  A body is split off by the
+    caller, as ``canonical.body_reduce`` does with soul / body: a nonzero
+    one raises NonZeroBody."""
+    if mu.parity() not in ("even", "zero"):
+        raise ParityMismatch("binomial inverse sqrt needs an even argument")
+    if mu.body() != 0:
+        raise NonZeroBody("binomial inverse sqrt needs a pure-soul argument")
+    cfg = mu.config
     acc = cfg.one()
     power = cfg.one()
     coeff = cfg.coerce(1)
     for k in range(1, cfg.generator_count + 1):
-        power = power * sigma
+        power = power * mu
         if power.is_zero():
             break
         # running binomial(-1/2, k) via the ratio -(2k-1)/(2k)
@@ -698,36 +701,3 @@ def _binomial_soul_series(sigma: Supernumber) -> Supernumber:
         coeff = coeff * step
         acc = acc + power.scale(coeff)
     return acc
-
-
-def binomial_inverse_sqrt(mu: Supernumber, strict: bool = False) -> Supernumber:
-    """w = (1 + mu)^{-1/2} with w*w*(1 + mu) = 1.
-
-    mu must be even.  For pure-soul mu the series terminates exactly.  With a
-    nonzero body the scalar factor (1 + beta)^{-1/2} is split off; strict mode
-    additionally enforces the norm gate ||mu|| < 1, and rational mode demands
-    that 1 + beta be a perfect rational square (otherwise no exact result
-    exists).
-    """
-    cfg = mu.config
-    if mu.parity() not in ("even", "zero"):
-        raise ParityMismatch("binomial inverse sqrt needs an even argument")
-    b = mu.body()
-    if b == 0:
-        return _binomial_soul_series(mu)
-    if strict and mu.norm() >= 1:
-        raise ConvergenceViolation(
-            "norm gate ||mu|| < 1 failed for nonzero-body argument")
-    base = 1 + b
-    if base <= 0:
-        raise BodyNotInvertible("1 + body(mu) must be positive")
-    if cfg.rational:
-        root = _rational_sqrt(Fraction(1) / base)
-        if root is None:
-            raise ConvergenceViolation(
-                "1 + body(mu) is not a perfect rational square; "
-                "no exact inverse square root exists in rational mode")
-        scale = root
-    else:
-        scale = 1.0 / math.sqrt(base)
-    return _binomial_soul_series(mu.soul() / base).scale(scale)

@@ -71,7 +71,6 @@ class CanonicalizationResult:
     Gamma: SuperMatrix
     d: list
     reducibility: list = field(default_factory=list)
-    body_reduced: bool = False
 
     @property
     def body_reducible(self):
@@ -166,7 +165,8 @@ def validate_metric(G: SuperMatrix) -> SuperMetric:
         if not rows:
             continue
         try:
-            _body_inverse(SuperMatrix(G.config, (len(rows), 0), rows))
+            _body_inverse([[e.body() for e in r] for r in rows],
+                          G.config.rational)
         except BodyNotInvertible:
             raise DegenerateBody(
                 f"body of the {name} block is singular") from None
@@ -399,8 +399,7 @@ def body_reduce(result: CanonicalizationResult,
             "scale_exact": scale_exact[i],
             "lambda": lambdas[i],
         })
-    return CanonicalizationResult(new_P, Gamma, new_d, reducibility,
-                                  body_reduced=True)
+    return CanonicalizationResult(new_P, Gamma, new_d, reducibility)
 
 
 def congruence(P: SuperMatrix, G: SuperMatrix) -> SuperMatrix:

@@ -47,6 +47,7 @@ from .errors import (
     NonZeroBody,
     NormBoundViolation,
     NotBodyIsometry,
+    NotBodyReduced,
     NotLieElement,
     NotUnipotent,
     ShapeMismatch,
@@ -54,23 +55,13 @@ from .errors import (
 from .isometry import GammaForm, violated_conditions
 from .matrices import (
     SuperMatrix,
+    _body_inverse,
     _grid_mul,
-    exact_inverse,
     exp_zero_body,
     log_unipotent,
 )
 
 MAX_SERIES_ORDER = 6
-
-
-@dataclass(frozen=True)
-class BCHOrderConfig:
-    max_order: int = 4
-
-    def __post_init__(self):
-        if not (1 <= self.max_order <= MAX_SERIES_ORDER):
-            raise ConfigMismatch(
-                f"series order must lie in 1..{MAX_SERIES_ORDER}")
 
 
 # -- word tables -----------------------------------------------------------------
@@ -136,13 +127,16 @@ def _nested_bracket(brackets, word):
     return acc
 
 
-def bch_series(X: SuperMatrix, Y: SuperMatrix,
-               cfg: BCHOrderConfig = BCHOrderConfig()) -> SuperMatrix:
-    """Truncated composition series sum of the word tables up to max_order.
+def bch_series(X: SuperMatrix, Y: SuperMatrix, max_order: int) -> SuperMatrix:
+    """Truncated composition series sum of the word tables up to
+    ``max_order``, which must lie in 1..MAX_SERIES_ORDER (ConfigMismatch).
 
     Zero-body inputs need no gate.  Otherwise the norm bound
     ||X|| + ||Y|| <= log 2 (induced norms) is enforced.
     """
+    if not 1 <= max_order <= MAX_SERIES_ORDER:
+        raise ConfigMismatch(
+            f"series order must lie in 1..{MAX_SERIES_ORDER}")
     if not (X.has_zero_body() and Y.has_zero_body()):
         total = float(X.induced_norm()) + float(Y.induced_norm())
         if total > math.log(2):
@@ -151,7 +145,7 @@ def bch_series(X: SuperMatrix, Y: SuperMatrix,
     acfg = X.config
     brackets = {"X": X, "Y": Y}
     acc = SuperMatrix.zeros(acfg, X.shape, "general")
-    for order in range(1, cfg.max_order + 1):
+    for order in range(1, max_order + 1):
         for coeff, word in _word_table(order):
             term = _nested_bracket(brackets, word)
             if term.is_zero():
@@ -224,15 +218,6 @@ def _real_block_diag_ok(M, m, n, scale):
     return True
 
 
-def _real_inverse(rows, rational):
-    if rational:
-        inv = exact_inverse(rows)
-        if inv is None:
-            raise NotBodyIsometry("body matrix is singular")
-        return inv
-    return np.linalg.inv(np.array(rows, dtype=float)).tolist()
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """Pair of a body-level isometry matrix and a zero-body element."""
@@ -241,6 +226,9 @@ class GroupElement:
 
     def __post_init__(self):
         gamma = self.n_part.gamma
+        # conjugating by a body isometry keeps members only for eta = +-1
+        if not gamma.body_reduced:
+            raise NotBodyReduced("group elements need eta entries +-1")
         rows = self.g_body
         k = gamma.m + gamma.n
         if len(rows) != k or any(len(r) != k for r in rows):
@@ -285,7 +273,7 @@ def _conjugate(g_rows, Y: NilElement) -> NilElement:
     cfg = gamma.config
     G = SuperMatrix.from_real(cfg, g_rows, gamma.shape, "even")
     # inverted from G's coerced bodies, where numpy integers are Python ints
-    Gi = SuperMatrix.from_real(cfg, _real_inverse(G.body(), cfg.rational),
+    Gi = SuperMatrix.from_real(cfg, _body_inverse(G.body(), cfg.rational),
                                gamma.shape, "even")
     return NilElement._trusted(G @ Y.X @ Gi, gamma)
 
@@ -307,18 +295,14 @@ def semidirect_multiply(h1: GroupElement, h2: GroupElement) -> GroupElement:
 
 def semidirect_inverse(h: GroupElement) -> GroupElement:
     cfg = h.gamma.config
-    ginv = _real_inverse(h.g_body, cfg.rational)
+    ginv = _body_inverse(h.g_body, cfg.rational)
     n = _conjugate(ginv, -h.n_part)
     return GroupElement(ginv, n)
 
 
-def embed_isometry(h: GroupElement, gamma: GammaForm = None) -> SuperMatrix:
+def embed_isometry(h: GroupElement) -> SuperMatrix:
     """Concrete isometry exp(n) * g realizing the pair; products of pairs
     map to products of matrices."""
-    if gamma is None:
-        gamma = h.gamma
-    elif gamma != h.gamma:
-        raise ShapeMismatch("element does not belong to this canonical form")
-    cfg = gamma.config
-    G = SuperMatrix.from_real(cfg, h.g_body, gamma.shape, "even")
+    gamma = h.gamma
+    G = SuperMatrix.from_real(gamma.config, h.g_body, gamma.shape, "even")
     return h.n_part.exp @ G

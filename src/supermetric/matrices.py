@@ -22,9 +22,9 @@ negation or scaling of empty entries, is one shared zero.
 
 A matrix over the algebra is invertible exactly when its body is, and the
 body is checked as a real matrix (``_body_inverse``, which metric
-validation uses).  exp/log are provided only for zero-body and unipotent
-matrices, where the series are finite; each starts from its first power,
-so neither multiplies by the identity.
+validation and the group's body inverses use).  exp/log are provided only
+for zero-body and unipotent matrices, where the series are finite; each
+starts from its first power, so neither multiplies by the identity.
 
 The adjoint operator of an even-class element with respect to a basis comes
 in two forms: supernumber coordinates over a list of real Lie-algebra
@@ -227,14 +227,11 @@ class SuperMatrix:
         if self.parity_class != "even":
             raise ParityMismatch(
                 "supertranspose is defined on the even class")
-        m, n = self.shape
-        A, B = self.block_a(), self.block_b()
-        C, D = self.block_c(), self.block_d()
-        At = [[A[j][i] for j in range(m)] for i in range(m)]
-        Bt = [[B[j][i] for j in range(n)] for i in range(n)]
-        Ct = [[C[j][i] for j in range(m)] for i in range(n)]     # n x m
-        mDt = [[-D[j][i] for j in range(n)] for i in range(m)]   # m x n
-        return SuperMatrix.from_blocks(self.config, At, mDt, Ct, Bt, "even")
+        m = self.shape.m
+        cols = list(zip(*self.rows))       # the transpose, row by row
+        rows = tuple([col[:m] + tuple([-e for e in col[m:]])
+                      for col in cols[:m]]) + tuple(cols[m:])
+        return SuperMatrix._trusted(self.config, self.shape, rows, "even")
 
     def body(self):
         """Entrywise body as a nested list of mode-native scalars."""
@@ -243,11 +240,6 @@ class SuperMatrix:
     def body_float(self) -> np.ndarray:
         return np.array([[float(e.body()) for e in r] for r in self.rows],
                         dtype=float)
-
-    def soul_matrix(self):
-        rows = tuple([tuple([e.soul() for e in r]) for r in self.rows])
-        return SuperMatrix._trusted(self.config, self.shape, rows,
-                                    self.parity_class)
 
     def has_zero_body(self) -> bool:
         return all(e.body() == 0 for r in self.rows for e in r)
@@ -390,15 +382,17 @@ def exact_inverse(rows):
 
 # -- inversion, exp, log --------------------------------------------------------
 
-def _body_inverse(N: SuperMatrix):
-    if N.config.rational:
-        inv = exact_inverse(N.body())
+def _body_inverse(rows, rational):
+    """Inverse of a square real matrix given by its rows of mode scalars:
+    exact in rational mode, and in float64 gated on the ratio of its
+    smallest to largest singular value; BodyNotInvertible when singular."""
+    if rational:
+        inv = exact_inverse(rows)
         if inv is None:
             raise BodyNotInvertible("matrix body is singular")
         return inv
-    bf = N.body_float()
+    bf = np.array(rows, dtype=float)
     svals = np.linalg.svd(bf, compute_uv=False)
-    # relative smallest-singular-value gate
     if svals[-1] <= GATE * max(svals[0], 1e-300):
         raise BodyNotInvertible(
             f"matrix body is numerically singular "

@@ -22,7 +22,6 @@ from .algebra import (
 from .canonical import SuperMetric, body_reduce, canonical_form, congruence
 from .errors import ValidationError
 from .group import (
-    BCHOrderConfig,
     GroupElement,
     NilElement,
     _conjugate,
@@ -34,7 +33,8 @@ from .group import (
 )
 from .isometry import _scale_by_supernumber, is_isometry, lie_basis, \
     lie_membership, violated_conditions
-from .matrices import SuperMatrix, ad_operator, exp_zero_body, spectrum_gate
+from .matrices import SuperMatrix, _grid_mul, ad_operator, exp_zero_body, \
+    spectrum_gate
 from .sampling import (
     make_rng,
     rand_coeff,
@@ -63,13 +63,13 @@ def _scalar_near(x, y, rational) -> bool:
 
 # -- sections ---------------------------------------------------------------------
 
-def _sn_near(x, y, rtol=1e-12):
+def _sn_near(x, y):
     # ring identities of a few short products: float round-off alone, far
     # below algebra.GATE
     if x.config.rational:
         return x == y
     scale = float(x.norm()) + float(y.norm())
-    return float((x - y).norm()) <= rtol * (1.0 + scale)
+    return float((x - y).norm()) <= 1e-12 * (1.0 + scale)
 
 
 def _section_ring(rng, cfg, cases):
@@ -325,14 +325,15 @@ def _unrebuilt_columns(ad, basis):
     return found
 
 
-def _grade_one_nil(rng, basis, terms=2):
-    """Nil element whose factors are single generators; any product of more
-    than L of them vanishes, so the order-L series is exact."""
+def _grade_one_nil(rng, basis):
+    """Nil element of two terms whose factors are single generators; any
+    product of more than L of them vanishes, so the order-L series is
+    exact."""
     cfg = basis.gamma.config
     gamma = basis.gamma
     acc = SuperMatrix.zeros(cfg, gamma.shape, "even")
     g1 = basis.g1
-    for _ in range(terms):
+    for _ in range(2):
         pos = int(rng.integers(0, len(g1)))
         acc = acc + _scale_by_supernumber(
             g1[pos], rand_pure(rng, cfg, 1, Fraction(1, 2)
@@ -363,7 +364,7 @@ def _section_bch(rng, basis, cases):
             failures.append(f"case {t}: product not a member")
 
         # order 2 equals X + Y + [X,Y]/2 by construction of the tables
-        ser = bch_series(X.X, Y.X, BCHOrderConfig(max_order=2))
+        ser = bch_series(X.X, Y.X, 2)
         br = X.X @ Y.X - Y.X @ X.X
         expand = X.X + Y.X + br.scale(
             Fraction(1, 2) if cfg.rational else 0.5)
@@ -373,7 +374,7 @@ def _section_bch(rng, basis, cases):
     order = min(cfg.generator_count, 6)
     X = _grade_one_nil(rng, basis)
     Y = _grade_one_nil(rng, basis)
-    ser = bch_series(X.X, Y.X, BCHOrderConfig(max_order=order))
+    ser = bch_series(X.X, Y.X, order)
     exact = diamond(X, Y).X
     if cfg.rational:
         ok = ser == exact
@@ -422,10 +423,7 @@ def _section_semidirect(rng, basis, cases):
         g1 = random_body_isometry(rng, gamma)
         g2 = random_body_isometry(rng, gamma)
         Y = random_nil(rng, basis, terms=2)
-        k = gamma.m + gamma.n
-        g12 = [[sum(g1[i][s] * g2[s][j] for s in range(k))
-                for j in range(k)] for i in range(k)]
-        lhs_n = _conjugate(g12, Y)
+        lhs_n = _conjugate(_grid_mul(g1, g2), Y)
         rhs_n = _conjugate(g1, _conjugate(g2, Y))
         if not _near_zero(lhs_n.X - rhs_n.X, lhs_n.X.induced_norm()):
             failures.append(f"case {t}: alpha homomorphism")

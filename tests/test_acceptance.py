@@ -24,7 +24,6 @@ from supermetric.canonical import (
     validate_metric,
 )
 from supermetric.group import (
-    BCHOrderConfig,
     GroupElement,
     NilElement,
     bch_series,
@@ -412,7 +411,7 @@ def test_criterion_7_composition_series(acceptance):
             Y = random_nil(rng, basis, terms=2).X
             ref = X + Y + (X @ Y - Y @ X).scale(
                 Fraction(1, 2) if cfg.rational else 0.5)
-            resid = (bch_series(X, Y, BCHOrderConfig(2)) - ref
+            resid = (bch_series(X, Y, 2) - ref
                      ).entry_norm_max()
             if cfg.rational:
                 if resid != 0:
@@ -432,7 +431,7 @@ def test_criterion_7_composition_series(acceptance):
         for t in (Fraction(1, 32), Fraction(1, 64)):
             Xs = NilElement(X.X.scale(t), X.gamma)
             Ys = NilElement(Y.X.scale(t), Y.gamma)
-            R = (bch_series(Xs.X, Ys.X, BCHOrderConfig(order))
+            R = (bch_series(Xs.X, Ys.X, order)
                  - diamond(Xs, Ys).X).entry_norm_max()
             vals.append(R)
         if vals[1] == 0:

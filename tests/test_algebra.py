@@ -19,7 +19,7 @@ from supermetric.errors import (
     BodyNotInvertible,
     CoefficientOverflow,
     ConfigMismatch,
-    ConvergenceViolation,
+    NonZeroBody,
     ParityMismatch,
 )
 from supermetric import algebra, matrices
@@ -226,28 +226,25 @@ def test_binomial_inverse_sqrt_identities():
     mu = RAT.term([1, 2], Fraction(2, 3)) + RAT.term([3, 4], Fraction(-1, 2))
     w = binomial_inverse_sqrt(mu)
     assert w * w * (RAT.one() + mu) == RAT.one()
-    # with a rational square body the whole answer stays exact
-    mu2 = RAT.scalar(Fraction(9, 16)) - RAT.one() + RAT.term([1, 2], 1)
-    w2 = binomial_inverse_sqrt(mu2)
-    assert w2 * w2 * (RAT.one() + mu2) == RAT.one()
+    # a rational square body is split off by the caller, as body_reduce
+    # does: 9/16 + z(1,2) = 9/16 (1 + 16/9 z(1,2)), and the answer stays exact
+    d = RAT.scalar(Fraction(9, 16)) + RAT.term([1, 2], 1)
+    w2 = binomial_inverse_sqrt(d.soul() / d.body()).scale(Fraction(4, 3))
+    assert w2 * w2 * d == RAT.one()
 
 
 def test_binomial_gates():
     with pytest.raises(ParityMismatch):
         binomial_inverse_sqrt(RAT.generator(1))
-    with pytest.raises(BodyNotInvertible):
-        binomial_inverse_sqrt(RAT.scalar(-1) + RAT.term([1, 2], 1))
-    # rational non-square bodies cannot be represented exactly
-    with pytest.raises(ConvergenceViolation):
-        binomial_inverse_sqrt(RAT.scalar(1))  # 1 + 1 = 2, irrational root
-    # the strict norm gate fires only for nonzero-body arguments; a pure
-    # soul of any size still terminates exactly
-    over = FLT.scalar(0.5) + FLT.term([1, 2], 0.7)
-    assert float(over.norm()) > 1
-    with pytest.raises(ConvergenceViolation):
-        binomial_inverse_sqrt(over, strict=True)
+    # a nonzero body of any sign or size is the caller's to split off
+    for mu in (RAT.scalar(-1) + RAT.term([1, 2], 1), RAT.scalar(1),
+               RAT.scalar(Fraction(-7, 16)) + RAT.term([1, 2], 1),
+               FLT.scalar(0.5) + FLT.term([1, 2], 0.7)):
+        with pytest.raises(NonZeroBody):
+            binomial_inverse_sqrt(mu)
+    # a pure soul of any size terminates exactly
     big = RAT.term([1, 2], 5)
-    w = binomial_inverse_sqrt(big, strict=True)
+    w = binomial_inverse_sqrt(big)
     assert w * w * (RAT.one() + big) == RAT.one()
 
 
@@ -800,7 +797,7 @@ def test_series_chains_build_fractions_only_for_their_result(monkeypatch):
     sigma = (z.soul() * z.soul()).scale(Fraction(1, 13)) + z.soul() * x
     assert sigma.body() == 0 and sigma.parity() == "even"
     for chain, check in ((lambda: invert(z), lambda w: w * z == 1),
-                         (lambda: algebra._binomial_soul_series(sigma),
+                         (lambda: binomial_inverse_sqrt(sigma),
                           lambda w: w * w * (1 + sigma) == 1)):
         builds.clear()
         w = chain()

@@ -236,7 +236,7 @@ def test_reduced_result_round_trips_via_congruence():
         assert _residual(red.P, G, red.Gamma) == 0
     signs = [r["sign"] for r in red.reducibility]
     assert signs == sorted(signs, reverse=True)
-    assert red.body_reduced
+    assert all(e.soul().is_zero() and abs(e.body()) == 1 for e in red.d)
 
 
 def _full_odd_odd_block(metric, P0, d):

@@ -319,6 +319,30 @@ def test_group_op_pruned_identity_body_exits_3(tmp_path, capsys):
     assert code == 0 and err == "" and json.loads(out)["isometry"] is True
 
 
+def test_group_op_refuses_a_form_that_is_not_body_reduced(tmp_path, capsys):
+    # eta = (1 + z(1,2), 1): h2's member Y, with Y01 = z(3,4) and
+    # Y10 = -eta_0 z(3,4), is conjugated by h1's body rotation into a
+    # non-member, since a body isometry keeps members only for eta = +-1
+    def sn(*terms):
+        return [{"index": list(ix), "coeff": c} for ix, c in terms]
+    shape = {"m": 2, "n": 0}
+    path = _write(tmp_path, "op.json", {
+        "algebra": ALG,
+        "gamma": {"eta": [sn(((), "1"), ((1, 2), "1")), "1"], "n": 0},
+        "h1": {"g_body": [["3/5", "-4/5"], ["4/5", "3/5"]],
+               "n_part": {"shape": shape, "parity": "even",
+                          "entries": [[], [], [], []]}},
+        "h2": {"g_body": [["1", "0"], ["0", "1"]],
+               "n_part": {"shape": shape, "parity": "even", "entries": [
+                   [], sn(((3, 4), "1")),
+                   sn(((3, 4), "-1"), ((1, 2, 3, 4), "-1")), []]}},
+    })
+    code, out, err = _run(capsys, ["group-op", path])
+    assert code == 2 and out == ""
+    blob = json.loads(err)
+    assert blob["kind"] == "NotBodyReduced" and blob["exit_code"] == 2
+
+
 def test_mode_flag_overrides_payload(tmp_path, capsys):
     G = random_metric(make_rng(5), RAT, 1, 0)
     path = _write(tmp_path, "metric.json",

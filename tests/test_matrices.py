@@ -12,6 +12,7 @@ from supermetric.algebra import AlgebraConfig, Supernumber, \
     sum_of_products
 from supermetric.errors import (
     BasisDegenerate,
+    BodyNotInvertible,
     ConfigMismatch,
     NonZeroBody,
     NonZeroBodyOperator,
@@ -33,7 +34,7 @@ from supermetric.matrices import (
     spectrum_gate,
 )
 from supermetric.sampling import basis_for, make_rng, random_member, \
-    random_nil
+    random_metric, random_nil
 
 from hj_family import hJ_matrices
 
@@ -89,7 +90,7 @@ def test_public_constructors_keep_their_checks():
 @pytest.mark.parametrize("cfg", [RAT, FLT], ids=["rational", "float64"])
 def test_trusted_results_have_tuple_rows_of_ascending_entries(cfg):
     M = _sample_even(cfg)
-    N = M.soul_matrix()
+    N = M - SuperMatrix.from_real(cfg, M.body(), M.shape, "even")
     X = random_member(make_rng(3), basis_for(cfg, 1, 0, 2), terms=4,
                       soul_only=True)
     results = [M @ M, M @ N, M + N, M - N, -M, M.scale(3), N, M.scale(0),
@@ -292,6 +293,57 @@ def test_supertranspose_blocks_and_antihomomorphism():
     assert (M @ N).supertranspose() == N.supertranspose() @ M.supertranspose()
     with pytest.raises(ParityMismatch):
         SuperMatrix.zeros(RAT, (1, 1), "odd").supertranspose()
+
+
+def _blockwise_supertranspose(M):
+    """[[A^T, -D^T], [C^T, B^T]] assembled from the four blocks."""
+    m, n = M.shape
+    A, B, C, D = M.block_a(), M.block_b(), M.block_c(), M.block_d()
+    return SuperMatrix.from_blocks(
+        M.config,
+        [[A[j][i] for j in range(m)] for i in range(m)],
+        [[-D[j][i] for j in range(n)] for i in range(m)],
+        [[C[j][i] for j in range(m)] for i in range(n)],
+        [[B[j][i] for j in range(n)] for i in range(n)], "even")
+
+
+@pytest.mark.parametrize("cfg", [RAT, FLT], ids=["rational", "float64"])
+def test_supertranspose_is_the_blockwise_form(cfg):
+    rng = make_rng(6)
+    cases = [_sample_even(cfg), random_metric(rng, cfg, 2, 2),
+             random_metric(rng, cfg, 2, 0), random_metric(rng, cfg, 0, 2),
+             SuperMatrix.from_real(cfg, [[1, 2, 0], [3, 4, 0], [0, 0, 5]],
+                                   (2, 1), "even")]
+    for M in cases:
+        st = M.supertranspose()
+        assert st == _blockwise_supertranspose(M)
+        assert st.parity_class == "even" and st.shape == M.shape
+        assert type(st.rows) is tuple
+        assert all(type(row) is tuple for row in st.rows)
+        # an anti-homomorphism, exactly in rational mode: (M N)^ST equals
+        # N^ST M^ST, here with N = M^ST
+        if cfg.rational:
+            assert (M @ st).supertranspose() == st.supertranspose() @ st
+
+
+@pytest.mark.parametrize("cfg", [RAT, FLT], ids=["rational", "float64"])
+def test_body_inverse_of_real_rows(cfg):
+    def rows(values):
+        return [[cfg.coerce(v) for v in r] for r in values]
+    inv = matrices._body_inverse(rows([[2, 1], [1, 1]]), cfg.rational)
+    if cfg.rational:
+        assert inv == [[1, -1], [-1, 2]]
+    else:
+        assert inv.ravel().tolist() == pytest.approx([1, -1, -1, 2])
+    with pytest.raises(BodyNotInvertible):
+        matrices._body_inverse(rows([[1, 2], [2, 4]]), cfg.rational)
+    # near singular: exact in rational mode, refused by the float64 gate
+    near = rows([[1, 1], [1, 1 + 2 ** -40]])
+    if cfg.rational:
+        assert matrices._body_inverse(near, True)[0][0] == 2 ** 40 + 1
+    else:
+        with pytest.raises(BodyNotInvertible):
+            matrices._body_inverse(near, False)
 
 
 def test_supertranspose_involution_sign():
