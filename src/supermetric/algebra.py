@@ -237,7 +237,7 @@ class Supernumber:
     of every term's, and building it at construction would run before the
     verbs' work budgets can refuse the payload (2048 terms over
     1000-digit denominators take minutes to bring to one denominator,
-    while ``check_canonical_budget`` refuses them at once).
+    while ``check_work_budget`` refuses them at once).
 
     ``_right`` is the right-operand table the kernel reads, ``None`` until
     the value is first a right operand: ``((bits, c, -c, sign_mask), ...)``

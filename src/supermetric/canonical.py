@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .isometry import GammaForm
-from .matrices import SuperMatrix, _body_inverse, _mul_rows
+from .matrices import BlockShape, SuperMatrix, _body_inverse, _mul_rows
 
 
 @dataclass(frozen=True)
@@ -109,29 +109,33 @@ def canonical_term_pairs(m: int, n: int, k: int) -> int:
 CANONICAL_BUDGET = canonical_term_pairs(4, 4, 8)
 
 
-def check_canonical_budget(G: SuperMatrix) -> None:
-    """Refuse a metric past CANONICAL_BUDGET before any work on it; k is
-    the number of generators in the union of all term bitmasks of G.  In
-    rational mode each term pair is charged w^2, w the 64-bit words of the
-    largest numerator or denominator of G, as a product of two such
-    coefficients costs that many word products."""
+def check_work_budget(verb, config, shape, entries, scalars=()) -> None:
+    """Refuse a request past CANONICAL_BUDGET before any work on it, in one
+    pass over its supernumber ``entries`` and real ``scalars``: k is the
+    number of generators in the union of all term bitmasks, and in rational
+    mode each term pair is charged w^2, w the 64-bit words of the largest
+    numerator or denominator, as a product of two such coefficients costs
+    that many word products."""
     used = 0
-    for row in G.rows:
-        for entry in row:
+    big = 0         # its bit length is the largest of the ORed magnitudes
+    if config.rational:
+        for entry in entries:
+            for bits, c in entry.terms.items():
+                used |= bits
+                big |= abs(c.numerator) | c.denominator
+        for c in scalars:
+            big |= abs(c.numerator) | c.denominator
+    else:
+        for entry in entries:
             for bits in entry.terms:
                 used |= bits
-    m, n = G.shape
+    m, n = shape
     k = used.bit_count()
-    words = 1
-    if G.config.rational:
-        big = max((max(abs(c.numerator), c.denominator)
-                   for row in G.rows for entry in row
-                   for c in entry.terms.values()), default=0)
-        words = max(1, -(-big.bit_length() // 64))
+    words = max(1, -(-big.bit_length() // 64))
     pairs = canonical_term_pairs(m, n, k) * words ** 2
     if pairs > CANONICAL_BUDGET:
         raise ValidationError(
-            f"canonicalize at ({m}|{n}) over {k} generators in use, with "
+            f"{verb} at ({m}|{n}) over {k} generators in use, with "
             f"coefficients of up to {words} 64-bit words, needs {pairs} "
             f"word-weighted term pairs, over the budget of "
             f"{CANONICAL_BUDGET} ((4|4) over 8 generators)")
@@ -207,8 +211,10 @@ def orthogonalize_even(metric: SuperMetric):
     cfg = metric.config
     m = metric.m
     if m == 0:
-        return SuperMatrix(cfg, (0, 0), []), []
-    A = SuperMatrix(cfg, (m, 0), metric.matrix.block_a(), "even")
+        return SuperMatrix._trusted(cfg, BlockShape(0, 0), (), "general"), []
+    shape = BlockShape(m, 0)
+    A = SuperMatrix._trusted(
+        cfg, shape, tuple([r[:m] for r in metric.matrix.rows[:m]]), "even")
     P = SuperMatrix.from_real(cfg, _eigh_frame(A, cfg), (m, 0), "even")
     Abar = (P.supertranspose() @ (A @ P)).rows
 
@@ -233,8 +239,8 @@ def orthogonalize_even(metric: SuperMetric):
         ds.append(dk)
         inv_ds.append(invert(dk))
     # assemble P0 = frame @ gram-schmidt columns
-    gs = [[fs[k][i] for k in range(m)] for i in range(m)]
-    return P @ SuperMatrix(cfg, (m, 0), gs, "even"), ds
+    gs = tuple([tuple([fs[k][i] for k in range(m)]) for i in range(m)])
+    return P @ SuperMatrix._trusted(cfg, shape, gs, "even"), ds
 
 
 def odd_complement(metric: SuperMetric, P0, d):
@@ -266,7 +272,7 @@ def odd_complement(metric: SuperMetric, P0, d):
     # is the fold the full product shear^ST @ G1 @ shear makes for it
     odd_rows = _mul_rows(cfg, shear.supertranspose().rows[m:], G1.rows)
     B2 = _mul_rows(cfg, odd_rows, [row[m:] for row in shear.rows])
-    return P1, SuperMatrix(cfg, (n, 0), B2, "even")
+    return P1, SuperMatrix._trusted(cfg, BlockShape(n, 0), B2, "even")
 
 
 def symplectic_reduce(B1, cfg):
@@ -377,12 +383,16 @@ def body_reduce(result: CanonicalizationResult,
         ratios.append(ratio)
     order = sorted(range(m), key=lambda i: (0 if signs[i] > 0 else 1, i))
     # transition: first the diagonal rescale, then the sign-sorting permutation
-    resc = SuperMatrix(cfg, (m, 0), [[lambdas[i] if i == j else z
-                                      for j in range(m)] for i in range(m)],
-                       "even")
-    perm = SuperMatrix(cfg, (m, 0), [[cfg.one() if order[j] == i else z
-                                      for j in range(m)] for i in range(m)],
-                       "even")
+    shape = BlockShape(m, 0)
+    resc = SuperMatrix._trusted(
+        cfg, shape, tuple([tuple([lambdas[i] if i == j else z
+                                  for j in range(m)]) for i in range(m)]),
+        "even")
+    one = cfg.one()
+    perm = SuperMatrix._trusted(
+        cfg, shape, tuple([tuple([one if order[j] == i else z
+                                  for j in range(m)]) for i in range(m)]),
+        "even")
     I_n = SuperMatrix.identity(cfg, (n, 0)).rows
     lift = SuperMatrix.from_blocks(cfg, (resc @ perm).rows, None, None, I_n,
                                    "even")

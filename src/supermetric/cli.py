@@ -17,17 +17,23 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 from .algebra import AlgebraConfig, within_gate
 from .canonical import (
     body_reduce,
     canonical_form,
-    check_canonical_budget,
+    check_work_budget,
     congruence,
     validate_metric,
 )
 from .errors import NumericalGateError, ShapeMismatch, ValidationError
-from .group import embed_isometry, semidirect_multiply
+from .group import (
+    GroupElement,
+    NilElement,
+    embed_isometry,
+    semidirect_multiply,
+)
 from .isometry import check_basis_budget, isometry_residual, lie_basis, \
     lie_membership
 from .serialization import (
@@ -35,8 +41,8 @@ from .serialization import (
     dumps,
     gamma_from_json,
     gamma_text,
-    group_element_from_json,
     group_element_text,
+    group_parts_from_json,
     matrix_from_json,
     matrix_text,
     scalar_to_json,
@@ -131,7 +137,7 @@ def _cmd_canonicalize(args):
     data = payload.get("metric", payload) if isinstance(payload, dict) \
         else payload
     G = matrix_from_json(data, cfg)
-    check_canonical_budget(G)
+    check_work_budget("canonicalize", cfg, G.shape, chain(*G.rows))
     metric = validate_metric(G)
     raw = canonical_form(metric)
     red = body_reduce(raw, strict=args.strict)
@@ -168,6 +174,8 @@ def _cmd_isometry_check(args):
     if N.shape != gamma.shape:
         raise ShapeMismatch(f"N has shape ({N.shape.m}|{N.shape.n}), gamma "
                             f"({gamma.m}|{gamma.n})")
+    check_work_budget("isometry-check", cfg, N.shape,
+                      chain(gamma.eta, *N.rows))
     resid, scale = isometry_residual(N, gamma)
     report = {
         "command": "isometry-check",
@@ -217,8 +225,15 @@ def _cmd_group_op(args):
         if not isinstance(payload, dict) or key not in payload:
             raise ValidationError("payload needs 'gamma', 'h1' and 'h2'")
     gamma = gamma_from_json(payload["gamma"], cfg)
-    h1 = group_element_from_json(payload["h1"], gamma)
-    h2 = group_element_from_json(payload["h2"], gamma)
+    # weighed before the elements are built: checking X's membership is
+    # already a product
+    (body1, X1), (body2, X2) = (group_parts_from_json(payload[key], cfg)
+                                for key in ("h1", "h2"))
+    check_work_budget("group-op", cfg, gamma.shape,
+                      chain(gamma.eta, *X1.rows, *X2.rows),
+                      chain(*body1, *body2))
+    h1 = GroupElement(body1, NilElement(X1, gamma))
+    h2 = GroupElement(body2, NilElement(X2, gamma))
     prod = semidirect_multiply(h1, h2)
     image = embed_isometry(prod)
     hom_resid = (image - embed_isometry(h1) @ embed_isometry(h2)

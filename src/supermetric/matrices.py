@@ -14,11 +14,14 @@ rows those two assemble; results built inside are taken as they are
 
 Products visit nonzero entries only: ``@`` (and ``_mul_rows`` on rectangular
 rows) indexes each operand in one pass, which also checks every entry's
-config, and hands each entry's nonempty pairs, in ascending inner index, to
-one call of the Grassmann kernel, so in float64 each key of an entry is
-summed in inner-index order, then in left-term order, with one relative cut
-at the largest term product; an entry with no such pair, like a sum,
-negation or scaling of empty entries, is one shared zero.
+config and counts the product's term pairs.  Each entry sums the term
+products of its nonempty pairs in ascending inner index, so in float64 each
+key of an entry is summed in inner-index order, then in left-term order,
+then in right-term order, with one relative cut at the largest term
+product.  A float64 product of 1000 term pairs or more forms them all in
+one numpy pass whose bins add in that same order; any other product makes
+one call of the Grassmann kernel per entry.  An entry with no such pair,
+like a sum, negation or scaling of empty entries, is one shared zero.
 
 A matrix over the algebra is invertible exactly when its body is, and the
 body is checked as a real matrix (``_body_inverse``, which metric
@@ -43,11 +46,19 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import GATE, Supernumber, _sign_mask, sum_of_products
+from .algebra import (
+    GATE,
+    GENERATOR_CAP,
+    Supernumber,
+    _ordered,
+    _sign_mask,
+    sum_of_products,
+)
 from .errors import (
     BasisDegenerate,
     BodyNotInvertible,
@@ -300,24 +311,63 @@ class SuperMatrix:
                 f"{self.parity_class})")
 
 
+# A float64 product of at least this many term pairs (the sum over t of the
+# terms in column t of a times those in row t of b) forms all its term
+# products in one numpy pass.  The pass has a fixed cost of about 0.2 ms,
+# so the per-entry kernel is faster below about 500 pairs; timed on the
+# products of three `canonicalize-dense` and `verify-ad` rounds, the pass
+# took 0.78 of the per-entry time at 1000-1200 pairs and 0.37 at 10k-30k.
+# At seed 31, products of 1000 pairs or more hold 97% of the term pairs of
+# `canonicalize-dense` and none of `group-sparse`.
+_BATCH_PAIRS = 1000
+# term pairs per chunk of output rows in one numpy pass, which bounds its
+# arrays: the largest `canonicalize-dense` product at seed 31 (79k pairs)
+# is one chunk, and a dense (4|4) L=8 product at the canonicalize budget
+# limit (8.4M pairs) runs row by row
+_CHUNK_PAIRS = 1 << 18
+
+
 def _mul_rows(config, a, b):
     """The product of a p x q and a q x r list of supernumber rows, from the
     nonzero entries only, as a tuple of tuple rows.
 
-    Each entry is one ``sum_of_products`` over the pairs (a[i][t], b[t][j])
-    with both factors nonempty, in ascending t, so in float64 each key is
-    summed in t order, then in left-term order, and pruned once against
-    the entry's largest term product.  An entry with no such pair is one
-    zero shared by the product, with no kernel call.  Every
-    entry of both operands is checked against ``config`` once, so a foreign
-    one raises ConfigMismatch, empty or not.
+    Each entry sums the term products of the pairs (a[i][t], b[t][j]) with
+    both factors nonempty, in ascending t, so in float64 each key is summed
+    in t order, then in left-term order, then in right-term order, and
+    pruned once against the entry's largest term product.  A float64
+    product of ``_BATCH_PAIRS`` term pairs or more computes them all in one
+    numpy pass (``_products_at_once``), with the same bits; a smaller one,
+    and every rational one, makes one ``sum_of_products`` call per entry.
+    An entry with no such pair is one zero shared by the product, with no
+    kernel call.  Every entry of both operands is checked against
+    ``config`` once (``_operand_index``), so a foreign one raises
+    ConfigMismatch, empty or not.
     """
-    # one pass over each operand checks its entries and indexes its
-    # nonzeros: each row of a as [(t, entry)] and each column of b as
-    # {t: entry}, each with the bitmask of its t; a rational entry says it
-    # is zero without building its Fractions, a float64 one reads its
-    # terms slot
+    a_rows, cols, col_masks, pairs = _operand_index(config, a, b)
+    if pairs >= _BATCH_PAIRS:
+        rows = _products_at_once(config, a_rows, cols, pairs)
+        if rows is not None:
+            return rows
+    zero = config.zero()
+    return tuple([tuple([sum_of_products(config, [(e, col[t]) for t, e in nz
+                                                  if t in col])
+                         if mask & col_mask else zero
+                         for col, col_mask in zip(cols, col_masks)])
+                  for nz, mask in a_rows])
+
+
+def _operand_index(config, a, b):
+    """One pass over each operand of a product of the p x q rows ``a`` and
+    the q x r rows ``b``, which checks every entry against ``config`` and
+    indexes the nonzero ones: each row of a as ([(t, entry)], the bitmask
+    of its t), each column of b as {t: entry} in ascending t with the
+    bitmask of those t, and in float64 the product's term pairs, the sum
+    over t of the terms in column t of a times those in row t of b (0 in
+    rational mode)."""
+    # a rational entry says it is zero without building its Fractions, a
+    # float64 one reads its terms slot and counts them
     rational = config.rational
+    a_terms = [0] * len(b)
     a_rows = []
     for row in a:
         nz = []
@@ -326,28 +376,139 @@ def _mul_rows(config, a, b):
             if e.config is not config and e.config != config:
                 raise ConfigMismatch(
                     "matrix entries use different algebra configs")
-            if (not e.is_zero()) if rational else e.terms:
-                nz.append((t, e))
-                mask |= 1 << t
+            if rational:
+                if e.is_zero():
+                    continue
+            elif e.terms:
+                a_terms[t] += len(e.terms)
+            else:
+                continue
+            nz.append((t, e))
+            mask |= 1 << t
         a_rows.append((nz, mask))
     r = len(b[0]) if b else 0
     cols = [{} for _ in range(r)]
     col_masks = [0] * r
+    pairs = 0
     for t, row in enumerate(b):
         bit = 1 << t
+        b_terms = 0
         for j, f in enumerate(row):
             if f.config is not config and f.config != config:
                 raise ConfigMismatch(
                     "matrix entries use different algebra configs")
-            if (not f.is_zero()) if rational else f.terms:
-                cols[j][t] = f
-                col_masks[j] |= bit
+            if rational:
+                if f.is_zero():
+                    continue
+            elif f.terms:
+                b_terms += len(f.terms)
+            else:
+                continue
+            cols[j][t] = f
+            col_masks[j] |= bit
+        pairs += a_terms[t] * b_terms
+    return a_rows, cols, col_masks, pairs
+
+
+def _products_at_once(config, a_rows, cols, pairs):
+    """The float64 product indexed by ``_operand_index`` as ``a_rows``,
+    ``cols`` and its ``pairs`` term pairs, every term product in one numpy
+    pass, with the bits of the per-entry kernel; None when a term product
+    or a sum is not finite, for the per-entry route to raise its
+    CoefficientOverflow.
+
+    For each t the left terms of column t (by row, then term) meet the
+    right terms of row t (by column, then term) as an outer product; the
+    disjoint pairs, concatenated over ascending t, are summed per (entry,
+    bitmask) by ``np.bincount``, which adds in input order from 0.0, so
+    each key is summed in t, then left-term, then right-term order.  The
+    sign is the right table's rule, popcount(b1 & mask) odd, and each term
+    product is c1 * (-c2 or c2), as in ``sum_of_products``.  A product of
+    more than ``_CHUNK_PAIRS`` term pairs runs in chunks of whole output
+    rows, which leaves every entry's order as it is.
+    """
+    p, r = len(a_rows), len(cols)
+    by_col = {}
+    for i, (nz, _) in enumerate(a_rows):
+        for t, e in nz:
+            by_col.setdefault(t, []).append((i, e.terms))
+    by_row = {}
+    for j, col in enumerate(cols):
+        for t, f in col.items():
+            by_row.setdefault(t, []).append((j, f))
+    # the left and right terms of each t that has both, in ascending t,
+    # and their places
+    l_bits, l_coef, l_row = [], [], []
+    r_bits, r_coef, r_mask, r_col = [], [], [], []
+    spans = []
+    for t in sorted(by_col.keys() & by_row.keys()):
+        l0, r0 = len(l_bits), len(r_bits)
+        for i, terms in by_col[t]:
+            l_bits.extend(terms)
+            l_coef.extend(terms.values())
+            l_row.extend([i] * len(terms))
+        for j, f in by_row[t]:
+            right = f._right or f._right_table()
+            r_bits.extend(f.terms)
+            r_coef.extend(f.terms.values())
+            r_mask.extend([mask for _, _, _, mask in right])
+            r_col.extend([j] * len(right))
+        spans.append((l0, len(l_bits), r0, len(r_bits)))
+    l_bits, l_coef = np.array(l_bits, dtype=np.int64), np.array(l_coef)
+    l_row = np.array(l_row, dtype=np.int64)
+    r_bits, r_coef = np.array(r_bits, dtype=np.int64), np.array(r_coef)
+    r_mask = np.array(r_mask, dtype=np.int64)
+    # a pair's bin is one int64, its entry i * r + j shifted past the
+    # GENERATOR_CAP bits of its bitmask b1 | b2: the sum of its left term's
+    # (i * r, b1) and its right term's (j, b2)
+    l_key = l_row * (r << GENERATOR_CAP) | l_bits
+    r_key = np.array(r_col, dtype=np.int64) << GENERATOR_CAP | r_bits
+    step = max(1, p * _CHUNK_PAIRS // max(pairs, 1))
     zero = config.zero()
-    return tuple([tuple([sum_of_products(config, [(e, col[t]) for t, e in nz
-                                                  if t in col])
-                         if mask & col_mask else zero
-                         for col, col_mask in zip(cols, col_masks)])
-                  for nz, mask in a_rows])
+    out = [[zero] * r for _ in range(p)]
+    # each entry's cut is zero_tolerance times its largest |term product|
+    running = np.zeros(p * r)
+    for i0 in range(0, p, step):
+        # the disjoint pairs of rows i0.. of each t, as flat places in
+        # that t's outer product
+        flats, widths, l_offs, r_offs = [], [], [], []
+        for l0, l1, r0, r1 in spans:
+            if step < p:
+                l0, l1 = l0 + np.searchsorted(l_row[l0:l1], [i0, i0 + step])
+            if l1 > l0:
+                flats.append(np.flatnonzero(
+                    (l_bits[l0:l1, None] & r_bits[r0:r1]) == 0))
+                widths.append(r1 - r0)
+                l_offs.append(l0)
+                r_offs.append(r0)
+        if not flats:
+            continue
+        counts = [len(flat) for flat in flats]
+        li, ri = np.divmod(np.concatenate(flats), np.repeat(widths, counts))
+        li += np.repeat(l_offs, counts)
+        ri += np.repeat(r_offs, counts)
+        c2 = r_coef[ri]
+        odd = np.bitwise_count(l_bits[li] & r_mask[ri]) & 1
+        with np.errstate(over="ignore"):
+            prod = l_coef[li] * np.where(odd, -c2, c2)
+        if not np.isfinite(prod).all():
+            return None
+        packed = l_key[li] + r_key[ri]
+        bins, where = np.unique(packed, return_inverse=True)
+        sums = np.bincount(where, weights=prod)
+        if not np.isfinite(sums).all():
+            return None
+        np.fmax.at(running, packed >> GENERATOR_CAP, np.abs(prod))
+        bin_entry = bins >> GENERATOR_CAP
+        keep = np.abs(sums) > config.zero_tolerance * running[bin_entry]
+        terms = zip((bins[keep] & ((1 << GENERATOR_CAP) - 1)).tolist(),
+                    sums[keep].tolist())
+        sizes = np.bincount(bin_entry[keep], minlength=p * r).tolist()
+        for n, size in enumerate(sizes):
+            if size:
+                out[n // r][n % r] = _ordered(config,
+                                              dict(islice(terms, size)))
+    return tuple([tuple(row) for row in out])
 
 
 # -- real/rational matrix helpers ----------------------------------------------
@@ -680,8 +841,8 @@ def _ad_structure_constants(X, basis, grids):
             for k, c in enumerate(coords or ()):
                 if c != 0:
                     terms[k][j][K] = c
-    rows = [[Supernumber(cfg, t) for t in row] for row in terms]
-    mat = SuperMatrix(cfg, BlockShape(r, 0), rows, "general")
+    rows = tuple([tuple([Supernumber(cfg, t) for t in row]) for row in terms])
+    mat = SuperMatrix._trusted(cfg, BlockShape(r, 0), rows, "general")
     return AdOperator(X, mat)
 
 

@@ -409,9 +409,10 @@ def tags_text(tags, index) -> str:
                            for bits, pos in tags]) + "]"
 
 
-def group_element_from_json(data, gamma: GammaForm):
-    from .group import GroupElement, NilElement
-
+def group_parts_from_json(data, config: AlgebraConfig):
+    """The body rows and the matrix X of a group element, parsed only: a
+    caller weighs them before `GroupElement` and `NilElement` check them,
+    since the membership check of X is itself a product."""
     if not isinstance(data, dict) or "g_body" not in data \
             or "n_part" not in data:
         raise ValidationError("group element needs 'g_body' and 'n_part'")
@@ -419,7 +420,14 @@ def group_element_from_json(data, gamma: GammaForm):
     if not isinstance(body, list) or any(not isinstance(r, list)
                                          for r in body):
         raise ValidationError("'g_body' must be a matrix of numbers")
-    cfg = gamma.config
-    rows = [[scalar_from_json(v, cfg) for v in r] for r in body]
-    X = matrix_from_json(data["n_part"], cfg)
-    return GroupElement(tuple(map(tuple, rows)), NilElement(X, gamma))
+    rows = tuple([tuple([scalar_from_json(v, config) for v in r])
+                  for r in body])
+    return rows, matrix_from_json(data["n_part"], config)
+
+
+def group_element_from_json(data, gamma: GammaForm):
+    """A group element from its wire form, parsed and checked in one call."""
+    from .group import GroupElement, NilElement
+
+    rows, X = group_parts_from_json(data, gamma.config)
+    return GroupElement(rows, NilElement(X, gamma))

@@ -218,10 +218,9 @@ def _section_isometry(rng, basis, cases):
             failures.append(f"case {t}: formulations disagree (member)")
         # corrupt one diagonal entry; eta-skewness forces a zero diagonal,
         # so a body bump on it must break membership
-        bump = SuperMatrix.zeros(cfg, gamma.shape, "even")
-        rows = [list(r) for r in bump.rows]
-        rows[0][0] = cfg.one()
-        bad = ell + SuperMatrix(cfg, gamma.shape, rows, "even")
+        rows = SuperMatrix.zeros(cfg, gamma.shape, "even").rows
+        bump = ((cfg.one(),) + rows[0][1:],) + rows[1:]
+        bad = ell + SuperMatrix._trusted(cfg, gamma.shape, bump, "even")
         rep = lie_membership(bad, gamma)
         if rep["member"]:
             failures.append(f"case {t}: corrupted member accepted")

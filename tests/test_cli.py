@@ -3,12 +3,13 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from supermetric.algebra import AlgebraConfig
 from supermetric.canonical import CANONICAL_BUDGET, canonical_term_pairs, \
-    check_canonical_budget
+    check_work_budget
 from supermetric.cli import main
 from supermetric.errors import ValidationError
 from supermetric.group import embed_isometry
@@ -566,7 +567,8 @@ def test_canonicalize_budget_refuses_before_any_work(tmp_path, capsys,
         assert canonical_term_pairs(m, n, k) > CANONICAL_BUDGET
     for m, n, L, seed in ((2, 2, 6, 3), (2, 2, 8, 4), (3, 4, 8, 5)):
         cfg = AlgebraConfig(generator_count=L, coefficient_mode="rational")
-        check_canonical_budget(random_metric(make_rng(seed), cfg, m, n))
+        G = random_metric(make_rng(seed), cfg, m, n)
+        check_work_budget("canonicalize", cfg, G.shape, chain(*G.rows))
 
 
 def test_canonicalize_budget_charges_rational_coefficient_words(
@@ -600,6 +602,86 @@ def test_canonicalize_budget_charges_rational_coefficient_words(
         blob = json.loads(err)
         assert blob["kind"] == "ValidationError"
         assert "2 64-bit words" in blob["error"]
+
+
+def _term(indices, coeff):
+    return {"index": list(indices), "coeff": coeff}
+
+
+def _refused(capsys, argv, words):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    blob = json.loads(err)
+    assert blob["kind"] == "ValidationError"
+    assert f"{words} 64-bit words" in blob["error"]
+    assert "budget" in blob["error"]
+
+
+def test_isometry_check_budget_refuses_before_any_work(tmp_path, capsys,
+                                                       monkeypatch):
+    # the canonicalize figure: (4|4) with 8 generators in use is the bound
+    # and 9 are refused; (1|0) over 12 generators charges half of it, so a
+    # rational coefficient of two 64-bit words is refused; no product runs
+    def reached(*args, **kwargs):
+        raise _Reached
+    monkeypatch.setattr("supermetric.cli.isometry_residual", reached)
+    monkeypatch.setattr("supermetric.cli.lie_membership", reached)
+
+    def payload(L, m, n, entries, mode="float64"):
+        return _write(tmp_path, "iso.json", {
+            "algebra": {"generator_count": L, "coefficient_mode": mode},
+            "gamma": {"eta": [1] * m, "n": n},
+            "N": {"shape": {"m": m, "n": n}, "parity": "even",
+                  "entries": entries}})
+
+    def spread(k):
+        # the identity plus z(i) z(i + 1) on the diagonal: k generators
+        return [[_term([], 1), _term([i % (k - 1) + 1, i % (k - 1) + 2], 1)]
+                if i == j else [] for i in range(8) for j in range(8)]
+
+    with pytest.raises(_Reached):
+        main(["isometry-check", payload(9, 4, 4, spread(8))])
+    _refused(capsys, ["isometry-check", payload(9, 4, 4, spread(9))], 1)
+    soul = [_term([i, 12], 1) for i in range(1, 12)]
+    for body in (f"1/{2 ** 64 - 1}", str(-(2 ** 64 - 1))):
+        with pytest.raises(_Reached):
+            main(["isometry-check",
+                  payload(12, 1, 0, [[_term([], body)] + soul], "rational")])
+    for body in (f"1/{2 ** 64}", str(2 ** 64)):
+        _refused(capsys, ["isometry-check", payload(
+            12, 1, 0, [[_term([], body)] + soul], "rational")], 2)
+
+
+def test_group_op_budget_charges_the_body_digits(tmp_path, capsys,
+                                                 monkeypatch):
+    # (2|0) with 11 generators in use is the bound at one word; a body
+    # rotation of two-word rationals quadruples the charge, and a twelfth
+    # generator in X doubles it, and either is refused before the elements
+    # are built, whose membership check is a product
+    def reached(*args, **kwargs):
+        raise _Reached
+    monkeypatch.setattr("supermetric.group.violated_conditions", reached)
+    monkeypatch.setattr("supermetric.cli.semidirect_multiply", reached)
+    souls = [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [10, 11]]
+
+    def payload(p, q, souls=souls, L=11):
+        # the rotation by the Pythagorean triple of p, q
+        d = p * p + q * q
+        c, s = f"{p * p - q * q}/{d}", f"{2 * p * q}/{d}"
+        X = {"shape": {"m": 2, "n": 0}, "parity": "even", "entries": [
+            [], [_term(s, 1) for s in souls],
+            [_term(s, -1) for s in souls], []]}
+        h = {"g_body": [[c, f"-{s}"], [s, c]], "n_part": X}
+        return _write(tmp_path, "op.json", {
+            "algebra": {"generator_count": L, "coefficient_mode": "rational"},
+            "gamma": {"eta": [1, 1], "n": 0}, "h1": h, "h2": h})
+
+    assert canonical_term_pairs(2, 0, 11) == CANONICAL_BUDGET
+    with pytest.raises(_Reached):
+        main(["group-op", payload(3, 2)])
+    _refused(capsys, ["group-op", payload(2 ** 32, 1)], 2)
+    _refused(capsys, ["group-op",
+                      payload(3, 2, souls + [[11, 12]], L=12)], 1)
 
 
 def test_verify_config_file_sets_shape(tmp_path, capsys):

@@ -13,6 +13,7 @@ from supermetric.algebra import AlgebraConfig, Supernumber, \
 from supermetric.errors import (
     BasisDegenerate,
     BodyNotInvertible,
+    CoefficientOverflow,
     ConfigMismatch,
     NonZeroBody,
     NonZeroBodyOperator,
@@ -273,6 +274,176 @@ def test_products_call_the_kernel_only_where_a_pair_is_nonzero(monkeypatch):
             assert out.rows[1][0] is out.rows[1][2] and out.rows[1][0] == z
             assert out.rows[0][0] == g1 and out.rows[2][0] in (one + g1,
                                                                one - g1)
+
+
+def _dense_rows(rng, cfg, m, n, terms, rows=None, cols=None):
+    """Rows ``rows`` x columns ``cols`` of a seeded even-class (m|n) matrix
+    over cfg's generators: each entry holds ``terms`` random bitmasks of its
+    block's parity, with coefficients of mixed sign and size, so that keys
+    meet many times and some sums cancel near the cut."""
+    L = cfg.generator_count
+    by_parity = [[bits for bits in range(1 << L) if bits.bit_count() % 2 == p]
+                 for p in (0, 1)]
+    k = m + n
+    out = []
+    for i in (range(k) if rows is None else rows):
+        row = []
+        for j in (range(k) if cols is None else cols):
+            pool = by_parity[(i < m) != (j < m)]
+            picked = rng.choice(len(pool), size=min(terms, len(pool)),
+                                replace=False)
+            row.append(Supernumber(cfg, {
+                pool[int(s)]: float(rng.normal()) * 10.0 ** int(
+                    rng.integers(-3, 4)) for s in picked}))
+        out.append(row)
+    return out
+
+
+def _per_entry(cfg, a, b):
+    """Each entry as the per-entry route computes it: one sum_of_products
+    over the nonempty pairs in ascending t."""
+    return [[sum_of_products(cfg, [(a[i][t], b[t][j]) for t in range(len(b))
+                                   if a[i][t].terms and b[t][j].terms])
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _hex_terms(rows):
+    """Every entry as its (key, float.hex) list, in the entry's key order."""
+    return [[[(key, c.hex()) for key, c in e.terms.items()] for e in row]
+            for row in rows]
+
+
+def _pairs(a, b):
+    return sum(sum(len(row[t].terms) for row in a)
+               * sum(len(f.terms) for f in b[t]) for t in range(len(b)))
+
+
+def _at_once(cfg, a, b):
+    """The batched route on the index that _mul_rows builds."""
+    a_rows, cols, _, pairs = matrices._operand_index(cfg, a, b)
+    assert pairs == _pairs(a, b)
+    return matrices._products_at_once(cfg, a_rows, cols, pairs)
+
+
+@pytest.mark.parametrize("m, n, terms", [(3, 4, 24), (4, 4, 16)])
+def test_products_at_once_match_the_per_entry_kernel_bit_for_bit(m, n, terms):
+    # dense L=8 products, square and in the rectangular forms that
+    # canonical.odd_complement makes (n x k by k x k, n x k by k x n)
+    k = m + n
+    for tol in (None, 1e-3):
+        cfg = AlgebraConfig(generator_count=8, coefficient_mode="float64",
+                            zero_tolerance=tol)
+        rng = make_rng(25 + m)
+        a, b = _dense_rows(rng, cfg, m, n, terms), \
+            _dense_rows(rng, cfg, m, n, terms)
+        low = _dense_rows(rng, cfg, m, n, terms, rows=range(m, k))
+        right = _dense_rows(rng, cfg, m, n, terms, cols=range(m, k))
+        for x, y in ((a, b), (low, b), (low, right)):
+            assert _pairs(x, y) >= matrices._BATCH_PAIRS
+            want = _hex_terms(_per_entry(cfg, x, y))
+            assert _hex_terms(_at_once(cfg, x, y)) == want
+            assert _hex_terms(_mul_rows(cfg, x, y)) == want
+        prod = SuperMatrix(cfg, (m, n), a, "even") @ \
+            SuperMatrix(cfg, (m, n), b, "even")
+        assert _hex_terms(prod.rows) == _hex_terms(_per_entry(cfg, a, b))
+
+
+def test_products_at_once_bound_their_arrays_at_the_budget_limit():
+    # a dense (4|4) L=8 product, every entry full (128 terms), is the
+    # canonicalize budget limit: 8.4M term pairs, which run row by row;
+    # in one unchunked pass they raised the peak RSS by about 87 MiB
+    cfg = AlgebraConfig(generator_count=8, coefficient_mode="float64")
+    a, b = (_dense_rows(make_rng(seed), cfg, 4, 4, 128) for seed in (1, 2))
+    assert _pairs(a, b) > 8 * matrices._CHUNK_PAIRS
+    tracemalloc.start()
+    try:
+        out = _at_once(cfg, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert _hex_terms(out) == _hex_terms(_per_entry(cfg, a, b))
+
+
+def _padded(cfg, x, y):
+    """The 2 x 1 by 1 x 2 product of [x, pad] and [y, pad]: entry (0, 0)
+    is x * y, and the 60-term pads lift it past the batch threshold."""
+    pad = Supernumber(cfg, {bits: 1.0 + bits / 256 for bits in range(4, 64)})
+    return [[x], [pad], [cfg.zero()]], [[y, pad]]
+
+
+def test_products_at_once_cut_and_empty_entries():
+    cfg = AlgebraConfig(generator_count=8, coefficient_mode="float64",
+                        zero_tolerance=0.5)
+    z1, z2 = 1, 2
+    # x * y: key z2 is 8, key z1z2 is -6 + 12, which cancels to exactly
+    # the cut 0.5 * 12 and is dropped
+    x = Supernumber(cfg, {0: 1.0, z1: 1.5})
+    y = Supernumber(cfg, {z2: 8.0, z1 | z2: -6.0})
+    a, b = _padded(cfg, x, y)
+    out = _at_once(cfg, a, b)
+    assert out[0][0].terms == {z2: 8.0}
+    assert _hex_terms(out) == _hex_terms(_per_entry(cfg, a, b))
+    # z1 * z1 has no disjoint pair: the entry is the product's shared zero,
+    # as the empty third row's entries are
+    a, b = _padded(cfg, Supernumber(cfg, {z1: 1.0}),
+                   Supernumber(cfg, {z1: 2.0}))
+    out = _at_once(cfg, a, b)
+    assert out[0][0].is_zero() and out[0][0] is out[2][0] is out[2][1]
+    assert _hex_terms(out) == _hex_terms(_per_entry(cfg, a, b))
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ({0: 1e200, 1: 1.0}, {2: 1e200}, "term product overflowed"),
+    # z1 * z2 and 1 * z1z2 are finite, and their sum is not
+    ({0: 1e308, 1: 1e308}, {2: 1.0, 3: 1.0}, "sum overflowed"),
+])
+def test_products_at_once_leave_an_overflow_to_the_per_entry_route(
+        x, y, message):
+    cfg = AlgebraConfig(generator_count=8, coefficient_mode="float64")
+    a, b = _padded(cfg, Supernumber(cfg, x), Supernumber(cfg, y))
+    assert _pairs(a, b) >= matrices._BATCH_PAIRS
+    assert _at_once(cfg, a, b) is None
+    with pytest.raises(CoefficientOverflow, match=message) as per_entry:
+        _per_entry(cfg, a, b)
+    with pytest.raises(CoefficientOverflow) as product:
+        _mul_rows(cfg, a, b)
+    assert str(product.value) == str(per_entry.value)
+
+
+def test_products_pick_their_route_by_term_pairs(monkeypatch):
+    cfg = AlgebraConfig(generator_count=12, coefficient_mode="float64")
+    routed = []
+
+    def recording(config, a_rows, cols, pairs):
+        routed.append(pairs)
+        return batched(config, a_rows, cols, pairs)
+
+    batched = matrices._products_at_once
+    monkeypatch.setattr(matrices, "_products_at_once", recording)
+    limit = matrices._BATCH_PAIRS
+    for left, right in ((40, 25), (37, 27)):     # 1000 and 999 pairs
+        x = Supernumber(cfg, {bits: 1.0 for bits in range(left)})
+        y = Supernumber(cfg, {bits << 6: 2.0 for bits in range(right)})
+        assert len(x.terms) * len(y.terms) in (limit, limit - 1)
+        out = _mul_rows(cfg, [[x]], [[y]])
+        assert _hex_terms(out) == _hex_terms(_per_entry(cfg, [[x]], [[y]]))
+    assert routed == [limit]
+    # a rational product of any size makes per-entry kernel calls
+    rat = AlgebraConfig(generator_count=12, coefficient_mode="rational")
+    x = Supernumber(rat, {bits: Fraction(1) for bits in range(40)})
+    _mul_rows(rat, [[x]], [[x]])
+    assert routed == [limit]
+    # a foreign entry, empty or not, is refused before any route runs
+    other = AlgebraConfig(generator_count=13, coefficient_mode="float64")
+    a, b = _padded(cfg, cfg.generator(1), cfg.generator(2))
+    for foreign in (other.zero(), other.generator(13)):
+        for rows in (a, b):
+            saved, rows[-1][0] = rows[-1][0], foreign
+            with pytest.raises(ConfigMismatch):
+                _mul_rows(cfg, a, b)
+            rows[-1][0] = saved
+    assert routed == [limit]
 
 
 def test_wrongly_placed_entries_fail_parity_check():

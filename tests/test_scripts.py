@@ -51,6 +51,18 @@ def test_report_digests_on_group_sparse():
                             ("all:rational", "88"))]
 
 
+def test_report_digests_on_canonicalize_dense():
+    # the workload whose large float64 products run in one numpy pass: its
+    # three lines are the saved seed-31 lines, in both modes
+    proc = _run("report_digests.py", "--seed", "31",
+                "--workload", "canonicalize-dense")
+    assert proc.returncode == 0, proc.stderr
+    saved = (ROOT / "scripts" / "digests" / "seed-31.txt").read_text()
+    assert proc.stdout.splitlines()[:3] == [
+        line for line in saved.splitlines()
+        if line.split()[0].split(":")[0] == "canonicalize-dense"]
+
+
 def _load_script(name, monkeypatch):
     """The script as a module; what its first lines set in this process's
     environment and module path is put back after the test."""
