@@ -25,10 +25,13 @@ into a single dict.  The sign of z(I) z(J) for disjoint I, J is the parity
 of popcount(I & mask(J)), where mask(J) marks the generator positions with
 an odd number of J's indices below them (the idea of a per-blade sign table,
 as in the precomputed multiplication tables of pygae/clifford,
-https://github.com/pygae/clifford).  The first time a value is the right
-operand of a product it builds its right-operand table, each term with its
-sign mask (in float64 also with its negated coefficient), and keeps it, so
-a k x k matrix product, which uses each right entry k times, builds it once.
+https://github.com/pygae/clifford); ``_sign_mask`` forms it from J's bits by
+five shifts, on one bitmask here and on an array of them in the batched
+float64 matrix product of ``matrices``, one rule for both.  The first time a
+value is the right operand of a kernel call it builds its right-operand
+table, each term with its sign mask (in float64 also with its negated
+coefficient), and keeps it, so a k x k matrix product made entry by entry,
+which uses each right entry k times, builds it once.
 Exactness rule: a rational value is an integer form, one common denominator
 D and an integer numerator per term, every coefficient N / D with D the lcm
 of the coefficients' denominators.  The kernel adds every term product as an
@@ -203,16 +206,20 @@ def _bits_to_indices(bits):
     return tuple(out)
 
 
-def _sign_mask(bits: int) -> int:
+def _sign_mask(bits):
     """Mask of the positions with an odd number of set bits of ``bits``
     below them, so that z(I) z(J) = (-1)^popcount(I & mask(J)) z(I | J) for
-    disjoint I, J.  Negative when the popcount of ``bits`` is odd, which
-    leaves ``I & mask`` a non-negative finite int."""
-    mask = 0
-    while bits:
-        low = bits & -bits
-        mask ^= -(low << 1)
-        bits ^= low
+    disjoint I, J.  A prefix XOR of ``bits << 1`` by five doubling shifts,
+    exact at the positions below 32, which cover GENERATOR_CAP; the mask is
+    non-negative, and below 2^57 for ``bits`` below 2^GENERATOR_CAP, so the
+    same shifts take the masks of an int64 array of bitmasks at once (the
+    batched product of ``matrices``)."""
+    mask = bits << 1
+    mask ^= mask << 1
+    mask ^= mask << 2
+    mask ^= mask << 4
+    mask ^= mask << 8
+    mask ^= mask << 16
     return mask
 
 
@@ -240,7 +247,8 @@ class Supernumber:
     while ``check_work_budget`` refuses them at once).
 
     ``_right`` is the right-operand table the kernel reads, ``None`` until
-    the value is first a right operand: ``((bits, c, -c, sign_mask), ...)``
+    the value is first a right operand of ``sum_of_products`` (the batched
+    matrix product reads none): ``((bits, c, -c, sign_mask), ...)``
     in float64, ``((bits, N, sign_mask), ...)`` over the integer form in
     rational mode.
     """

@@ -13,6 +13,12 @@ congruence stages, each an even transition N acting as G -> N^ST G N:
 3. symplectic_reduce: greedy pairing of the skew odd-odd block into exact
    2x2 blocks [[0, 1], [-1, 0]], interleaved adjacently.
 
+Stages 1 and 3 are built from bilinear forms x^T M y and frame updates.  A
+form takes the covector x^T M once, as a one-row product, and pairs it with
+each y in one kernel call; an update x + sum c v is one kernel call per
+coordinate.  Each is one accumulator and one prune, so in float64 its bits
+are those of that fold, and rational results are the exact values.
+
 body_reduce then rescales each diagonal entry d to +-1 when the soul is
 dominated by the body (ratio ||s(d)|| / |body(d)| < 1; always possible at
 finite truncation, gated in strict mode), sorting +1 entries first.
@@ -31,6 +37,7 @@ from .algebra import (
     Supernumber,
     binomial_inverse_sqrt,
     invert,
+    sum_of_products,
     within_gate,
     _rational_sqrt,
 )
@@ -84,17 +91,26 @@ def _entries_equal(x: Supernumber, y: Supernumber, tol_scale) -> bool:
                               and within_gate(diff.norm(), tol_scale))
 
 
-def _bilinear(cfg, rows, x, y):
-    """x^T M y for coordinate columns x, y (lists of supernumbers) and the
-    rows of M, folded term by term with the operators from zero."""
-    acc = cfg.zero()
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y):
-            if not yj.is_zero():
-                acc = acc + xi * rows[i][j] * yj
-    return acc
+def _covector(cfg, x, rows):
+    """x^T M for a coordinate column x (a list of supernumbers) and the rows
+    of M, as a one-row product: each entry one sum over i of x_i M_ij."""
+    return _mul_rows(cfg, (x,), rows)[0]
+
+
+def _bilinear(cfg, covector, y):
+    """x^T M y from the covector x^T M: the sum over j of covector_j y_j in
+    one kernel call, one accumulator and one prune.  A stage forms each
+    covector once and pairs it with every y it needs."""
+    return sum_of_products(cfg, zip(covector, y))
+
+
+def _shifted(cfg, x, steps):
+    """x + sum c v over the (c, v) of ``steps``, scalar c and column v,
+    coordinate by coordinate, each in one kernel call over the pairs
+    (1, x_i), (c, v_i), ...: one accumulator and one prune."""
+    one = cfg.one()
+    return [sum_of_products(cfg, [(one, xi)] + [(c, v[i]) for c, v in steps])
+            for i, xi in enumerate(x)]
 
 
 def canonical_term_pairs(m: int, n: int, k: int) -> int:
@@ -218,18 +234,18 @@ def orthogonalize_even(metric: SuperMetric):
     P = SuperMatrix.from_real(cfg, _eigh_frame(A, cfg), (m, 0), "even")
     Abar = (P.supertranspose() @ (A @ P)).rows
 
-    cols = [[cfg.one() if i == k else cfg.zero() for i in range(m)]
-            for k in range(m)]
     fs = []
     ds = []
     inv_ds = []
     for k in range(m):
-        f = cols[k]
-        for l in range(len(fs)):
-            coeff = _bilinear(cfg, Abar, cols[k], fs[l]) * inv_ds[l]
-            if not coeff.is_zero():
-                f = [fi - coeff * gl for fi, gl in zip(f, fs[l])]
-        dk = _bilinear(cfg, Abar, f, f)
+        # f_k = e_k - sum_l (e_k^T Abar f_l / d_l) f_l: each coefficient
+        # reads e_k, whose covector is row k of Abar, not the partly updated
+        # column, so the whole update is one step
+        f = _shifted(cfg, [cfg.one() if i == k else cfg.zero()
+                           for i in range(m)],
+                     [(-(_bilinear(cfg, Abar[k], g) * inv_d), g)
+                      for g, inv_d in zip(fs, inv_ds)])
+        dk = _bilinear(cfg, _covector(cfg, f, Abar), f)
         body = dk.body()
         if body == 0 or (not cfg.rational
                          and within_gate(abs(body), dk.norm())):
@@ -290,7 +306,8 @@ def symplectic_reduce(B1, cfg):
     pairs = []
     while remaining:
         u = remaining.pop(0)
-        pairings = [_bilinear(cfg, B1, u, w) for w in remaining]
+        u_cov = _covector(cfg, u, B1)
+        pairings = [_bilinear(cfg, u_cov, w) for w in remaining]
         scores = [abs(float(p.body())) for p in pairings]
         floor = 0.0 if cfg.rational else GATE * bscale
         if not scores or max(scores) <= floor:
@@ -301,10 +318,10 @@ def symplectic_reduce(B1, cfg):
         zinv = invert(pairings[best])
         w = [zinv * wi for wi in w]                  # now u^T B1 w = 1
         for idx, x in enumerate(remaining):
-            cu = _bilinear(cfg, B1, x, w)
-            cw = _bilinear(cfg, B1, x, u)
-            remaining[idx] = [xi - cu * ui + cw * wi
-                              for xi, ui, wi in zip(x, u, w)]
+            x_cov = _covector(cfg, x, B1)
+            cu = _bilinear(cfg, x_cov, w)
+            cw = _bilinear(cfg, x_cov, u)
+            remaining[idx] = _shifted(cfg, x, ((-cu, u), (cw, w)))
         pairs.append((u, w))
     cols = []
     for u, w in pairs:

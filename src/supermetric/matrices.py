@@ -422,7 +422,9 @@ def _products_at_once(config, a_rows, cols, pairs):
     disjoint pairs, concatenated over ascending t, are summed per (entry,
     bitmask) by ``np.bincount``, which adds in input order from 0.0, so
     each key is summed in t, then left-term, then right-term order.  The
-    sign is the right table's rule, popcount(b1 & mask) odd, and each term
+    sign is the kernel's rule, popcount(b1 & mask) odd, with every right
+    term's mask taken from its bitmask in the same pass (``_sign_mask`` on
+    the array), so no right-operand table is built or read; each term
     product is c1 * (-c2 or c2), as in ``sum_of_products``.  A product of
     more than ``_CHUNK_PAIRS`` term pairs runs in chunks of whole output
     rows, which leaves every entry's order as it is.
@@ -435,11 +437,11 @@ def _products_at_once(config, a_rows, cols, pairs):
     by_row = {}
     for j, col in enumerate(cols):
         for t, f in col.items():
-            by_row.setdefault(t, []).append((j, f))
+            by_row.setdefault(t, []).append((j, f.terms))
     # the left and right terms of each t that has both, in ascending t,
     # and their places
     l_bits, l_coef, l_row = [], [], []
-    r_bits, r_coef, r_mask, r_col = [], [], [], []
+    r_bits, r_coef, r_col = [], [], []
     spans = []
     for t in sorted(by_col.keys() & by_row.keys()):
         l0, r0 = len(l_bits), len(r_bits)
@@ -447,17 +449,15 @@ def _products_at_once(config, a_rows, cols, pairs):
             l_bits.extend(terms)
             l_coef.extend(terms.values())
             l_row.extend([i] * len(terms))
-        for j, f in by_row[t]:
-            right = f._right or f._right_table()
-            r_bits.extend(f.terms)
-            r_coef.extend(f.terms.values())
-            r_mask.extend([mask for _, _, _, mask in right])
-            r_col.extend([j] * len(right))
+        for j, terms in by_row[t]:
+            r_bits.extend(terms)
+            r_coef.extend(terms.values())
+            r_col.extend([j] * len(terms))
         spans.append((l0, len(l_bits), r0, len(r_bits)))
     l_bits, l_coef = np.array(l_bits, dtype=np.int64), np.array(l_coef)
     l_row = np.array(l_row, dtype=np.int64)
     r_bits, r_coef = np.array(r_bits, dtype=np.int64), np.array(r_coef)
-    r_mask = np.array(r_mask, dtype=np.int64)
+    r_mask = _sign_mask(r_bits)
     # a pair's bin is one int64, its entry i * r + j shifted past the
     # GENERATOR_CAP bits of its bitmask b1 | b2: the sum of its left term's
     # (i * r, b1) and its right term's (j, b2)

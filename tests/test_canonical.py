@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from supermetric import canonical
-from supermetric.algebra import AlgebraConfig, invert
+from supermetric.algebra import AlgebraConfig, invert, sum_of_products
 from supermetric.canonical import (
     CanonicalizationResult,
     body_reduce,
@@ -287,3 +287,158 @@ def test_symplectic_reduce_inverts_each_pairing_once(monkeypatch, cfg):
     for a in range(4):
         for b in range(4):
             assert canonical._entries_equal(out.rows[a][b], J[a][b], 1.0)
+
+
+# -- bilinear forms and frame updates against references ---------------------
+
+def _bilinear_fold(cfg, rows, x, y):
+    """x^T M y folded term by term with the operators from zero, two
+    products and one sum per (i, j): the exact reference."""
+    acc = cfg.zero()
+    for i, xi in enumerate(x):
+        if xi.is_zero():
+            continue
+        for j, yj in enumerate(y):
+            if not yj.is_zero():
+                acc = acc + xi * rows[i][j] * yj
+    return acc
+
+
+def _update_fold(cfg, x, steps):
+    """x + sum c v by the operators, one step and one coordinate at a time."""
+    for c, v in steps:
+        x = [xi + c * vi for xi, vi in zip(x, v)]
+    return x
+
+
+def _covector_per_entry(cfg, x, rows):
+    """x^T M, each entry one kernel call over ascending i."""
+    return [sum_of_products(cfg, [(xi, row[j]) for xi, row in zip(x, rows)])
+            for j in range(len(rows[0]))]
+
+
+def _bilinear_by_covector(cfg, rows, x, y):
+    """x^T M y as the covector x^T M, then one kernel call over j."""
+    return sum_of_products(cfg, zip(_covector_per_entry(cfg, x, rows), y))
+
+
+def _update_in_one_call(cfg, x, steps):
+    """x + sum c v, each coordinate one kernel call over (1, x_i), (c, v_i)."""
+    one = cfg.one()
+    return [sum_of_products(cfg, [(one, xi)] + [(c, v[i]) for c, v in steps])
+            for i, xi in enumerate(x)]
+
+
+def _units(cfg, size):
+    return [[cfg.one() if i == k else cfg.zero() for i in range(size)]
+            for k in range(size)]
+
+
+def _orthogonalize_reference(metric, form, update):
+    """(P0, d) of orthogonalize_even, each form and frame update taken by
+    ``form`` and ``update``."""
+    cfg, m = metric.config, metric.m
+    A = SuperMatrix(cfg, (m, 0), [r[:m] for r in metric.matrix.rows[:m]],
+                    "even")
+    P = SuperMatrix.from_real(cfg, canonical._eigh_frame(A, cfg), (m, 0),
+                              "even")
+    Abar = (P.supertranspose() @ (A @ P)).rows
+    fs, ds = [], []
+    for e_k in _units(cfg, m):
+        f = update(cfg, e_k, [(-(form(cfg, Abar, e_k, g) * invert(d)), g)
+                              for g, d in zip(fs, ds)])
+        fs.append(f)
+        ds.append(form(cfg, Abar, f, f))
+    gs = [[fs[k][i] for k in range(m)] for i in range(m)]
+    return P @ SuperMatrix(cfg, (m, 0), gs, "even"), ds
+
+
+def _symplectic_reference(B1, cfg, form, update):
+    """symplectic_reduce's Q, each form and frame update taken by ``form``
+    and ``update``."""
+    n = len(B1)
+    remaining = _units(cfg, n)
+    cols = []
+    while remaining:
+        u = remaining.pop(0)
+        pairings = [form(cfg, B1, u, w) for w in remaining]
+        scores = [abs(float(p.body())) for p in pairings]
+        best = scores.index(max(scores))
+        w = remaining.pop(best)
+        zinv = invert(pairings[best])
+        w = [zinv * wi for wi in w]
+        remaining = [update(cfg, x, [(-form(cfg, B1, x, w), u),
+                                     (form(cfg, B1, x, u), w)])
+                     for x in remaining]
+        cols += [u, w]
+    return [[cols[k][i] for k in range(n)] for i in range(n)]
+
+
+def _stages(metric):
+    """(P0, d) and Q of the pipeline's first and third stages, and the
+    odd-odd block rows that the third stage reduces."""
+    P0, d = orthogonalize_even(metric)
+    _, B2 = odd_complement(metric, P0, d)
+    return P0, d, symplectic_reduce(B2.rows, metric.config), B2.rows
+
+
+def _hex(entries):
+    return [[(b, c.hex()) for b, c in e.terms.items()] for e in entries]
+
+
+@pytest.mark.parametrize("m, n, L", [(3, 4, 8), (2, 6, 6)])
+def test_forms_and_frames_are_the_exact_fold_in_rational(m, n, L):
+    cfg = AlgebraConfig(generator_count=L, coefficient_mode="rational")
+    for seed in (1, 2):
+        metric = validate_metric(random_metric(make_rng(seed), cfg, m, n))
+        P0, d, Q, B2 = _stages(metric)
+        ref_P0, ref_d = _orthogonalize_reference(metric, _bilinear_fold,
+                                                 _update_fold)
+        assert P0 == ref_P0 and d == ref_d
+        assert Q == _symplectic_reference(B2, cfg, _bilinear_fold,
+                                          _update_fold)
+
+
+@pytest.mark.parametrize("m, n, L", [(3, 4, 8), (2, 6, 6)])
+def test_forms_and_frames_are_one_kernel_call_each_in_float64(m, n, L):
+    # a covector, then one kernel call per form; one call per coordinate
+    # per frame update: the same bits, key order included
+    cfg = AlgebraConfig(generator_count=L, coefficient_mode="float64")
+    for seed in (1, 2):
+        metric = validate_metric(random_metric(make_rng(seed), cfg, m, n))
+        P0, d, Q, B2 = _stages(metric)
+        ref_P0, ref_d = _orthogonalize_reference(
+            metric, _bilinear_by_covector, _update_in_one_call)
+        assert _hex(d) == _hex(ref_d)
+        assert [_hex(r) for r in P0.rows] == [_hex(r) for r in ref_P0.rows]
+        ref_Q = _symplectic_reference(B2, cfg, _bilinear_by_covector,
+                                      _update_in_one_call)
+        assert [_hex(r) for r in Q] == [_hex(r) for r in ref_Q]
+        # dense x and y, where the stages' vectors are often unit columns
+        for x in B2:
+            covector = canonical._covector(cfg, x, B2)
+            assert _hex(covector) == _hex(_covector_per_entry(cfg, x, B2))
+            for y in B2:
+                assert _hex([canonical._bilinear(cfg, covector, y)]) == \
+                    _hex([_bilinear_by_covector(cfg, B2, x, y)])
+
+
+def test_symplectic_reduce_forms_one_covector_per_u_and_updated_x(
+        monkeypatch):
+    cfg = AlgebraConfig(generator_count=6, coefficient_mode="float64")
+    metric = validate_metric(random_metric(make_rng(1), cfg, 2, 6))
+    P0, d = orthogonalize_even(metric)
+    _, B2 = odd_complement(metric, P0, d)
+    lefts = []
+
+    def recording(config, a, b):
+        lefts.append(a)
+        return mul_rows(config, a, b)
+
+    mul_rows = canonical._mul_rows
+    monkeypatch.setattr(canonical, "_mul_rows", recording)
+    symplectic_reduce(B2.rows, cfg)
+    # one covector per round's u (three rounds) and per column updated
+    # after u and its partner leave: 4 in the first round, 2 in the second
+    assert len(lefts) == 3 + 4 + 2
+    assert all(len(a) == 1 for a in lefts)

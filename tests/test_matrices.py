@@ -5,11 +5,12 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from supermetric import matrices, verify
-from supermetric.algebra import AlgebraConfig, Supernumber, \
-    sum_of_products
+from supermetric.algebra import GENERATOR_CAP, AlgebraConfig, Supernumber, \
+    _sign_mask, sum_of_products
 from supermetric.errors import (
     BasisDegenerate,
     BodyNotInvertible,
@@ -362,6 +363,37 @@ def test_products_at_once_bound_their_arrays_at_the_budget_limit():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+    assert _hex_terms(out) == _hex_terms(_per_entry(cfg, a, b))
+
+
+def test_sign_masks_of_a_bitmask_array_give_the_int_parity():
+    # the batched product takes every right term's mask by _sign_mask on
+    # an int64 array and its parity by np.bitwise_count
+    low = 1 << 12
+    masks = _sign_mask(np.arange(low, dtype=np.int64))
+    want = [_sign_mask(b) for b in range(low)]
+    assert masks.dtype == np.int64 and masks.tolist() == want
+    # every (a, b) below 2^12, against parities counted by int.bit_count
+    parity = np.array([x.bit_count() & 1 for x in range(low)])
+    low_masks = np.array([mask & (low - 1) for mask in want])
+    for a0 in range(0, low, 256):
+        a = np.arange(a0, a0 + 256, dtype=np.int64)[:, None]
+        assert np.array_equal(np.bitwise_count(a & masks) & 1,
+                              parity[a & low_masks])
+    rng = make_rng(26)
+    a = rng.integers(0, 1 << GENERATOR_CAP, size=3000)
+    b = rng.integers(0, 1 << GENERATOR_CAP, size=3000) & ~a
+    odd = np.bitwise_count(a & _sign_mask(b)) & 1
+    assert odd.tolist() == [(int(x) & _sign_mask(int(y))).bit_count() & 1
+                            for x, y in zip(a, b)]
+
+
+def test_products_at_once_build_no_right_operand_table():
+    cfg = AlgebraConfig(generator_count=8, coefficient_mode="float64")
+    a, b = (_dense_rows(make_rng(seed), cfg, 3, 4, 24) for seed in (5, 6))
+    out = _at_once(cfg, a, b)
+    assert all(e._right is None for rows in (a, b) for row in rows
+               for e in row)
     assert _hex_terms(out) == _hex_terms(_per_entry(cfg, a, b))
 
 
