@@ -38,18 +38,22 @@ of the coefficients' denominators.  The kernel adds every term product as an
 integer straight into an accumulator over one common denominator; a pair
 whose D_x * D_y differs from it rescales the accumulator once, to their lcm.
 Integer sums are exact in any order, so the result is the accumulator's
-nonzero numerators with one gcd divided out.  Values the kernel returns, and
-their negations, scalings and sums, are born in that form, and their
-``Fraction`` coefficients are a view built the first time ``terms`` is read;
-a value built from a dict of ``Fraction``s gets its integer form the first
-time it is a kernel operand.  In float64 mode the kernel adds every term
-product of every pair into one accumulator, so each key is summed in pair
-order, then in left-term order, and prunes it once, with one relative cut:
-``zero_tolerance`` times the largest |term product|.  A sum of several
-products is thus not the left fold ``x_1*y_1 + x_2*y_2 + ...`` of the
-operators, which prunes each product and each partial sum on its own.
-Matrix products pass only their nonempty pairs (see ``matrices``), which
-the kernel skips anyway.
+nonzero numerators with one gcd divided out.  Values the kernel returns,
+every sum, and the negations and scalings of born values are born in that
+form, and their ``Fraction`` coefficients are a view built the first time
+``terms`` is read; a value built from a dict of ``Fraction``s gets its
+integer form the first time it is an operand of the kernel or of a sum.  In
+float64 mode the kernel adds every term product of every pair into one
+accumulator, so each key is summed in pair order, then in left-term order,
+and prunes it once, with one relative cut: ``zero_tolerance`` times the
+largest |term product|.  A sum of several products is thus not the left
+fold ``x_1*y_1 + x_2*y_2 + ...`` of the operators, which prunes each
+product and each partial sum on its own.  Matrix products pass only their
+nonempty pairs (see ``matrices``), which the kernel skips anyway.
+
+Sums have one rule per mode: in float64, x +- y is one kernel call over
+(x, 1), (y, +-1), exact term by term, so the kernel's is the only float64
+cut here; in rational mode, one sum of the operands' integer forms.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -72,12 +77,32 @@ RATIONAL = "rational"
 _MODE_ALIASES = {"float64": FLOAT64, "rational": RATIONAL, "exact-rational": RATIONAL}
 
 GENERATOR_CAP = 24
-_DEFAULT_FLOAT_TOLERANCE = 1e-14
 # the zero scalar of each mode, shared (a Fraction is immutable)
 _ZERO = {FLOAT64: 0.0, RATIONAL: Fraction(0)}
-# the one relative gate of the checks that compare floats: entry equality,
-# membership, isometry, body singularity and verify's identities
+
+# -- the float thresholds, one table: each with the scale it multiplies and
+# why it has its value; rational mode compares exactly and reads none
+# the one relative gate of the checks that compare floats (entry equality,
+# membership, isometry, body singularity, verify's identities), times
+# 1 + the compared size (within_gate)
 GATE = 1e-10
+# the zero_tolerance default, the kernel's prune cut, times the largest
+# |term product| of the call: about 45 ulps of it, above a cancellation's dust
+_DEFAULT_FLOAT_TOLERANCE = 1e-14
+# canonical._eigh_frame, absolute: a unit eigenvector's components below it
+# are round-off, too small to fix its sign by
+EIGENVECTOR_ROUNDOFF = 1e-12
+# matrices._SliceSolver: a least-squares residual, times max(1, max |y|);
+# looser than GATE, as it carries the conditioning of the slice grids
+SLICE_RESIDUAL = 1e-8
+# verify._sn_near: a ring identity of a few short products, times
+# 1 + |x| + |y|; float round-off alone, far below GATE
+RING_IDENTITY = 1e-12
+# verify._section_ring: |xy| <= |x| |y| (1 + this), the norms' round-off
+SUBMULTIPLICATIVE_SLACK = 1e-12
+# verify._section_body_reduce: the reduced congruence residual, times
+# 1 + |G|; a dyadic square root bounds it by float precision, not zero
+BODY_REDUCE_RESIDUAL = 1e-9
 
 
 def within_gate(value, scale=0.0) -> bool:
@@ -127,6 +152,12 @@ class AlgebraConfig:
     @property
     def rational(self) -> bool:
         return self.coefficient_mode == RATIONAL
+
+    @cached_property
+    def _units(self):
+        """(1, -1) of a float64 config, the second factors of its sums:
+        shared, so each builds its right-operand table once."""
+        return self.one(), self.scalar(-1)
 
     def coerce(self, value):
         """Bring a scalar into this config's coefficient domain."""
@@ -235,16 +266,16 @@ class Supernumber:
     A rational value's own representation is its integer form
     ``(D, ((bits, N), ...))``, bits ascending, where D is the lcm of the
     coefficients' denominators and each coefficient equals N / D.  Kernel
-    results, and their negations, scalings and sums, are born in it (see
-    ``_IntegerBorn``) and build ``terms`` on first read; a value built here
-    from a dict gets the form the first time it is an operand of
-    ``sum_of_products`` and keeps it.  ``_int_form`` is ``None`` until
-    then, and always in float64 mode.  Values read from the wire are such
-    dicts of ``Fraction``s on purpose: their common denominator is the lcm
-    of every term's, and building it at construction would run before the
-    verbs' work budgets can refuse the payload (2048 terms over
-    1000-digit denominators take minutes to bring to one denominator,
-    while ``check_work_budget`` refuses them at once).
+    results, every sum, and the negations and scalings of born values are
+    born in it (see ``_IntegerBorn``) and build ``terms`` on first read; a
+    value built here from a dict gets the form the first time it is an
+    operand of ``sum_of_products`` or of a sum and keeps it.  ``_int_form``
+    is ``None`` until then, and always in float64 mode.  Values read from
+    the wire are such dicts of ``Fraction``s on purpose: their common
+    denominator is the lcm of every term's, and building it at construction
+    would run before the verbs' work budgets can refuse the payload (2048
+    terms over 1000-digit denominators take minutes to bring to one
+    denominator, while ``check_work_budget`` refuses them at once).
 
     ``_right`` is the right-operand table the kernel reads, ``None`` until
     the value is first a right operand of ``sum_of_products`` (the batched
@@ -318,30 +349,19 @@ class Supernumber:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check_mate(self, other):
-        if self.config != other.config:
-            raise ConfigMismatch("operands use different algebra configs")
-
     def __add__(self, other):
-        if not isinstance(other, Supernumber):
-            other = self.config.scalar(other)
-        self._check_mate(other)
-        return _ordered(self.config, _ascending(
-            _merge(self.config, dict(self.terms), other.terms)))
+        return _sum(self, other, False)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
         return _ordered(self.config, {b: -c for b, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Supernumber):
-            other = self.config.scalar(other)
-        return self.__add__(-other)
+        return _sum(self, other, True)
 
     def __rsub__(self, other):
-        return (-self).__add__(self.config.scalar(other))
+        return _sum(self.config.scalar(other), self, True)
 
     def __mul__(self, other):
         if not isinstance(other, Supernumber):
@@ -413,10 +433,11 @@ class _IntegerBorn(Supernumber):
 
     ``terms`` is a view: the ``Fraction`` dict is built on its first read
     and kept.  Zero checks, the body, the soul, the parity, the norm,
-    equality with another integer form, negation, scaling and sums read the
-    form itself, so a value that only feeds further arithmetic never builds
-    its Fractions.  float64 values never take this class, so their
-    ``terms`` stays a plain slot.
+    equality with another integer form, negation and scaling read the form
+    itself, as the kernel and ``_sum`` do for every value, so a value
+    that only feeds further arithmetic never builds its Fractions.  Sums
+    need no override here: every rational sum is born already.  float64
+    values never take this class, so their ``terms`` stays a plain slot.
     """
 
     __slots__ = ("_terms",)
@@ -459,29 +480,6 @@ class _IntegerBorn(Supernumber):
     def is_zero(self) -> bool:
         return False
 
-    def __add__(self, other):
-        if not isinstance(other, Supernumber):
-            other = self.config.scalar(other)
-        self._check_mate(other)
-        dx, xs = self._int_form
-        dy, ys = other._int_form or other._integer_form()
-        den = dx // math.gcd(dx, dy) * dy
-        sx, sy = den // dx, den // dy
-        acc = {b: n * sx for b, n in xs}
-        get = acc.get
-        for b, n in ys:
-            acc[b] = get(b, 0) + n * sy
-        return _born(self.config, den,
-                     [(b, n) for b, n in sorted(acc.items()) if n])
-
-    # Python tries a subclass's reflected operator first, so a value built
-    # from a dict plus or minus a born one also goes by the forms; exact
-    # sums do not depend on order
-    __radd__ = __add__
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __neg__(self):
         den, items = self._int_form
         return _IntegerBorn(self.config,
@@ -517,47 +515,31 @@ def _born(config: AlgebraConfig, den: int, items) -> Supernumber:
     return _IntegerBorn(config, (den, tuple(items)))
 
 
-def _running_max(values):
-    running = 0
-    for c in values:
-        a = abs(c)
-        if a > running:
-            running = a
-    return running
-
-
-def _prune(cfg: AlgebraConfig, acc: dict, running_max) -> dict:
-    """The float64 cut of ``acc``; CoefficientOverflow where the largest
-    operand term or a kept sum is infinite: the cut would drop every term
-    or keep inf."""
-    if running_max == math.inf:
-        raise CoefficientOverflow("a float64 term is infinite")
-    cut = cfg.zero_tolerance * float(running_max)
-    kept = {}
-    for b, c in acc.items():
-        a = abs(c)
-        if a > cut:
-            if a == math.inf:
-                raise CoefficientOverflow("a float64 sum overflowed")
-            kept[b] = c
-    return kept
-
-
-def _merge(cfg: AlgebraConfig, acc: dict, terms: dict) -> dict:
-    """acc + terms, adding into ``acc``.  In float64 mode the sum is pruned
-    against the larger of both operands' largest terms; otherwise only
-    zeros are dropped."""
-    if cfg.rational:
-        for b, c in terms.items():
-            acc[b] = acc[b] + c if b in acc else c
-        return {b: c for b, c in acc.items() if c != 0}
-    running = _running_max(acc.values())
-    for b, c in terms.items():
-        acc[b] = acc[b] + c if b in acc else c
-        a = abs(c)
-        if a > running:
-            running = a
-    return _prune(cfg, acc, running)
+def _sum(x: Supernumber, y, negate: bool) -> Supernumber:
+    """x + y, or x - y with ``negate``; a scalar y is lifted first.  In
+    float64 mode one kernel call over (x, 1), (y, +-1): every term product
+    is c * 1.0 or c * -1.0, exactly c or -c, so the sum is the terms' sum
+    under the kernel's one cut.  In rational mode both integer forms, built
+    for a value from a dict on first use, go over the lcm of their
+    denominators, and the result is born."""
+    config = x.config
+    if not isinstance(y, Supernumber):
+        y = config.scalar(y)
+    if not config.rational:
+        one, minus_one = config._units
+        return sum_of_products(config,
+                               ((x, one), (y, minus_one if negate else one)))
+    if y.config is not config and y.config != config:
+        raise ConfigMismatch("operands use different algebra configs")
+    dx, xs = x._int_form or x._integer_form()
+    dy, ys = y._int_form or y._integer_form()
+    den = dx // math.gcd(dx, dy) * dy
+    sx, sy = den // dx, -(den // dy) if negate else den // dy
+    acc = {b: n * sx for b, n in xs}
+    get = acc.get
+    for b, n in ys:
+        acc[b] = get(b, 0) + n * sy
+    return _born(config, den, [(b, n) for b, n in sorted(acc.items()) if n])
 
 
 def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:

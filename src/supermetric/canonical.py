@@ -33,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import (
+    EIGENVECTOR_ROUNDOFF,
     GATE,
     Supernumber,
     binomial_inverse_sqrt,
@@ -203,9 +204,7 @@ def _eigh_frame(A: SuperMatrix, cfg):
     for col in range(m):
         lead = 0.0
         for i in range(m):
-            # a unit eigenvector's components under 1e-12 are round-off,
-            # too small to fix its sign by
-            if abs(v[i, col]) > 1e-12:
+            if abs(v[i, col]) > EIGENVECTOR_ROUNDOFF:
                 lead = v[i, col]
                 break
         if lead < 0:

@@ -5,6 +5,7 @@ Inputs are JSON files in the wire forms of the serialization module; the
 algebra setup comes from --config (JSON with generator_count,
 coefficient_mode, zero_tolerance, and optionally m, n for verify), with
 --mode overriding the coefficient mode.  Reports go to stdout or --out.
+Only verify takes --seed; --strict is canonicalize's, and verify echoes it.
 
 Exit codes: 0 success, 2 validation problem (including malformed JSON,
 reported with its position), 3 numerical gate failure or a failing verify
@@ -71,25 +72,29 @@ def _build_parser():
                         help="JSON file with algebra settings")
         sp.add_argument("--mode", choices=["float64", "rational"],
                         default=None, help="coefficient mode override")
-        sp.add_argument("--seed", type=int, default=42,
-                        help="seed for randomized suites")
-        sp.add_argument("--strict", action="store_true",
-                        help="canonicalize: refuse a body rescaling whose "
-                             "soul/body ratio reaches 1")
         sp.add_argument("--out", default=None,
                         help="write the report here instead of stdout")
+        return sp
 
-    common(sub.add_parser(
+    # --seed and --strict only where a verb reads them
+    canonicalize = common(sub.add_parser(
         "canonicalize", help="canonical form and body reduction of a metric"))
+    canonicalize.add_argument("--strict", action="store_true",
+                              help="refuse a body rescaling whose soul/body "
+                                   "ratio reaches 1")
     common(sub.add_parser(
         "isometry-check", help="test N^ST Gamma N = Gamma"))
     common(sub.add_parser(
         "lie-basis", help="enumerate the membership-condition bases"))
     common(sub.add_parser(
         "group-op", help="multiply two group elements and embed the result"))
-    common(sub.add_parser(
+    verify = common(sub.add_parser(
         "verify", help="run the seeded verification suites"),
         needs_input=False)
+    verify.add_argument("--seed", type=int, default=42,
+                        help="seed for the randomized suites")
+    verify.add_argument("--strict", action="store_true",
+                        help="echoed as the report's \"strict\" field")
     return p
 
 

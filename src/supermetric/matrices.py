@@ -22,6 +22,8 @@ product.  A float64 product of 1000 term pairs or more forms them all in
 one numpy pass whose bins add in that same order; any other product makes
 one call of the Grassmann kernel per entry.  An entry with no such pair,
 like a sum, negation or scaling of empty entries, is one shared zero.
+Sums and differences are the entries' own ``+`` and ``-``: one kernel call
+each in float64, one integer-form sum each in rational mode.
 
 A matrix over the algebra is invertible exactly when its body is, and the
 body is checked as a real matrix (``_body_inverse``, which metric
@@ -54,6 +56,7 @@ import numpy as np
 from .algebra import (
     GATE,
     GENERATOR_CAP,
+    SLICE_RESIDUAL,
     Supernumber,
     _ordered,
     _sign_mask,
@@ -203,9 +206,8 @@ class SuperMatrix:
         return self._entrywise(other, operator.sub)
 
     def _entrywise(self, other, op):
-        """op of each pair of entries; where both are empty, one shared
-        zero.  ``op`` is an operator, not a ``Supernumber`` method, so that
-        rational entries born in integer form add by their forms."""
+        """op, ``operator.add`` or ``operator.sub``, of each pair of
+        entries; where both are empty, one shared zero."""
         self._check_mate(other)
         cls = (self.parity_class if self.parity_class == other.parity_class
                else "general")
@@ -748,9 +750,7 @@ class _SliceSolver:
         x = self._pinv @ y
         resid = np.max(np.abs(self._a @ x - y)) if len(y) else 0.0
         scale = max(1.0, float(np.max(np.abs(y))))
-        # looser than GATE: the residual of a least-squares solve carries
-        # the conditioning of the slice grids
-        if resid > 1e-8 * scale:
+        if resid > SLICE_RESIDUAL * scale:
             raise BasisDegenerate(
                 f"bracket leaves the basis span (residual {resid:.3e})")
         return [float(v) for v in x]

@@ -14,6 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import (
+    BODY_REDUCE_RESIDUAL,
+    RING_IDENTITY,
+    SUBMULTIPLICATIVE_SLACK,
     AlgebraConfig,
     binomial_inverse_sqrt,
     invert,
@@ -64,12 +67,10 @@ def _scalar_near(x, y, rational) -> bool:
 # -- sections ---------------------------------------------------------------------
 
 def _sn_near(x, y):
-    # ring identities of a few short products: float round-off alone, far
-    # below algebra.GATE
     if x.config.rational:
         return x == y
     scale = float(x.norm()) + float(y.norm())
-    return float((x - y).norm()) <= 1e-12 * (1.0 + scale)
+    return float((x - y).norm()) <= RING_IDENTITY * (1.0 + scale)
 
 
 def _section_ring(rng, cfg, cases):
@@ -88,7 +89,7 @@ def _section_ring(rng, cfg, cases):
             failures.append(f"case {t}: unit")
         nxy = float((x * y).norm())
         bound = float(x.norm()) * float(y.norm())
-        if nxy > bound * (1 + 1e-12):
+        if nxy > bound * (1 + SUBMULTIPLICATIVE_SLACK):
             failures.append(f"case {t}: submultiplicativity")
     L = cfg.generator_count
     for i in range(1, L + 1):
@@ -183,9 +184,7 @@ def _section_body_reduce(results):
         if cfg.rational and all(r["scale_exact"] for r in red.reducibility):
             ok = resid.is_zero()
         else:
-            # a dyadic square-root approximation bounds the residual by
-            # float precision, not zero
-            ok = float(resid.entry_norm_max()) <= 1e-9 * (
+            ok = float(resid.entry_norm_max()) <= BODY_REDUCE_RESIDUAL * (
                 1.0 + float(G.induced_norm()))
         if not ok:
             failures.append(f"case {t}: reduced congruence residual")

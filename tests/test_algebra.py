@@ -469,6 +469,41 @@ def test_kernel_equals_reference_fold_bit_for_bit(mode, tol):
             assert _bitwise_equal(x + y, _reference_add(x, y))
 
 
+@pytest.mark.parametrize("tol", [None, 1e-3, 0.0])
+def test_float_sums_are_one_kernel_call_each(monkeypatch, tol):
+    cfg = AlgebraConfig(generator_count=4, coefficient_mode="float64",
+                        zero_tolerance=tol)
+    calls = []
+    kernel = algebra.sum_of_products
+
+    def counting(config, pairs):
+        calls.append(config)
+        return kernel(config, pairs)
+    monkeypatch.setattr(algebra, "sum_of_products", counting)
+
+    def hexes(z):
+        return [(b, float.hex(c)) for b, c in z.terms.items()]
+    tiny = cfg.zero_tolerance or 1e-3
+    rng = make_rng(2929)
+    for _ in range(500):
+        x = _random_element(rng, cfg, tiny)
+        y = _random_element(rng, cfg, tiny)
+        if rng.integers(0, 2):
+            # near-cancellation: y close to -x
+            y = _reference_add(y.scale(tiny), x.scale(-1.0))
+        s = float(rng.uniform(-2, 2))
+        for got, want in ((lambda: x + y, _reference_add(x, y)),
+                          (lambda: x - y, _reference_add(x, -y)),
+                          (lambda: x + s, _reference_add(x, cfg.scalar(s))),
+                          (lambda: s - x, _reference_add(cfg.scalar(s), -x))):
+            calls.clear()
+            out = got()
+            assert calls == [cfg]
+            assert hexes(out) == hexes(want)
+    # the units of a config's sums are built once and shared
+    assert cfg._units is cfg._units
+
+
 def test_kernel_float_dust_at_the_cut():
     cfg = AlgebraConfig(generator_count=4, coefficient_mode="float64",
                         zero_tolerance=1e-3)
@@ -765,15 +800,23 @@ def test_integer_form_arithmetic_matches_fraction_arithmetic():
         b = _rational_element(rng, cfg, kind)
         x, y = a * one, one * b      # born copies of a and b
         c = Fraction(int(rng.integers(-9, 10)), _denominators(rng, kind))
+        # every sum, whatever its operands were built from, is born; the
+        # wanted sums add Fraction dicts term by term
+        two = cfg.scalar(2)
+        a_b, a_mb = _reference_add(a, b), _reference_add(a, -b)
         for got, want in ((-x, -a), (x.soul(), a.soul()),
-                          (x + y, a + b), (x + b, a + b), (b + x, b + a),
-                          (x - y, a - b), (x - b, a - b), (b - x, b - a),
-                          (x + 2, a + 2), (2 - x, 2 - a), (x - x, a - a),
+                          (x + y, a_b), (x + b, a_b), (b + x, a_b),
+                          (a + b, a_b), (x - y, a_mb), (x - b, a_mb),
+                          (a - y, a_mb), (a - b, a_mb),
+                          (b - x, _reference_add(b, -a)),
+                          (x + 2, _reference_add(a, two)),
+                          (2 - x, _reference_add(two, -a)),
+                          (2 - a, _reference_add(two, -a)),
+                          (x - x, cfg.zero()), (a - a, cfg.zero()),
                           (x.scale(c), a.scale(c)), (c * x, c * a),
                           (x / (c or 1), a / (c or 1))):
             assert _same(got, want)
-            if not a.is_zero():
-                _check_born(got)
+            _check_born(got)
         assert (x.body(), x.norm(), x.parity(), x.is_zero()) \
             == (a.body(), a.norm(), a.parity(), a.is_zero())
         assert (x == y) == (a == b) and (x == a) and (a == x)

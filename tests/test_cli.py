@@ -106,6 +106,20 @@ def test_canonicalize_strict_gate_exit_3(tmp_path, capsys):
     assert json.loads(out2)["body_reducible"] is False
 
 
+@pytest.mark.parametrize("verb, flag", [
+    ("canonicalize", ["--seed", "3"]), ("isometry-check", ["--seed", "3"]),
+    ("lie-basis", ["--seed", "3"]), ("group-op", ["--seed", "3"]),
+    ("isometry-check", ["--strict"]), ("lie-basis", ["--strict"]),
+    ("group-op", ["--strict"])])
+def test_a_flag_the_verb_does_not_read_is_refused(tmp_path, capsys, verb,
+                                                  flag):
+    path = _write(tmp_path, "payload.json", {})
+    with pytest.raises(SystemExit) as exc:
+        main([verb, path, *flag])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "unrecognized arguments" in err
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"metric": [1, 2,')

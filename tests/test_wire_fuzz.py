@@ -1,9 +1,11 @@
 """Hostile wire payloads through the command line, in process.
 
 Each verb gets a small valid payload (at most 4 generators, matrices of
-side at most 4); hypothesis changes or drops one field of it.  Whatever
+side at most 4) and one at the work budgets' size, (4|4) over 8
+generators; hypothesis changes or drops one field of it, or two.  Whatever
 comes in, the run must end in exit 0, 2 or 3 with a JSON report on stdout
-or one flat JSON error object on stderr, never with a traceback.
+or one flat JSON error object on stderr, never with a traceback, and a
+payload over a budget is refused within 1 s.
 """
 
 import contextlib
@@ -32,27 +34,33 @@ from supermetric.serialization import (
 
 
 def _payloads():
-    alg = {"generator_count": 4, "coefficient_mode": "float64"}
-    cfg = AlgebraConfig(**alg)
-    basis = basis_for(cfg, 1, 0, 2)
-    rng = make_rng(7)
-    gamma = gamma_to_json(basis.gamma)
-    return {
-        "canonicalize": {"algebra": alg, "metric": matrix_to_json(
-            random_metric(rng, cfg, 1, 2))},
-        "isometry-check": {"algebra": alg, "gamma": gamma,
-                           "N": matrix_to_json(SuperMatrix.identity(
-                               cfg, basis.gamma.shape))},
-        "lie-basis": {"algebra": alg, "gamma": gamma, "L": 2},
-        "group-op": {"algebra": alg, "gamma": gamma,
-                     "h1": group_element_to_json(
-                         random_group_element(rng, basis)),
-                     "h2": group_element_to_json(
-                         random_group_element(rng, basis))},
-        # the verify payload is its --config file
-        "verify": {"generator_count": 2, "coefficient_mode": "float64",
-                   "m": 1, "n": 2},
-    }
+    """(verb, payload) pairs per verb: a small one, and one at (4|4) over
+    8 generators."""
+    cases = []
+    for L, (p, q, n), basis_L in ((4, (1, 0, 2), 2), (8, (2, 2, 4), 8)):
+        alg = {"generator_count": L, "coefficient_mode": "float64"}
+        cfg = AlgebraConfig(**alg)
+        basis = basis_for(cfg, p, q, n)
+        rng = make_rng(7)
+        gamma = gamma_to_json(basis.gamma)
+        cases += [
+            ("canonicalize", {"algebra": alg, "metric": matrix_to_json(
+                random_metric(rng, cfg, p + q, n))}),
+            ("isometry-check", {"algebra": alg, "gamma": gamma,
+                                "N": matrix_to_json(SuperMatrix.identity(
+                                    cfg, basis.gamma.shape))}),
+            ("lie-basis", {"algebra": alg, "gamma": gamma, "L": basis_L}),
+            ("group-op", {"algebra": alg, "gamma": gamma,
+                          "h1": group_element_to_json(
+                              random_group_element(rng, basis)),
+                          "h2": group_element_to_json(
+                              random_group_element(rng, basis))}),
+        ]
+    # the verify payload is its --config file
+    cases += [("verify", {"generator_count": L, "coefficient_mode": "float64",
+                          "m": m, "n": n})
+              for L, m, n in ((2, 1, 2), (8, 4, 4))]
+    return cases
 
 
 _PAYLOADS = _payloads()
@@ -66,8 +74,6 @@ def _paths(node, prefix=()):
         yield prefix + (key,)
         yield from _paths(child, prefix + (key,))
 
-
-_PATHS = {verb: list(_paths(p)) for verb, p in _PAYLOADS.items()}
 
 _HOSTILE = st.one_of(
     st.sampled_from([
@@ -85,17 +91,20 @@ _HOSTILE = st.one_of(
 
 
 @st.composite
-def _mutated(draw):
-    verb = draw(st.sampled_from(sorted(_PAYLOADS)))
-    payload = copy.deepcopy(_PAYLOADS[verb])
-    *head, last = draw(st.sampled_from(_PATHS[verb]))
-    parent = payload
-    for key in head:
-        parent = parent[key]
-    if isinstance(parent, dict) and draw(st.booleans()):
-        del parent[last]
-    else:
-        parent[last] = draw(_HOSTILE)
+def _mutated(draw, fields=1):
+    """A payload with ``fields`` places changed or dropped in turn, each
+    drawn from the places left by the change before."""
+    verb, payload = draw(st.sampled_from(_PAYLOADS))
+    payload = copy.deepcopy(payload)
+    for _ in range(fields):
+        *head, last = draw(st.sampled_from(list(_paths(payload))))
+        parent = payload
+        for key in head:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = draw(_HOSTILE)
     return verb, payload
 
 
@@ -118,8 +127,24 @@ def _metric(coeff, algebra=None, shape=None):
     return payload
 
 
+def _one_generator_past(verb, **changes):
+    """The (4|4) payload of ``verb`` over 9 generators, with ``changes``."""
+    payload = copy.deepcopy([p for v, p in _PAYLOADS if v == verb][-1])
+    payload["algebra"]["generator_count"] = 9
+    payload.update(changes)
+    return payload
+
+
+def _canonicalize_with_z9():
+    # the first entry gains z(1) z(9), so 9 generators are in use
+    payload = _one_generator_past("canonicalize")
+    payload["metric"]["entries"][0].append({"index": [1, 9], "coeff": 0.25})
+    return payload
+
+
 def _group_op_with_huge_body():
-    payload = copy.deepcopy(_PAYLOADS["group-op"])
+    payload = copy.deepcopy(next(p for verb, p in _PAYLOADS
+                                 if verb == "group-op"))
     payload["h1"]["g_body"][0][0] = 1e308
     return payload
 
@@ -163,15 +188,17 @@ _REPROS = [
                       "coeff": f"1/{10 ** 999 + bits}"}
                      for bits in range(4096)
                      if bits.bit_count() % 2 == 0]]}}),
+    # the budgets' own size, (4|4) over 8 generators, and one generator
+    # more
+    ("canonicalize", _canonicalize_with_z9()),
+    ("lie-basis", _one_generator_past("lie-basis", L=9)),
 ]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=_mutated())
-def test_one_changed_field_ends_in_a_json_exit(tmp_path_factory, case):
-    verb, payload = case
-    code, out, err = _run(tmp_path_factory.getbasetemp(), verb, payload)
+def _check_json_exit(tmp_dir, verb, payload):
+    start = time.perf_counter()
+    code, out, err = _run(tmp_dir, verb, payload)
+    elapsed = time.perf_counter() - start
     assert code in (0, 2, 3)
     if out:
         report = json.loads(out)
@@ -181,6 +208,23 @@ def test_one_changed_field_ends_in_a_json_exit(tmp_path_factory, case):
         blob = json.loads(err)
         assert code in (2, 3) and blob["exit_code"] == code
         assert isinstance(blob["error"], str)
+        if "over the budget" in blob["error"]:
+            assert elapsed < 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_mutated())
+def test_one_changed_field_ends_in_a_json_exit(tmp_path_factory, case):
+    _check_json_exit(tmp_path_factory.getbasetemp(), *case)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(case=_mutated(fields=2))
+def test_two_changed_fields_end_in_a_json_exit(tmp_path_factory, case):
+    _check_json_exit(tmp_path_factory.getbasetemp(), *case)
 
 
 for _case in _REPROS:
