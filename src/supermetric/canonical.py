@@ -220,13 +220,15 @@ def _eigh_frame(A: SuperMatrix, cfg):
 def orthogonalize_even(metric: SuperMetric):
     """Diagonalize the even-even block over the even subalgebra.
 
-    Returns (P0, d): P0 is the m x m transition, an (m|0) SuperMatrix,
-    with P0^T A P0 = diag(d), each body(d_i) nonzero.
+    Returns (P0, d, inv_d): P0 is the m x m transition, an (m|0)
+    SuperMatrix, with P0^T A P0 = diag(d), each body(d_i) nonzero, and
+    inv_d the inverses of the d_i, which `odd_complement` takes on.
     """
     cfg = metric.config
     m = metric.m
     if m == 0:
-        return SuperMatrix._trusted(cfg, BlockShape(0, 0), (), "general"), []
+        return SuperMatrix._trusted(cfg, BlockShape(0, 0), (), "general"), \
+            [], []
     shape = BlockShape(m, 0)
     A = SuperMatrix._trusted(
         cfg, shape, tuple([r[:m] for r in metric.matrix.rows[:m]]), "even")
@@ -255,12 +257,13 @@ def orthogonalize_even(metric: SuperMetric):
         inv_ds.append(invert(dk))
     # assemble P0 = frame @ gram-schmidt columns
     gs = tuple([tuple([fs[k][i] for k in range(m)]) for i in range(m)])
-    return P @ SuperMatrix._trusted(cfg, shape, gs, "even"), ds
+    return P @ SuperMatrix._trusted(cfg, shape, gs, "even"), ds, inv_ds
 
 
-def odd_complement(metric: SuperMetric, P0, d):
+def odd_complement(metric: SuperMetric, P0, inv_d):
     """Extend P0 to the full space and shear away the mixed blocks.
 
+    `inv_d` holds the inverses of the pivots d_i of `orthogonalize_even`.
     Returns (P1, B2): P1 is the full (m|n) transition, and B2 the odd-odd
     block of P1^ST G P1, an (n|0) SuperMatrix; the mixed blocks of that
     Gram matrix vanish identically and are not formed.
@@ -273,7 +276,6 @@ def odd_complement(metric: SuperMetric, P0, d):
     P_even = SuperMatrix.from_blocks(cfg, P0.rows, None, None, I_n, "even")
     G1 = P_even.supertranspose() @ G @ P_even
     Cp = G1.block_c()  # entries g(e_i, f_alpha) in the new even frame
-    inv_d = [invert(di) for di in d]
     W = [[inv_d[j] * Cp[j][a] for a in range(n)] for j in range(m)]
     shear = SuperMatrix.from_blocks(
         cfg,
@@ -332,8 +334,8 @@ def symplectic_reduce(B1, cfg):
 def canonical_form(metric: SuperMetric) -> CanonicalizationResult:
     """Compose the three stages; P^ST G P = diag(eta, J) with eta = diag(d)."""
     cfg = metric.config
-    P0, d = orthogonalize_even(metric)
-    P1, B2 = odd_complement(metric, P0, d)
+    P0, d, inv_d = orthogonalize_even(metric)
+    P1, B2 = odd_complement(metric, P0, inv_d)
     Q = symplectic_reduce(B2.rows, cfg)
     I_m = SuperMatrix.identity(cfg, (metric.m, 0)).rows
     P = P1 @ SuperMatrix.from_blocks(cfg, I_m, None, None, Q, "even")

@@ -267,6 +267,10 @@ def _cmd_verify(args):
             raise ValidationError(
                 f"'{name}' must be a non-negative integer, "
                 f"got {json.dumps(value)}")
+    if args.seed < 0:
+        # numpy's generators take no negative seed
+        raise ValidationError(
+            f"'--seed' must be a non-negative integer, got {args.seed}")
     check_verify_shape(m, n, cfg.generator_count)
     return run_verify(cfg, seed=args.seed, m=m, n=n, strict=args.strict)
 

@@ -16,28 +16,28 @@ separators, no environment-dependent content.
 
 `dumps(obj)` returns exactly the text of
 `json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2) + "\\n"`,
-errors included, but makes it in two steps.  Python's encoder is written in
-C only for compact output; with `indent` set it falls back to a generator
-in pure Python.  So it first writes the compact text with the same
-settings, and one vectorized numpy pass re-indents it: every bracket
-and comma outside a string gets a newline and two spaces per nesting level
-after it (openers, commas) or before it (closers), and an empty `[]` or
-`{}` stays as it is.
+errors included.  Python's encoder is written in C only for compact output;
+with `indent` set it falls back to a generator in pure Python.  So `dumps`
+writes the indented text itself, in one recursive pass that knows the
+nesting depth of every value: dicts with str keys (sorted), lists and
+tuples are written at their depth, strings by the C string encoder, ints
+and finite floats by their `repr`, non-finite floats and the literals by
+JSON's names.  Any other value (another type, a dict subclass, a dict with
+a non-str key) is written by `json.dumps(indent=2)` and moved to its depth,
+so json writes it or raises its own error; a tree too deep to recurse into,
+a circular one included, is handed to json whole.
 
-The compact text of a plain tree comes from one C-encoder call.  A report
-of the CLI also holds `Fragment`s among its top-level values: an algebra
-value with the writer of its own compact text.  `dumps` then joins the
-report's dicts and lists itself, keys sorted, and every other value still
-goes through the C encoder; the fragments write themselves there, when the
-report is written.  Each value writes its text once, straight from its
-terms: a supernumber as `{"coeff": c,"index": [i,j]}` items with `repr`
-floats (a non-finite one by the C encoder, which names it as JSON does) or
-"p/q" strings reduced from the integer form of a rational value (one gcd
-a term, no `Fraction` built), and matrices, Γ, group elements and the
-lie-basis tags as joins of those texts.  The index lists come from one
-table per report, filled as bit masks are met.  `supernumber_to_json` and
-the other tree writers parse these same texts, so one hand-written encoder
-serves the trees of payload writers and the reports alike.
+A report of the CLI also holds `Fragment`s: an algebra value with the
+writer of its own indented text at a given depth.  Each value writes its
+text once, straight from its terms: a supernumber as `{"coeff": c,
+"index": [i, j]}` records with `repr` floats (a non-finite one under its
+JSON name) or "p/q" strings reduced from the integer form of a rational
+value (one gcd a term, no `Fraction` built), and matrices, Γ, group
+elements and the lie-basis tags as joins of those texts.  The index lists
+come from one table per report, filled as (depth, bit mask) pairs are met.
+`supernumber_to_json` and the other tree writers parse these same texts,
+so one hand-written encoder serves the trees of payload writers and the
+reports alike.
 """
 
 from __future__ import annotations
@@ -47,28 +47,22 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _string
 from math import gcd, isfinite
-
-import numpy as np
 
 from .algebra import AlgebraConfig, Supernumber, _bits_to_indices
 from .errors import LengthMismatch, ShapeMismatch, ValidationError
 from .isometry import GammaForm
 from .matrices import BlockShape, SuperMatrix
 
-# byte classes of the compact text, for bytes.translate
-_OPEN, _CLOSE, _COMMA, _QUOTE = 1, 2, 3, 4
-_CLASS = bytes(dict(zip(b'[{]},"', (_OPEN, _OPEN, _CLOSE, _CLOSE, _COMMA,
-                                    _QUOTE))).get(b, 0) for b in range(256))
-_ESCAPE = re.compile(rb"\\.")
-# the compact settings that dumps re-indents; ensure_ascii (the default)
-# leaves only ASCII bytes
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": "))
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 class Fragment:
-    """A report value that writes its own compact JSON text:
-    `write(value, index)`, with `index` the report's `_IndexText`."""
+    """A report value that writes its own JSON text:
+    `write(value, depth, index)`, with `depth` the nesting depth of the
+    value and `index` the report's `_IndexText`."""
 
     __slots__ = ("write", "value")
 
@@ -78,92 +72,78 @@ class Fragment:
 
 
 class _IndexText(dict):
-    """Bit mask -> compact text of its index list ("[1,3]"), made the first
-    time the mask is met; one table serves one report."""
+    """(depth, bit mask) -> text of its index list at that depth
+    ("[\\n  1,\\n  3\\n]" at depth 0), made the first time the pair is
+    met; one table serves one report."""
 
-    def __missing__(self, bits):
-        text = self[bits] = f"[{','.join(map(str, _bits_to_indices(bits)))}]"
+    def __missing__(self, key):
+        depth, bits = key
+        text = self[key] = _block(list(map(str, _bits_to_indices(bits))),
+                                  depth)
         return text
+
+
+def _newline(depth: int) -> str:
+    """A line break to `depth` levels of two-space indent."""
+    return "\n" + "  " * depth
 
 
 def dumps(obj) -> str:
     """The report text: sorted keys, two-space indent, a final newline."""
-    if type(obj) is dict and any(type(v) is Fragment for v in obj.values()):
-        text = _compact(obj, _IndexText())
-    else:
-        text = _COMPACT.encode(obj)
-    raw = text.encode("ascii")
-    out = _indent(raw, *_line_breaks(raw))
-    return str(memoryview(out), "ascii")
+    try:
+        text = _text(obj, 0, _IndexText())
+    except RecursionError:
+        # circular or nested past the recursion limit: json names a cycle
+        # or writes the tree, as it does on its own
+        text = _json_text(obj, 0)
+    return text + "\n"
 
 
-def _compact(obj, index) -> str:
-    """Compact text of a report: its dicts and lists joined here, its
-    fragments written by themselves, every other value by the C encoder."""
-    if type(obj) is Fragment:
-        return obj.write(obj.value, index)
-    if type(obj) is dict:
-        return "{" + ",".join([_COMPACT.encode(k) + ": "
-                               + _compact(obj[k], index)
-                               for k in sorted(obj)]) + "}"
-    if type(obj) is list:
-        return "[" + ",".join([_compact(v, index) for v in obj]) + "]"
-    return _COMPACT.encode(obj)
+def _text(obj, depth, index) -> str:
+    """The indented text of `obj` at nesting depth `depth`."""
+    kind = type(obj)
+    if kind is str:
+        return _string(obj)
+    if kind is float:
+        return _float(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is dict:
+        if all(type(k) is str for k in obj):
+            return _block([_string(k) + ": " + _text(obj[k], depth + 1, index)
+                           for k in sorted(obj)], depth, "{}")
+    elif kind is list or kind is tuple:
+        return _block([_text(v, depth + 1, index) for v in obj], depth)
+    elif kind is Fragment:
+        return obj.write(obj.value, depth, index)
+    elif obj is None or kind is bool:
+        return _LITERALS[obj]
+    # what json writes in its own way, or refuses with its own error
+    return _json_text(obj, depth)
 
 
-def _line_breaks(raw: bytes):
-    """Where the indented text breaks its lines, and how wide each break is.
-
-    Returns (at, width): a newline and width - 1 spaces go in before raw
-    byte at[k].  Every bracket or comma outside a string breaks the line to
-    the nesting depth after it: after an opener or a comma, before a
-    closer.  An empty [] or {} stays on its line.
-    """
-    # escape pairs are blanked so that an escaped quote is not a quote;
-    # they are two bytes each, since \uXXXX keeps its hex digits
-    plain = _ESCAPE.sub(b"__", raw) if b"\\" in raw else raw
-    cls = np.frombuffer(plain.translate(_CLASS), np.uint8)
-    pos = np.flatnonzero(cls != 0)
-    kind = cls[pos]
-    # a bracket or comma inside a string follows an odd number of quotes
-    # (a uint8 count wraps at 256, which keeps its parity)
-    quote = kind == _QUOTE
-    outside = (np.cumsum(quote, dtype=np.uint8) & 1) == 0
-    outside &= ~quote
-    pos, kind = pos[outside], kind[outside]
-    # an opener right before a closer is an empty [] or {}
-    empty = np.flatnonzero((kind[:-1] == _OPEN) & (kind[1:] == _CLOSE)
-                           & (pos[1:] == pos[:-1] + 1))
-    if empty.size:
-        keep = np.ones(pos.size, bool)
-        keep[empty] = False
-        keep[empty + 1] = False
-        pos, kind = pos[keep], kind[keep]
-    step = (kind == _OPEN).view(np.int8) - (kind == _CLOSE).view(np.int8)
-    width = np.cumsum(step, dtype=np.int32)
-    width *= 2
-    width += 1
-    return pos + (kind != _CLOSE), width
+def _json_text(obj, depth) -> str:
+    """json's own indented text of `obj`, moved to `depth`: every newline
+    in it is a line break, since json escapes those in strings."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "),
+                      indent=2).replace("\n", _newline(depth))
 
 
-def _indent(raw: bytes, at, width):
-    """The raw bytes with the line breaks put in, and a final newline."""
-    total = len(raw) + int(width.sum(dtype=np.int64)) + 1
-    # slot[i]: output position of raw byte i, from one in-place cumsum
-    slot = np.ones(len(raw), _slot_dtype(total))
-    slot[0] = 0
-    slot[at] += width
-    np.cumsum(slot, out=slot)
-    out = np.full(total, ord(" "), np.uint8)
-    out[slot] = np.frombuffer(raw, np.uint8)
-    out[slot[at] - width] = ord("\n")
-    out[-1] = ord("\n")
-    return out
+def _block(items: list, depth, brackets="[]") -> str:
+    """The item texts, written at depth + 1, inside the brackets of a value
+    at `depth`; with no items, the brackets alone."""
+    if not items:
+        return brackets
+    line = _newline(depth + 1)
+    return brackets[0] + line + ("," + line).join(items) + line[:-2] \
+        + brackets[1]
 
 
-def _slot_dtype(length: int):
-    """Narrowest integer type that indexes a text of `length` bytes."""
-    return np.int32 if length <= np.iinfo(np.int32).max else np.int64
+def _float(x: float) -> str:
+    """A float as JSON writes it, a non-finite one under JSON's name."""
+    if isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
 # -- scalars ---------------------------------------------------------------------
@@ -245,29 +225,26 @@ def _parse_fraction(text: str) -> Fraction:
 # -- supernumbers -----------------------------------------------------------------
 
 def supernumber_to_json(z: Supernumber) -> list:
-    return json.loads(supernumber_text(z, _IndexText()))
+    return json.loads(supernumber_text(z, 0, _IndexText()))
 
 
-def supernumber_text(z: Supernumber, index) -> str:
-    """Compact text of the term list, `index` an `_IndexText`."""
+def supernumber_text(z: Supernumber, depth, index) -> str:
+    """Text of the term list at `depth`, `index` an `_IndexText`."""
     write = _rational_text if z.config.rational else _float_text
-    return write(z, index)
+    return write(z, depth, index)
 
 
-def _float_text(z: Supernumber, index) -> str:
+def _float_text(z: Supernumber, depth, index) -> str:
     terms = z.terms
     if not terms:
         return "[]"
     values = list(map(float, terms.values()))
-    if all(map(isfinite, values)):
-        coeffs = map(float.__repr__, values)
-    else:
-        # JSON's names for them; no float's text holds a comma
-        coeffs = _COMPACT.encode(values)[1:-1].split(",")
-    return _term_list(coeffs, map(index.__getitem__, terms))
+    coeffs = map(float.__repr__ if all(map(isfinite, values)) else _float,
+                 values)
+    return _term_list(coeffs, terms, depth, index)
 
 
-def _rational_text(z: Supernumber, index) -> str:
+def _rational_text(z: Supernumber, depth, index) -> str:
     """From the integer form (D, ((bits, N), ...)), each N / D reduced with
     one gcd, as str(Fraction(N, D)) writes it."""
     if z.is_zero():
@@ -281,14 +258,16 @@ def _rational_text(z: Supernumber, index) -> str:
                           f'"{n // g}/{den // g}"')
     except ValueError:
         raise ValidationError(_TOO_MANY_DIGITS) from None
-    return _term_list(coeffs, map(index.__getitem__, [b for b, _ in items]))
+    return _term_list(coeffs, [b for b, _ in items], depth, index)
 
 
-def _term_list(coeffs, indices) -> str:
-    return "[" + ",".join(map(_TERM.__mod__, zip(coeffs, indices))) + "]"
-
-
-_TERM = '{"coeff": %s,"index": %s}'
+def _term_list(coeffs, masks, depth, index) -> str:
+    """The {"coeff", "index"} records of a term list at `depth`."""
+    inner = _newline(depth + 2)
+    term = "{" + inner + '"coeff": %s,' + inner + '"index": %s' \
+        + inner[:-2] + "}"
+    indices = map(index.__getitem__, zip(repeat(depth + 2), masks))
+    return _block(list(map(term.__mod__, zip(coeffs, indices))), depth)
 
 
 def supernumber_from_json(data, config: AlgebraConfig) -> Supernumber:
@@ -322,15 +301,17 @@ def supernumber_from_json(data, config: AlgebraConfig) -> Supernumber:
 # -- matrices --------------------------------------------------------------------
 
 def matrix_to_json(M: SuperMatrix) -> dict:
-    return json.loads(matrix_text(M, _IndexText()))
+    return json.loads(matrix_text(M, 0, _IndexText()))
 
 
-def matrix_text(M: SuperMatrix, index) -> str:
+def matrix_text(M: SuperMatrix, depth, index) -> str:
     write = _rational_text if M.config.rational else _float_text
-    entries = ",".join([write(e, index) for row in M.rows for e in row])
-    return '{"entries": [%s],"parity": %s,"shape": %s}' % (
-        entries, _COMPACT.encode(M.parity_class),
-        _COMPACT.encode({"m": M.shape.m, "n": M.shape.n}))
+    entries = _block([write(e, depth + 2, index)
+                      for row in M.rows for e in row], depth + 1)
+    shape = _text({"m": M.shape.m, "n": M.shape.n}, depth + 1, index)
+    return _block(['"entries": ' + entries,
+                   '"parity": ' + _string(M.parity_class),
+                   '"shape": ' + shape], depth, "{}")
 
 
 def matrix_from_json(data, config: AlgebraConfig) -> SuperMatrix:
@@ -361,16 +342,14 @@ def matrix_from_json(data, config: AlgebraConfig) -> SuperMatrix:
 # -- canonical forms ---------------------------------------------------------------
 
 def gamma_to_json(gamma: GammaForm) -> dict:
-    return json.loads(gamma_text(gamma, _IndexText()))
+    return json.loads(gamma_text(gamma, 0, _IndexText()))
 
 
-def gamma_text(gamma: GammaForm, index) -> str:
+def gamma_text(gamma: GammaForm, depth, index) -> str:
     """A soulless eta entry is written as its body scalar."""
-    eta = [_COMPACT.encode(scalar_to_json(e.body(), gamma.config))
-           if e.soul().is_zero() else supernumber_text(e, index)
-           for e in gamma.eta]
-    return '{"eta": [%s],"n": %s}' % (",".join(eta),
-                                      _COMPACT.encode(gamma.n))
+    eta = [scalar_to_json(e.body(), gamma.config) if e.soul().is_zero()
+           else Fragment(supernumber_text, e) for e in gamma.eta]
+    return _text({"eta": eta, "n": gamma.n}, depth, index)
 
 
 def gamma_from_json(data, config: AlgebraConfig) -> GammaForm:
@@ -388,25 +367,29 @@ def gamma_from_json(data, config: AlgebraConfig) -> GammaForm:
 # -- group elements ----------------------------------------------------------------
 
 def group_element_to_json(h) -> dict:
-    return json.loads(group_element_text(h, _IndexText()))
+    return json.loads(group_element_text(h, 0, _IndexText()))
 
 
-def group_element_text(h, index) -> str:
+def group_element_text(h, depth, index) -> str:
     cfg = h.gamma.config
     body = [[scalar_to_json(v, cfg) for v in row] for row in h.g_body]
-    return '{"g_body": %s,"n_part": %s}' % (
-        _COMPACT.encode(body), matrix_text(h.n_part.X, index))
+    return _text({"g_body": body,
+                  "n_part": Fragment(matrix_text, h.n_part.X)}, depth, index)
 
 
 # -- lie-basis tags ----------------------------------------------------------------
 
-def tags_text(tags, index) -> str:
+def tags_text(tags, depth, index) -> str:
     """The hJ records [{"index": [...], "position": pos}, ...] of a
-    `LieBasis`'s (bits, pos) tags, from one record head per mask."""
-    heads = {bits: '{"index": ' + index[bits] + ',"position": '
+    `LieBasis`'s (bits, pos) tags at `depth`, from one record head per
+    mask."""
+    inner = _newline(depth + 2)
+    heads = {bits: "{" + inner + '"index": ' + index[depth + 2, bits] + ","
+             + inner + '"position": '
              for bits in dict.fromkeys([bits for bits, _ in tags])}
-    return "[" + ",".join([heads[bits] + str(pos) + "}"
-                           for bits, pos in tags]) + "]"
+    tail = inner[:-2] + "}"
+    return _block([heads[bits] + str(pos) + tail for bits, pos in tags],
+                  depth)
 
 
 def group_parts_from_json(data, config: AlgebraConfig):

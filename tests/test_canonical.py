@@ -255,12 +255,21 @@ def _full_odd_odd_block(metric, P0, d):
 
 
 @pytest.mark.parametrize("mode", ["float64", "rational"])
-def test_odd_complement_forms_the_odd_odd_block_of_the_full_product(mode):
+def test_odd_complement_forms_the_odd_odd_block_of_the_full_product(
+        monkeypatch, mode):
     cfg = AlgebraConfig(generator_count=8, coefficient_mode=mode)
     for seed in (1, 2, 3):
         metric = validate_metric(random_metric(make_rng(seed), cfg, 3, 4))
-        P0, d = orthogonalize_even(metric)
-        _, B2 = odd_complement(metric, P0, d)
+        P0, d, inv_d = orthogonalize_even(metric)
+        # the pivots' inverses, bit for bit, handed on and not made again
+        assert [list(e.terms.items()) for e in inv_d] == \
+            [list(invert(di).terms.items()) for di in d]
+        calls = []
+        monkeypatch.setattr(canonical, "invert",
+                            lambda z: calls.append(z) or invert(z))
+        _, B2 = odd_complement(metric, P0, inv_d)
+        monkeypatch.undo()
+        assert calls == []
         assert B2.shape == (4, 0) and B2.parity_class == "even"
         want = _full_odd_odd_block(metric, P0, d)
         for got_row, want_row in zip(B2.rows, want):
@@ -377,8 +386,8 @@ def _symplectic_reference(B1, cfg, form, update):
 def _stages(metric):
     """(P0, d) and Q of the pipeline's first and third stages, and the
     odd-odd block rows that the third stage reduces."""
-    P0, d = orthogonalize_even(metric)
-    _, B2 = odd_complement(metric, P0, d)
+    P0, d, inv_d = orthogonalize_even(metric)
+    _, B2 = odd_complement(metric, P0, inv_d)
     return P0, d, symplectic_reduce(B2.rows, metric.config), B2.rows
 
 
@@ -427,8 +436,8 @@ def test_symplectic_reduce_forms_one_covector_per_u_and_updated_x(
         monkeypatch):
     cfg = AlgebraConfig(generator_count=6, coefficient_mode="float64")
     metric = validate_metric(random_metric(make_rng(1), cfg, 2, 6))
-    P0, d = orthogonalize_even(metric)
-    _, B2 = odd_complement(metric, P0, d)
+    P0, _, inv_d = orthogonalize_even(metric)
+    _, B2 = odd_complement(metric, P0, inv_d)
     lefts = []
 
     def recording(config, a, b):

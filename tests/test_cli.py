@@ -120,6 +120,15 @@ def test_a_flag_the_verb_does_not_read_is_refused(tmp_path, capsys, verb,
     assert exc.value.code == 2 and "unrecognized arguments" in err
 
 
+def test_verify_refuses_a_negative_seed(capsys):
+    code, out, err = _run(capsys, ["verify", "--seed", "-5"])
+    assert code == 2 and out == ""
+    blob = json.loads(err)
+    assert blob == {"error": "'--seed' must be a non-negative integer, "
+                             "got -5",
+                    "kind": "ValidationError", "exit_code": 2}
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"metric": [1, 2,')
@@ -799,7 +808,7 @@ def _logical(obj):
     """The plain tree a report stands for: each Fragment parsed back from
     its own text."""
     if isinstance(obj, Fragment):
-        return json.loads(obj.write(obj.value, _IndexText()))
+        return json.loads(obj.write(obj.value, 0, _IndexText()))
     if isinstance(obj, dict):
         return {k: _logical(v) for k, v in obj.items()}
     if isinstance(obj, list):

@@ -3,6 +3,7 @@
 import json
 import sys
 import tracemalloc
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from supermetric import cli
 from supermetric.algebra import AlgebraConfig, _IntegerBorn
 from supermetric.errors import LengthMismatch, ShapeMismatch, ValidationError
 from supermetric.isometry import GammaForm
+from supermetric.matrices import BlockShape, SuperMatrix
 from supermetric.sampling import (
     basis_for,
     make_rng,
@@ -21,20 +23,23 @@ from supermetric.sampling import (
     standard_gamma,
 )
 from supermetric.serialization import (
+    Fragment,
     _IndexText,
-    _slot_dtype,
     dumps,
     gamma_from_json,
     gamma_to_json,
     group_element_from_json,
     group_element_to_json,
+    gamma_text,
     matrix_from_json,
+    matrix_text,
     matrix_to_json,
     scalar_from_json,
     scalar_to_json,
     supernumber_from_json,
     supernumber_text,
     supernumber_to_json,
+    tags_text,
 )
 
 RAT = AlgebraConfig(generator_count=4, coefficient_mode="rational")
@@ -150,17 +155,18 @@ _FRACTIONS = st.one_of(st.fractions(), st.builds(
 
 
 @st.composite
-def _supernumbers(draw):
-    """A value of either mode over up to 24 generators, the empty one
-    included; rational values are drawn built from a dict or born in the
-    kernel (a product with a scalar of large denominator)."""
-    L = draw(st.integers(1, 24))
-    rational = draw(st.booleans())
-    cfg = AlgebraConfig(generator_count=L, coefficient_mode="rational"
-                        if rational else "float64")
+def _supernumbers(draw, cfg=None):
+    """A value of either mode over up to 24 generators (or of `cfg`), the
+    empty one included; rational values are drawn built from a dict or born
+    in the kernel (a product with a scalar of large denominator)."""
+    if cfg is None:
+        L = draw(st.integers(1, 24))
+        cfg = AlgebraConfig(generator_count=L, coefficient_mode=draw(
+            st.sampled_from(["rational", "float64"])))
+    rational = cfg.rational
     coeffs = _FRACTIONS if rational else _FLOAT_COEFFS
-    terms = draw(st.dictionaries(st.integers(0, (1 << L) - 1), coeffs,
-                                 max_size=6))
+    terms = draw(st.dictionaries(
+        st.integers(0, (1 << cfg.generator_count) - 1), coeffs, max_size=6))
     z = cfg.from_terms(terms)
     if rational and not z.is_zero() and draw(st.booleans()):
         z = z * cfg.scalar(Fraction(draw(st.integers(1, _BIG)),
@@ -169,19 +175,33 @@ def _supernumbers(draw):
     return z
 
 
+@st.composite
+def _matrices(draw):
+    """A matrix of either mode at L=4, blocks of 0 to 2 rows each."""
+    cfg = draw(st.sampled_from([RAT, FLT]))
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    k = m + n
+    flat = draw(st.lists(_supernumbers(cfg), min_size=k * k,
+                         max_size=k * k))
+    return SuperMatrix(cfg, BlockShape(m, n),
+                       [flat[i * k:(i + 1) * k] for i in range(k)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(z=_supernumbers())
-def test_supernumber_text_is_the_compact_json_of_its_tree(z):
-    text = supernumber_text(z, _IndexText())
-    tree = supernumber_to_json(z)
-    assert text == json.dumps(tree, sort_keys=True, separators=(",", ": "))
+def test_supernumber_text_is_the_indented_json_of_its_tree(z):
+    index = _IndexText()
+    texts = [supernumber_text(z, depth, index) for depth in range(5)]
     if isinstance(z, _IntegerBorn):
         # written from the integer form, without its Fractions
         assert z._terms is None
     rational = z.config.rational
-    assert tree == [{"index": list(indices),
-                     "coeff": str(c) if rational else float(c)}
-                    for indices, c in z.items()]
+    tree = [{"index": list(indices),
+             "coeff": str(c) if rational else float(c)}
+            for indices, c in z.items()]
+    for depth, text in enumerate(texts):
+        assert text == _indented(tree, depth)
+    assert supernumber_to_json(z) == tree
 
 
 def test_supernumber_accepts_bare_scalars():
@@ -301,9 +321,13 @@ def test_dumps_deterministic():
     assert sa.index('"a"') < sa.index('"b"')
 
 
-def _indented(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "),
-                      indent=2) + "\n"
+def _indented(obj, depth=None):
+    """json's indented text of `obj`: the report text, or with `depth` the
+    text of a value written at that nesting depth."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2)
+    if depth is None:
+        return text + "\n"
+    return text.replace("\n", "\n" + "  " * depth)
 
 
 # text that stresses the string masking: quotes, backslashes, the
@@ -315,19 +339,37 @@ _SCALARS = st.one_of(
     st.integers(), st.sampled_from([10 ** 40, -(2 ** 70)]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, 1e-05, 1e16, float("nan"), float("-inf")]))
+# (what dumps writes, the plain tree that json writes the same): scalars
+# are both, a fragment stands for the tree its value parses to
+_LEAVES = st.one_of(
+    _SCALARS.map(lambda v: (v, v)),
+    _supernumbers().map(lambda z: (Fragment(supernumber_text, z),
+                                   supernumber_to_json(z))),
+    _matrices().map(lambda M: (Fragment(matrix_text, M),
+                               matrix_to_json(M))))
+
+
+def _pairs_of(container):
+    return lambda pairs: (container(o for o, _ in pairs),
+                          container(t for _, t in pairs))
+
+
 _TREES = st.recursive(
-    _SCALARS,
+    _LEAVES,
     lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=3).map(tuple),
-        st.dictionaries(_TEXT, inner, max_size=4)),
+        st.lists(inner, max_size=4).map(_pairs_of(list)),
+        st.lists(inner, max_size=3).map(_pairs_of(tuple)),
+        st.dictionaries(_TEXT, inner, max_size=4).map(
+            lambda d: ({k: o for k, (o, _) in d.items()},
+                       {k: t for k, (_, t) in d.items()}))),
     max_leaves=24)
 
 
 @settings(max_examples=300, deadline=None)
-@given(obj=_TREES)
-def test_dumps_equals_indented_json(obj):
-    assert dumps(obj) == _indented(obj)
+@given(pair=_TREES)
+def test_dumps_equals_indented_json(pair):
+    obj, tree = pair
+    assert dumps(obj) == _indented(tree)
 
 
 def test_dumps_edge_trees():
@@ -336,6 +378,47 @@ def test_dumps_edge_trees():
                 {"\u00e9\u4e2d\U0001f600": "\x00\x1f\ud800"},
                 {1: 2, 2.5: 3, 7: None}):
         assert dumps(obj) == _indented(obj), obj
+
+
+def test_dumps_nested_deeper_than_reports():
+    # reports nest fewer than 10 levels; the writer knows no such bound
+    M = matrix_from_json({"shape": {"m": 1, "n": 1}, "parity": "even",
+                          "entries": [1, [{"index": [1, 2], "coeff": "1/3"}],
+                                      0, "-2"]}, RAT)
+    obj, tree = [Fragment(matrix_text, M)], [matrix_to_json(M)]
+    for k in range(60):
+        obj, tree = [{"d": obj, "k": k}], [{"d": tree, "k": k}]
+    text = dumps(obj)
+    assert text == _indented(tree)
+    # 120 levels of lists and dicts, the matrix, its entries, a term
+    assert "\n" + "  " * 125 + '"index": [' in text
+
+
+def test_dumps_fragment_report_with_values_json_writes():
+    # a tuple, a non-str key and a numpy float beside fragments: json
+    # writes them as it does on its own, at their depth
+    M = matrix_from_json({"shape": {"m": 1, "n": 0}, "parity": "even",
+                          "entries": [[{"index": [3], "coeff": 0.25}]]}, FLT)
+    z = FLT.from_terms({0: 2.0, 0b1001: float("inf")})
+    report = {"P": Fragment(matrix_text, M), "pair": (1, "a", [2.5]),
+              "keys": {2: [z.body()], 1: {"x": None}},
+              "np": [np.float64(0.1), {"v": np.float64(-3e300)}],
+              "d": [Fragment(supernumber_text, z)]}
+    tree = dict(report, P=matrix_to_json(M), d=[supernumber_to_json(z)])
+    assert dumps(report) == _indented(tree)
+    assert '"np": [\n    0.1,' in dumps(report)
+
+
+def test_dumps_keeps_escaped_newlines_in_json_written_values():
+    # json writes a newline in a string as the two bytes \n, so only its
+    # own line breaks move to the value's depth
+    report = {"a": [{"k": {1: "x\ny", 2: ["\\n", "\n\n"]}}],
+              "b": OrderedDict([("z", "\n"), ("a", {"q": "w\\\n"})]),
+              "c": Fragment(supernumber_text, RAT.term([2], Fraction(1, 3)))}
+    tree = dict(report, c=[{"coeff": "1/3", "index": [2]}])
+    text = dumps(report)
+    assert text == _indented(tree)
+    assert '"x\\ny"' in text and "\n\n" not in text
 
 
 def test_dumps_raises_as_json_does():
@@ -353,10 +436,17 @@ def test_dumps_raises_as_json_does():
 
 
 def test_dumps_allocates_less_than_indented_json():
-    # the largest lie-basis report of the benchmark mix: (4|4) at L=8
+    # the largest lie-basis report of the benchmark mix, (4|4) at L=8, in
+    # the fragment form the CLI writes, against json on its plain tree
     cfg = AlgebraConfig(generator_count=8, coefficient_mode="rational")
     basis = basis_for(cfg, 2, 2, 4)
     report = {
+        "gamma": Fragment(gamma_text, basis.gamma),
+        "g0": [Fragment(matrix_text, M) for M in basis.g0],
+        "g1": [Fragment(matrix_text, M) for M in basis.g1],
+        "hJ": Fragment(tags_text, basis.hJ),
+    }
+    tree = {
         "gamma": gamma_to_json(basis.gamma),
         "g0": [matrix_to_json(M) for M in basis.g0],
         "g1": [matrix_to_json(M) for M in basis.g1],
@@ -365,23 +455,14 @@ def test_dumps_allocates_less_than_indented_json():
                for bits, pos in basis.hJ],
     }
     assert len(basis.hJ) == 4096
-    peaks = []
-    for encode in (dumps, _indented):
-        encode(report)
+    peaks, texts = [], []
+    for encode, obj in ((dumps, report), (_indented, tree)):
+        encode(obj)
         tracemalloc.start()
         try:
-            text = encode(report)
+            texts.append(encode(obj))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert len(text) > 400_000
+    assert texts[0] == texts[1] and len(texts[0]) > 400_000
     assert peaks[0] <= peaks[1], peaks
-
-
-def test_slot_dtype_follows_the_output_length():
-    int32_max = np.iinfo(np.int32).max
-    # slots run from 0 to length - 1
-    assert _slot_dtype(1) is np.int32
-    assert _slot_dtype(int32_max) is np.int32
-    assert _slot_dtype(int32_max + 1) is np.int64
-    assert _slot_dtype(3 << 31) is np.int64
