@@ -19,19 +19,20 @@ Two coefficient modes are supported:
 Values are immutable; all operations are pure functions that iterate terms
 in ascending bitmask order, so float64 results are bit-reproducible.
 
-Every Grassmann product, alone or summed, goes through one kernel,
+Every Grassmann product, alone or summed, is the loop of one kernel,
 ``sum_of_products``, which computes sum_t x_t * y_t over a sequence of pairs
-into a single dict.  The sign of z(I) z(J) for disjoint I, J is the parity
-of popcount(I & mask(J)), where mask(J) marks the generator positions with
-an odd number of J's indices below them (the idea of a per-blade sign table,
-as in the precomputed multiplication tables of pygae/clifford,
-https://github.com/pygae/clifford); ``_sign_mask`` forms it from J's bits by
-five shifts, on one bitmask here and on an array of them in the batched
-float64 matrix product of ``matrices``, one rule for both.  The first time a
-value is the right operand of a kernel call it builds its right-operand
-table, each term with its sign mask (in float64 also with its negated
-coefficient), and keeps it, so a k x k matrix product made entry by entry,
-which uses each right entry k times, builds it once.
+into a single dict; the small float64 matrix products of ``matrices`` run
+the same loop inline, entry by entry.  The sign of z(I) z(J) for disjoint
+I, J is the parity of popcount(I & mask(J)), where mask(J) marks the
+generator positions with an odd number of J's indices below them (the idea
+of a per-blade sign table, as in the precomputed multiplication tables of
+pygae/clifford, https://github.com/pygae/clifford); ``_sign_mask`` forms it
+from J's bits by five shifts, on one bitmask here and on an array of them in
+the batched float64 matrix product of ``matrices``, one rule for both.  The
+first time a value is the right operand of the kernel's loop it builds its
+right-operand table, each term with its sign mask (in float64 also with its
+negated coefficient), and keeps it, so a k x k matrix product made entry by
+entry, which uses each right entry k times, builds it once.
 Exactness rule: a rational value is an integer form, one common denominator
 D and an integer numerator per term, every coefficient N / D with D the lcm
 of the coefficients' denominators.  The kernel adds every term product as an
@@ -48,12 +49,14 @@ accumulator, so each key is summed in pair order, then in left-term order,
 and prunes it once, with one relative cut: ``zero_tolerance`` times the
 largest |term product|.  A sum of several products is thus not the left
 fold ``x_1*y_1 + x_2*y_2 + ...`` of the operators, which prunes each
-product and each partial sum on its own.  Matrix products pass only their
+product and each partial sum on its own.  Matrix products form only their
 nonempty pairs (see ``matrices``), which the kernel skips anyway.
 
-Sums have one rule per mode: in float64, x +- y is one kernel call over
-(x, 1), (y, +-1), exact term by term, so the kernel's is the only float64
-cut here; in rational mode, one sum of the operands' integer forms.
+Sums have one rule per mode: in float64, x +- y is one merge
+(``_float_sum``) of x's terms, then y's, with the bits of a kernel call over
+(x, 1), (y, +-1), since c * (+-1.0) is exact; in rational mode, one sum of
+the operands' integer forms.  Every float64 result, of the kernel, a sum or
+a matrix entry, ends in one prune, ``_float_cut``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -77,6 +79,7 @@ RATIONAL = "rational"
 _MODE_ALIASES = {"float64": FLOAT64, "rational": RATIONAL, "exact-rational": RATIONAL}
 
 GENERATOR_CAP = 24
+_INF = math.inf
 # the zero scalar of each mode, shared (a Fraction is immutable)
 _ZERO = {FLOAT64: 0.0, RATIONAL: Fraction(0)}
 
@@ -86,8 +89,9 @@ _ZERO = {FLOAT64: 0.0, RATIONAL: Fraction(0)}
 # membership, isometry, body singularity, verify's identities), times
 # 1 + the compared size (within_gate)
 GATE = 1e-10
-# the zero_tolerance default, the kernel's prune cut, times the largest
-# |term product| of the call: about 45 ulps of it, above a cancellation's dust
+# the zero_tolerance default, the float64 prune cut (_float_cut), times the
+# largest |term| summed into one result: about 45 ulps of it, above a
+# cancellation's dust
 _DEFAULT_FLOAT_TOLERANCE = 1e-14
 # canonical._eigh_frame, absolute: a unit eigenvector's components below it
 # are round-off, too small to fix its sign by
@@ -152,12 +156,6 @@ class AlgebraConfig:
     @property
     def rational(self) -> bool:
         return self.coefficient_mode == RATIONAL
-
-    @cached_property
-    def _units(self):
-        """(1, -1) of a float64 config, the second factors of its sums:
-        shared, so each builds its right-operand table once."""
-        return self.one(), self.scalar(-1)
 
     def coerce(self, value):
         """Bring a scalar into this config's coefficient domain."""
@@ -423,11 +421,6 @@ def _ordered(config: AlgebraConfig, terms: dict) -> Supernumber:
     return z
 
 
-def _ascending(terms: dict) -> dict:
-    """``terms`` with its keys in ascending order, sorted only past one."""
-    return dict(sorted(terms.items())) if len(terms) > 1 else terms
-
-
 class _IntegerBorn(Supernumber):
     """A nonzero rational supernumber born in its integer form.
 
@@ -517,18 +510,15 @@ def _born(config: AlgebraConfig, den: int, items) -> Supernumber:
 
 def _sum(x: Supernumber, y, negate: bool) -> Supernumber:
     """x + y, or x - y with ``negate``; a scalar y is lifted first.  In
-    float64 mode one kernel call over (x, 1), (y, +-1): every term product
-    is c * 1.0 or c * -1.0, exactly c or -c, so the sum is the terms' sum
-    under the kernel's one cut.  In rational mode both integer forms, built
-    for a value from a dict on first use, go over the lcm of their
-    denominators, and the result is born."""
+    float64 mode ``_float_sum``, the terms' sum under the one cut, bit for
+    bit a kernel call over (x, 1), (y, +-1).  In rational mode both integer
+    forms, built for a value from a dict on first use, go over the lcm of
+    their denominators, and the result is born."""
     config = x.config
     if not isinstance(y, Supernumber):
         y = config.scalar(y)
     if not config.rational:
-        one, minus_one = config._units
-        return sum_of_products(config,
-                               ((x, one), (y, minus_one if negate else one)))
+        return _float_sum(x, y, negate)
     if y.config is not config and y.config != config:
         raise ConfigMismatch("operands use different algebra configs")
     dx, xs = x._int_form or x._integer_form()
@@ -551,13 +541,12 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
     accumulator: each key is summed in pair order, then in left-term
     order, and the sum is pruned once, dropping each coefficient whose
     magnitude is at most ``zero_tolerance`` times the largest |term
-    product|.  Raises ConfigMismatch for any operand outside ``config``,
-    and in float64 mode CoefficientOverflow when a term product or a kept
-    sum is infinite (the cut would drop every term or keep inf).
+    product| (``_float_cut``).  Raises ConfigMismatch for any operand
+    outside ``config``, and in float64 mode CoefficientOverflow when a term
+    product or a kept sum is infinite.
     """
     if config.rational:
         return _rational_sum_of_products(config, pairs)
-    inf = math.inf
     # every term product goes into acc, and running is the largest
     # |term product|; 0.0 + c is c except for c = -0.0, which no prune
     # keeps, and a NaN c passes neither compare, as it fails abs(c) > cut
@@ -582,17 +571,58 @@ def sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:
                     running = c
                 elif -c > running:
                     running = -c
-    if running == inf:
+    return _float_cut(config, acc, running)
+
+
+def _float_sum(x: Supernumber, y: Supernumber, negate: bool) -> Supernumber:
+    """The float64 x + y, or x - y with ``negate``, as one kernel call over
+    (x, 1), (y, +-1) gives it: x's terms, then y's (each negated for -),
+    each added as acc.get(key, 0.0) + c with the running largest |c|, and
+    ``_float_cut``.  c * 1.0 and c * -1.0 are exactly c and -c, so no
+    product is formed.  Raises ConfigMismatch for a y outside x's config."""
+    config = x.config
+    if y.config is not config and y.config != config:
+        raise ConfigMismatch("operands use different algebra configs")
+    acc = {}
+    get = acc.get
+    running = 0
+    for b, c in x.terms.items():
+        acc[b] = 0.0 + c
+        if c > running:
+            running = c
+        elif -c > running:
+            running = -c
+    for b, c in y.terms.items():
+        if negate:
+            c = -c
+        acc[b] = get(b, 0.0) + c
+        if c > running:
+            running = c
+        elif -c > running:
+            running = -c
+    return _float_cut(config, acc, running)
+
+
+def _float_cut(config: AlgebraConfig, acc: dict, running) -> Supernumber:
+    """The one float64 prune, which the kernel, ``_float_sum`` and the
+    per-entry matrix product all end in: ``acc`` maps each key to its sum
+    and ``running`` is the largest |term| added.  Each sum whose magnitude
+    is at most ``zero_tolerance * running`` is dropped, and the rest are
+    kept in ascending key order.  Raises CoefficientOverflow when the
+    largest term or a kept sum is infinite (the cut would drop every term
+    or keep inf); a NaN sum fails abs(c) > cut and is dropped."""
+    if running == _INF:
         raise CoefficientOverflow("a float64 term product overflowed")
     cut = config.zero_tolerance * float(running)
     kept = {}
     for key, c in acc.items():
         a = abs(c)
         if a > cut:
-            if a == inf:
+            if a == _INF:
                 raise CoefficientOverflow("a float64 sum overflowed")
             kept[key] = c
-    return _ordered(config, _ascending(kept))
+    return _ordered(config, dict(sorted(kept.items())) if len(kept) > 1
+                    else kept)
 
 
 def _rational_sum_of_products(config: AlgebraConfig, pairs) -> Supernumber:

@@ -19,11 +19,13 @@ products of its nonempty pairs in ascending inner index, so in float64 each
 key of an entry is summed in inner-index order, then in left-term order,
 then in right-term order, with one relative cut at the largest term
 product.  A float64 product of 1000 term pairs or more forms them all in
-one numpy pass whose bins add in that same order; any other product makes
-one call of the Grassmann kernel per entry.  An entry with no such pair,
+one numpy pass whose bins add in that same order; a smaller one runs the
+Grassmann kernel's loop inline for every entry, in one Python frame, and a
+rational one makes one kernel call per entry.  An entry with no such pair,
 like a sum, negation or scaling of empty entries, is one shared zero.
-Sums and differences are the entries' own ``+`` and ``-``: one kernel call
-each in float64, one integer-form sum each in rational mode.
+Sums and differences have the bits of the entries' own ``+`` and ``-``:
+one merge loop over all entries in float64 (``algebra._float_sum``), one
+integer-form sum each in rational mode.
 
 A matrix over the algebra is invertible exactly when its body is, and the
 body is checked as a real matrix (``_body_inverse``, which metric
@@ -45,7 +47,6 @@ xi*I - ad invertible for every xi != 0.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -58,8 +59,11 @@ from .algebra import (
     GENERATOR_CAP,
     SLICE_RESIDUAL,
     Supernumber,
+    _float_cut,
+    _float_sum,
     _ordered,
     _sign_mask,
+    _sum,
     sum_of_products,
 )
 from .errors import (
@@ -187,7 +191,7 @@ class SuperMatrix:
     # -- arithmetic ------------------------------------------------------
 
     def _check_mate(self, other):
-        if self.config != other.config:
+        if self.config is not other.config and self.config != other.config:
             raise ConfigMismatch("matrices use different algebra configs")
         if self.shape != other.shape:
             raise ShapeMismatch(f"{self.shape} vs {other.shape}")
@@ -200,22 +204,34 @@ class SuperMatrix:
                                                     other.parity_class))
 
     def __add__(self, other):
-        return self._entrywise(other, operator.add)
+        return self._entrywise(other, False)
 
     def __sub__(self, other):
-        return self._entrywise(other, operator.sub)
+        return self._entrywise(other, True)
 
-    def _entrywise(self, other, op):
-        """op, ``operator.add`` or ``operator.sub``, of each pair of
-        entries; where both are empty, one shared zero."""
+    def _entrywise(self, other, negate):
+        """The sum of each pair of entries, or the difference with
+        ``negate``, each as the entries' own ``+`` or ``-`` computes it;
+        where both are empty, one shared zero.  A float64 entry of the
+        matrix's config goes to ``_float_sum`` directly."""
         self._check_mate(other)
+        config = self.config
         cls = (self.parity_class if self.parity_class == other.parity_class
                else "general")
-        zero = self.config.zero()
-        rows = tuple([tuple([zero if a.is_zero() and b.is_zero() else op(a, b)
-                             for a, b in zip(ra, rb)])
-                      for ra, rb in zip(self.rows, other.rows)])
-        return SuperMatrix._trusted(self.config, self.shape, rows, cls)
+        zero = config.zero()
+        if config.rational:
+            rows = tuple([tuple([zero if a.is_zero() and b.is_zero()
+                                 else _sum(a, b, negate)
+                                 for a, b in zip(ra, rb)])
+                          for ra, rb in zip(self.rows, other.rows)])
+        else:
+            rows = tuple([tuple([zero if not (a.terms or b.terms)
+                                 else _float_sum(a, b, negate)
+                                 if a.config is config
+                                 else _sum(a, b, negate)
+                                 for a, b in zip(ra, rb)])
+                          for ra, rb in zip(self.rows, other.rows)])
+        return SuperMatrix._trusted(config, self.shape, rows, cls)
 
     def __neg__(self):
         zero = self.config.zero()
@@ -338,24 +354,59 @@ def _mul_rows(config, a, b):
     in t order, then in left-term order, then in right-term order, and
     pruned once against the entry's largest term product.  A float64
     product of ``_BATCH_PAIRS`` term pairs or more computes them all in one
-    numpy pass (``_products_at_once``), with the same bits; a smaller one,
-    and every rational one, makes one ``sum_of_products`` call per entry.
-    An entry with no such pair is one zero shared by the product, with no
-    kernel call.  Every entry of both operands is checked against
+    numpy pass (``_products_at_once``), with the same bits; a smaller one
+    runs ``sum_of_products``'s float64 loop for each entry here, reading
+    each right factor's table as the kernel does and ending in the same
+    ``_float_cut``; a rational one makes one ``sum_of_products`` call per
+    entry.  An entry with no such pair is one zero shared by the product,
+    with no term formed.  Every entry of both operands is checked against
     ``config`` once (``_operand_index``), so a foreign one raises
     ConfigMismatch, empty or not.
     """
     a_rows, cols, col_masks, pairs = _operand_index(config, a, b)
+    zero = config.zero()
+    if config.rational:
+        return tuple([tuple([sum_of_products(config, [(e, col[t])
+                                                      for t, e in nz
+                                                      if t in col])
+                             if mask & col_mask else zero
+                             for col, col_mask in zip(cols, col_masks)])
+                      for nz, mask in a_rows])
     if pairs >= _BATCH_PAIRS:
         rows = _products_at_once(config, a_rows, cols, pairs)
         if rows is not None:
             return rows
-    zero = config.zero()
-    return tuple([tuple([sum_of_products(config, [(e, col[t]) for t, e in nz
-                                                  if t in col])
-                         if mask & col_mask else zero
-                         for col, col_mask in zip(cols, col_masks)])
-                  for nz, mask in a_rows])
+    # the kernel's loop, inline for every entry: a call per entry cost more
+    # than the arithmetic of its median 2 term pairs
+    out = []
+    for nz, mask in a_rows:
+        row = []
+        for col, col_mask in zip(cols, col_masks):
+            if not mask & col_mask:
+                row.append(zero)
+                continue
+            acc = {}
+            get = acc.get
+            running = 0
+            for t, x in nz:
+                y = col.get(t)
+                if y is None:
+                    continue
+                ys = y._right or y._right_table()
+                for b1, c1 in x.terms.items():
+                    for b2, c2, neg2, sign in ys:
+                        if b1 & b2:
+                            continue
+                        c = c1 * (neg2 if (b1 & sign).bit_count() & 1 else c2)
+                        key = b1 | b2
+                        acc[key] = get(key, 0.0) + c
+                        if c > running:
+                            running = c
+                        elif -c > running:
+                            running = -c
+            row.append(_float_cut(config, acc, running))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _operand_index(config, a, b):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supermetric import matrices, verify
 from supermetric.algebra import GENERATOR_CAP, AlgebraConfig, Supernumber, \
@@ -39,6 +40,7 @@ from supermetric.sampling import basis_for, make_rng, random_member, \
     random_metric, random_nil
 
 from hj_family import hJ_matrices
+from test_algebra import _reference_add
 
 RAT = AlgebraConfig(generator_count=4, coefficient_mode="rational")
 FLT = AlgebraConfig(generator_count=4, coefficient_mode="float64")
@@ -260,21 +262,131 @@ def test_products_call_the_kernel_only_where_a_pair_is_nonzero(monkeypatch):
         a = [[g1, z, g2], [z, z, z], [one, g2, z]]
         b = [[z, one, z], [z, g1, z], [g1, g2, z]]
         A, B = SuperMatrix(cfg, (3, 0), a), SuperMatrix(cfg, (3, 0), b)
+        # (0, 0), (0, 1), (2, 1); (2, 0) has no nonzero pair either
+        formed = {(0, 0): [(g2, g1)], (0, 1): [(g1, one), (g2, g2)],
+                  (2, 1): [(one, one), (g2, g1)]}
         for product in (lambda: A @ B, lambda: _mul_rows(cfg, a, b)):
             calls.clear()
             out = product()
             rows = out.rows if isinstance(out, SuperMatrix) else out
-            # (0, 0), (0, 1), (2, 1); (2, 0) has no nonzero pair either
-            assert [[(x, y) for x, y in c] for c in calls] == [
-                [(g2, g1)], [(g1, one), (g2, g2)], [(one, one), (g2, g1)]]
+            if cfg.rational:
+                assert [[(x, y) for x, y in c] for c in calls] == \
+                    list(formed.values())
+            else:
+                # float64 runs the kernel's loop inline: no call, and each
+                # formed entry has the bits of one call over its pairs
+                assert calls == []
+                for (i, j), pairs in formed.items():
+                    assert _hex_terms([[rows[i][j]]]) == _hex_terms(
+                        [[sum_of_products(cfg, pairs)]])
             empty = [rows[i][j] for i in range(3) for j in range(3)
-                     if (i, j) not in ((0, 0), (0, 1), (2, 1))]
+                     if (i, j) not in formed]
             assert all(e is empty[0] and e.is_zero() for e in empty)
         # 0 + 0 and 0 - 0 are the shared zero as well
         for out in (A + B, A - B):
             assert out.rows[1][0] is out.rows[1][2] and out.rows[1][0] == z
             assert out.rows[0][0] == g1 and out.rows[2][0] in (one + g1,
                                                                one - g1)
+
+
+def _float_entries(data, cfg, k, near=None):
+    """k x k float64 entries of 0-6 terms each, drawn by hypothesis; each
+    coefficient is +-1, one ulp off it, 1.5 or -3, at unit or tolerance
+    scale, so that keys meet and cancel near the cut.  With ``near``, some
+    entries are -(1 + d) times its entry, d of 0, one ulp or the tolerance,
+    so that sums cancel near the cut."""
+    tiny = cfg.zero_tolerance or 1e-3
+    coeff = st.builds(lambda c, s: c * s,
+                      st.sampled_from([1.0, -1.0, 1.0 + 2.0 ** -52,
+                                       -1.0 - 2.0 ** -52, 1.5, -3.0]),
+                      st.sampled_from([1.0, tiny]))
+    entry = st.dictionaries(st.integers(0, (1 << cfg.generator_count) - 1),
+                            coeff, max_size=6)
+    rows = []
+    for i in range(k):
+        row = []
+        for j in range(k):
+            d = None if near is None else data.draw(
+                st.sampled_from([None, 0.0, 2.0 ** -52, tiny]))
+            row.append(Supernumber(cfg, data.draw(entry)) if d is None
+                       else near[i][j].scale(-(1.0 + d)))
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_float_products_and_sums_match_their_references_bit_for_bit(data):
+    m, n = data.draw(st.sampled_from([(1, 2), (2, 2), (3, 4)]))
+    cfg = AlgebraConfig(generator_count=data.draw(st.integers(4, 8)),
+                        coefficient_mode="float64",
+                        zero_tolerance=data.draw(
+                            st.sampled_from([None, 0.0, 1e-3])))
+    k = m + n
+    a = _float_entries(data, cfg, k)
+    b = _float_entries(data, cfg, k, near=a)
+    A, B = SuperMatrix(cfg, (m, n), a), SuperMatrix(cfg, (m, n), b)
+    # every entry of A @ B is one kernel call over its nonempty pairs, and
+    # the independent fold over every pair
+    want = _hex_terms(_per_entry(cfg, a, b))
+    assert _hex_terms((A @ B).rows) == want
+    assert want == _hex_terms([[_fold(cfg, [(a[i][t], b[t][j])
+                                             for t in range(k)])
+                                for j in range(k)] for i in range(k)])
+    for out, sign in ((A + B, 1.0), (A - B, -1.0)):
+        assert _hex_terms(out.rows) == _hex_terms(
+            [[_reference_add(x, y.scale(sign)) for x, y in zip(ra, rb)]
+             for ra, rb in zip(a, b)])
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ({0: 1e200}, {1: 1e200}, "a float64 term product overflowed"),
+    # z1 * z2 and 1 * z1z2 are finite, and their sum is not
+    ({0: 1e308, 1: 1e308}, {2: 1.0, 3: 1.0}, "a float64 sum overflowed"),
+], ids=["term-product", "sum"])
+def test_inline_products_overflow_as_the_kernel_does(x, y, message):
+    cfg = AlgebraConfig(generator_count=4, coefficient_mode="float64")
+    x, y = Supernumber(cfg, x), Supernumber(cfg, y)
+    with pytest.raises(CoefficientOverflow, match=message) as kernel:
+        sum_of_products(cfg, [(x, y)])
+    X, Y = SuperMatrix(cfg, (1, 0), [[x]]), SuperMatrix(cfg, (1, 0), [[y]])
+    with pytest.raises(CoefficientOverflow) as inline:
+        X @ Y
+    assert str(inline.value) == str(kernel.value)
+
+
+def test_float_matrix_sums_overflow_as_the_kernel_does():
+    cfg = AlgebraConfig(generator_count=4, coefficient_mode="float64")
+    big, one = cfg.scalar(1e308), cfg.one()
+    with pytest.raises(CoefficientOverflow, match="sum overflowed") as kernel:
+        sum_of_products(cfg, [(big, one), (big, one)])
+    M = SuperMatrix(cfg, (1, 0), [[big]])
+    for out in (lambda: M + M, lambda: M - (-M), lambda: big + big):
+        with pytest.raises(CoefficientOverflow) as merged:
+            out()
+        assert str(merged.value) == str(kernel.value)
+
+
+def test_float_matrix_sums_refuse_a_foreign_entry_where_the_entry_sum_does():
+    # an entry pair is summed as x + y is, which checks y against x's
+    # config; two empty entries give the shared zero and are not checked
+    other = AlgebraConfig(generator_count=5, coefficient_mode="float64")
+    g, z = FLT.generator(1), FLT.zero()
+    fg, fz = other.generator(1), other.zero()
+    for x, y, raises in ((fg, g, True), (g, fz, True), (fz, g, True),
+                         (g, fg, True), (fz, z, False), (z, fz, False),
+                         (fg, fg, False)):
+        X = SuperMatrix(FLT, (1, 0), [[x]])
+        Y = SuperMatrix(FLT, (1, 0), [[y]])
+        for op in (lambda: X + Y, lambda: X - Y):
+            if raises:
+                with pytest.raises(ConfigMismatch):
+                    op()
+            else:
+                out = op().rows[0][0]
+                assert out.is_zero() or out.config is other
+    with pytest.raises(ConfigMismatch):
+        SuperMatrix(FLT, (1, 0), [[g]]) + SuperMatrix(other, (1, 0), [[fg]])
 
 
 def _dense_rows(rng, cfg, m, n, terms, rows=None, cols=None):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -197,6 +198,42 @@ def test_bench_ab_alternates_the_sides_and_compares_the_pairs(tmp_path):
     assert report["digests"]["1"]["all"]["same"] is True
     assert report["digests"]["2"]["all"] == {
         "parent": "a" * 64, "change": "b" * 64, "same": False}
+
+
+def test_interleave_ab_times_a_checkout_against_itself():
+    # the repo against itself on group-sparse, one pass over its rounds:
+    # every report matches, and each verb and mode gets one line
+    proc = _run("interleave_ab.py", str(ROOT), str(ROOT),
+                "--workload", "group-sparse", "--reps", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == ("interleave_ab workload=group-sparse seed=31 "
+                        "reps=1 mode=both")
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [
+        [verb, mode] for verb in ("group-op", "isometry-check", "lie-basis",
+                                  "all")
+        for mode in ("float64", "rational")]
+    # the 4 rounds hold 72 requests per mode; the warm-up is not timed
+    assert [row[2] for row in rows[-2:]] == ["72", "72"]
+    assert all(float(v) > 0 for row in rows for v in row[3:])
+
+
+def test_interleave_ab_stops_at_the_first_differing_report(tmp_path):
+    # the change side prints one more line after every report
+    change = tmp_path / "change"
+    shutil.copytree(ROOT / "src", change / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(change / "src" / "supermetric" / "cli.py", "a") as cli:
+        cli.write("\n_main = main\n\n\ndef main(argv=None):\n"
+                  "    code = _main(argv)\n    print()\n    return code\n")
+    proc = _run("interleave_ab.py", str(ROOT), str(change),
+                "--workload", "group-sparse", "--mode", "rational")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("interleave_ab: ")
+    assert proc.stderr.rstrip().endswith(
+        "(rational): stdout differs between the sides")
 
 
 # bounds of scripts/mode_diff.py's ratios, as README states them beside the
